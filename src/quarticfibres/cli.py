@@ -318,7 +318,6 @@ def _cmd_scan(args) -> int:
     spec = _field(args)
     gf = spec.field()
     name = args.fibration
-    arity, _ = FIBRATIONS[name]
     names = _SCAN_NAMES[name]
     fixed = {}
     for part in _split_csv(args.fix or ""):
@@ -330,9 +329,8 @@ def _cmd_scan(args) -> int:
     counts: dict = {}
     scanned = 0
     limit = args.limit
-    for point in product(range(gf.q), repeat=arity):
-        if any(point[names.index(k)] != v for k, v in fixed.items()):
-            continue
+    for point in product(*([fixed[k]] if k in fixed else range(gf.q)
+                            for k in names)):
         if limit is not None and scanned >= limit:
             break
         scanned += 1

@@ -65,10 +65,6 @@ class NotSingular(QuarticError):
     pass
 
 
-class BranchSplit(QuarticError):
-    """Raised only in strict mode; the delta computation records it instead."""
-
-
 class NonRationalCenter(QuarticError):
     pass
 

@@ -17,6 +17,7 @@ curves.  A fibre is a ternary form over GF(2^m), wrapped in
 * ``classify_fibre`` runs the cascade square-root / linear-split /
   integral and returns a `FibreClass`.
 
+Charts, line peeling and univariate root finding come from ``plane``.
 Extension scans are capped: no enumeration touches a field beyond
 2^12 elements, and locus searches stop at ``m * ext <= 8``.
 """
@@ -24,14 +25,17 @@ Extension scans are capped: no enumeration touches a field beyond
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import (BranchSplit, ConstraintViolation, NotSingular,
-                     NotSmoothPoint, NotHomogeneous, PointNotOnCurve,
-                     UnsupportedFamily, ZeroForm)
+from .errors import (ConstraintViolation, NotSingular, NotSmoothPoint,
+                     NotHomogeneous, PointNotOnCurve, UnsupportedFamily,
+                     ZeroForm)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import MPoly, FORM_VARS
+from .plane import (LOCUS_CAP, chart_at, embed_form, is_smooth_conic,
+                    line_form, mult_origin, normalize_point, peel_lines,
+                    roots, shift_out)
+from .upoly import UPoly
 
 _CAP_BITS = 12      # largest enumerated field: GF(2^12)
-_LOCUS_CAP = 8      # singular-locus scans stop at GF(2^8)
 
 
 @dataclass(frozen=True)
@@ -184,15 +188,7 @@ def predicted_singular_point(fibration: str, point, spec: FieldSpec):
     raise UnsupportedFamily(f"no closed-form location for {fibration!r}")
 
 
-# ----- field plumbing -----------------------------------------------------
-
-
-def _embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
-    if small.m == big.m:
-        return f
-    table = small.embedding_into(big)
-    return MPoly(f.vars, big,
-                 {e: GFElem(big, table[c.v]) for e, c in f.terms.items()})
+# ----- points and charts --------------------------------------------------
 
 
 def _coerce_point(curve: "PlaneCurveFq", point):
@@ -201,43 +197,18 @@ def _coerce_point(curve: "PlaneCurveFq", point):
                  for c in point)
 
 
-def _normalize_point(point):
-    gf = point[0].gf
-    for i, c in enumerate(point):
-        if c:
-            s = gf.one_elem() / c
-            return tuple(x * s for x in point), i
-    raise ConstraintViolation("(0:0:0) is not a projective point")
-
-
-# ----- local charts -------------------------------------------------------
-
-
-def _chart_local(form: MPoly, point) -> tuple[MPoly, int]:
-    """Dehomogenize at the point's pivot and translate it to the origin."""
-    p, i = _normalize_point(point)
-    gf = p[0].gf
-    f = _embed_form(form, form.domain, gf).dehomogenize(form.vars[i])
-    mapping = {}
-    for j, name in enumerate(form.vars):
-        if j != i and p[j]:
-            mapping[name] = (MPoly.var(form.vars, gf, name)
-                             + MPoly.const(form.vars, gf, p[j]))
-    if mapping:
-        f = f.substitute(mapping)
-    return f, i
-
-
-def _mult_origin(f: MPoly) -> int:
-    return min(sum(e) for e in f.terms)
+def _check_max_ext(max_ext: int):
+    if max_ext < 1:
+        raise ConstraintViolation(
+            f"max_ext must be at least 1 (the base field), got {max_ext}")
 
 
 def multiplicity_at(curve: PlaneCurveFq, point) -> int:
     """Multiplicity of the curve at a projective point (1 = smooth)."""
-    local, _ = _chart_local(curve.form, _coerce_point(curve, point))
-    if local.is_zero() or min(sum(e) for e in local.terms) == 0:
+    local, _ = chart_at(curve.form, _coerce_point(curve, point))
+    if local.is_zero() or mult_origin(local) == 0:
         raise PointNotOnCurve("the point does not lie on the curve")
-    return _mult_origin(local)
+    return mult_origin(local)
 
 
 # ----- singular locus -----------------------------------------------------
@@ -250,14 +221,15 @@ def singular_locus(curve: PlaneCurveFq, max_ext: int = 2) -> list:
     deduplicating points already seen over a subfield.  Returns a list
     of (point, r) with each point a GFElem triple over its own field.
     """
+    _check_max_ext(max_ext)
     base = curve.gf
     found = []          # (raw coords, r, gf)
     out = []
     for r in range(1, max_ext + 1):
-        if base.m * r > _LOCUS_CAP:
+        if base.m * r > LOCUS_CAP:
             break
         gfr = GF.get(base.m * r)
-        f = _embed_form(curve.form, base, gfr)
+        f = embed_form(curve.form, base, gfr)
         seen = set()
         for coords, s, gfs in found:
             if r % s == 0:
@@ -276,7 +248,7 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None,
     """Points of the curve with multiplicity 1, rational over the base
     field (or its degree-`ext` extension), in scan order."""
     gf = curve.gf if ext == 1 else GF.get(curve.gf.m * ext)
-    f = _embed_form(curve.form, curve.gf, gf)
+    f = embed_form(curve.form, curve.gf, gf)
     singular = set(kernels.scan_singular_points(f, gf))
     pts = []
     for raw in kernels.scan_zero_points(f, gf):
@@ -288,47 +260,6 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None,
     return pts
 
 
-# ----- univariate scratchpad ----------------------------------------------
-# Coefficient lists (ascending, raw ints) over a GF; just enough division
-# to count roots and test quadratic factors.
-
-
-def _utrim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _ueval(cs, gf, x):
-    acc = 0
-    for c in reversed(cs):
-        acc = gf.mul(acc, x) ^ c
-    return acc
-
-
-def _udivmod(cs, ds, gf):
-    r = list(cs)
-    q = [0] * max(len(r) - len(ds) + 1, 0)
-    dl = gf.inv(ds[-1])
-    while len(r) >= len(ds) and _utrim(r):
-        k = len(r) - len(ds)
-        c = gf.mul(r[-1], dl)
-        q[k] = c
-        for i, d in enumerate(ds):
-            r[k + i] ^= gf.mul(c, d)
-        _utrim(r)
-    return _utrim(q), _utrim(r)
-
-
-def _uroot_mult(cs, gf, alpha):
-    """Multiplicity of alpha as a root, and the deflated polynomial."""
-    n = 0
-    while cs and _ueval(cs, gf, alpha) == 0:
-        cs, _ = _udivmod(cs, [alpha, 1], gf)
-        n += 1
-    return n, cs
-
-
 # ----- tangent contact ----------------------------------------------------
 
 
@@ -337,33 +268,19 @@ def _binary_profile(g: MPoly, gf) -> tuple:
     over the algebraic closure, conjugates counted separately."""
     d = g.total_degree()
     k0 = min(e[1] for e in g.terms)          # multiplicity of the root (1:0)
-    profile = [k0] if k0 else []
     cs = [0] * (d - k0 + 1)
     for e, c in g.terms.items():
         cs[e[0]] = c.v
-    prof_rest = []
-    for alpha in range(gf.q):
-        n, cs = _uroot_mult(cs, gf, alpha)
-        if n:
-            prof_rest.append(n)
-    rest = len(cs) - 1 if cs else 0
-    if rest == 2:
-        prof_rest += [1, 1]
-    elif rest == 3:
-        prof_rest += [1, 1, 1]
-    elif rest == 4:
-        split = None
-        for b in range(gf.q):
-            for c in range(gf.q):
-                q1, r1 = _udivmod(cs, [c, b, 1], gf)
-                if not r1:
-                    _, r2 = _udivmod(q1, [c, b, 1], gf)
-                    split = [2, 2] if not r2 else [1, 1, 1, 1]
-                    break
-            if split:
-                break
-        prof_rest += split if split else [1, 1, 1, 1]
-    return tuple(sorted(profile + prof_rest, reverse=True))
+    found, rest = roots(UPoly.from_coeffs(gf, cs))
+    profile = ([k0] if k0 else []) + [n for _, n in found]
+    # The root-free rest has degree 0, 2, 3 or 4.  Over a perfect field
+    # its only repeated factor can be a quadratic squared, which is an
+    # even-support quartic; otherwise its roots are simple.
+    if rest.deg() == 4 and rest.is_square():
+        profile += [2, 2]
+    else:
+        profile += [1] * rest.deg()
+    return tuple(sorted(profile, reverse=True))
 
 
 def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
@@ -372,9 +289,9 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
     point = _coerce_point(curve, point)
     if multiplicity_at(curve, point) != 1:
         raise NotSmoothPoint("tangent contact is measured at smooth points")
-    p, _ = _normalize_point(point)
+    p, _ = normalize_point(point)
     gf = p[0].gf
-    f = _embed_form(curve.form, curve.gf, gf)
+    f = embed_form(curve.form, curve.gf, gf)
     vals = {name: c for name, c in zip(f.vars, p)}
     grad = [f.partial(name).eval_point(vals) for name in f.vars]
     j = next(i for i, c in enumerate(grad) if c)
@@ -412,25 +329,18 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 # ----- delta invariant ----------------------------------------------------
 
 
-def _leading_coeffs(f: MPoly, m: int, iu: int, iv: int):
-    """Binary leading form c_k u^k v^(m-k) as a list indexed by k."""
-    cs = [0] * (m + 1)
+def _directions(f: MPoly, m: int, iu: int, gf):
+    """Roots of the leading binary form: (eta, mult, gf) per finite
+    direction plus the multiplicity of the vertical direction (0:1)."""
+    cs = [0] * (m + 1)      # c_k u^k v^(m-k), indexed by k
     for e, c in f.terms.items():
         if sum(e) == m:
             cs[e[iu]] = c.v
-    return cs
-
-
-def _directions(f: MPoly, m: int, iu: int, iv: int, gf):
-    """Roots of the leading binary form: (eta, mult, gf) per finite
-    direction plus the multiplicity of the vertical direction (0:1)."""
-    cs = _leading_coeffs(f, m, iu, iv)
     # L(1, eta) has coefficient c_{m-j} on eta^j
-    h = _utrim([cs[m - j] for j in range(m + 1)])
-    vertical = m - (len(h) - 1 if h else 0)
-    roots = []
-    remaining = len(h) - 1 if h else 0
-    images = []
+    h = cs[::-1]
+    remaining = UPoly.from_coeffs(gf, h).deg()
+    vertical = m - remaining
+    out = []
     r = 1
     while remaining > 0:
         if gf.m * r > _CAP_BITS:
@@ -438,41 +348,23 @@ def _directions(f: MPoly, m: int, iu: int, iv: int, gf):
                 "blowup direction lies beyond the enumeration cap")
         gfr = GF.get(gf.m * r)
         table = gf.embedding_into(gfr)
-        hr = [table[c] for c in h]
-        skip = set()
-        for alpha, s, gfs in images:
-            if r % s == 0:
-                t2 = gfs.embedding_into(gfr)
-                skip.add(t2[alpha])
-        for alpha in range(gfr.q):
-            if remaining == 0:
-                break
-            if alpha in skip or not hr:
-                continue
-            n, hr2 = _uroot_mult(list(hr), gfr, alpha)
-            if n:
-                roots.append((alpha, n, gfr))
-                images.append((alpha, r, gfr))
+        # roots already found over a subfield of GF(2^{m r})
+        skip = {gfs.embedding_into(gfr)[alpha]
+                for alpha, _, gfs in out if r % (gfs.m // gf.m) == 0}
+        for alpha, n in roots(UPoly.from_coeffs(
+                gfr, [table[c] for c in h]))[0]:
+            if alpha not in skip:
+                out.append((alpha, n, gfr))
                 remaining -= n
-                hr = hr2
         r += 1
-    return roots, vertical
-
-
-def _shift_out(f: MPoly, idx: int, k: int) -> MPoly:
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[idx] -= k
-        terms[tuple(e2)] = c
-    return MPoly(f.vars, f.domain, terms)
+    return out, vertical
 
 
 def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     """Delta invariant at a singular point and the multiplicity sequence
     of the infinitely near points (depth-first when branches split)."""
-    local, pivot = _chart_local(curve.form, _coerce_point(curve, point))
-    if _mult_origin(local) < 2:
+    local, pivot = chart_at(curve.form, _coerce_point(curve, point))
+    if mult_origin(local) < 2:
         raise NotSingular("the delta invariant needs a singular point")
     iu, iv = [i for i in range(3) if i != pivot]
     nu, nv = local.vars[iu], local.vars[iv]
@@ -482,25 +374,25 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     while stack:
         f = stack.pop()
         gf = f.domain
-        m = _mult_origin(f)
+        m = mult_origin(f)
         seq.append(m)
         if m < 2:
             continue
         delta += m * (m - 1) // 2
-        roots, vertical = _directions(f, m, iu, iv, gf)
+        dirs, vertical = _directions(f, m, iu, gf)
         nxt = []
         if vertical:
             u_var = MPoly.var(f.vars, gf, nu)
             v_var = MPoly.var(f.vars, gf, nv)
             g = f.substitute({nu: u_var * v_var})
-            nxt.append(_shift_out(g, iv, m))
-        for alpha, _, gfr in sorted(roots, key=lambda t: (t[2].m, t[0])):
-            fr = _embed_form(f, gf, gfr)
+            nxt.append(shift_out(g, iv, m))
+        for alpha, _, gfr in sorted(dirs, key=lambda t: (t[2].m, t[0])):
+            fr = embed_form(f, gf, gfr)
             u_var = MPoly.var(f.vars, gfr, nu)
             v_var = MPoly.var(f.vars, gfr, nv)
             eta = MPoly.const(f.vars, gfr, GFElem(gfr, alpha))
             g = fr.substitute({nv: u_var * (eta + v_var)})
-            nxt.append(_shift_out(g, iu, m))
+            nxt.append(shift_out(g, iu, m))
         stack.extend(reversed(nxt))
     return delta, tuple(seq)
 
@@ -508,65 +400,9 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
 # ----- classification -----------------------------------------------------
 
 
-def _line_poly(gf, triple):
-    return MPoly.from_terms(
-        FORM_VARS, gf,
-        [(tuple(1 if k == i else 0 for k in range(3)), GFElem(gf, v))
-         for i, v in enumerate(triple) if v])
-
-
-def _split_lines(form: MPoly, gf, max_ext: int):
-    """Peel off linear factors by trial division; returns the factors
-    grouped with multiplicities, the cofactor, and the working field."""
-    rem = form
-    cur = gf
-    factors = {}
-    rounds = (1,) if max_ext <= 1 else (1, max_ext)
-    for r in rounds:
-        if gf.m * r > _LOCUS_CAP:
-            break
-        if gf.m * r > cur.m:
-            big = GF.get(gf.m * r)
-            table = cur.embedding_into(big)
-            rem = _embed_form(rem, cur, big)
-            factors = {tuple(table[v] for v in t): (mult, big)
-                       for t, (mult, _) in factors.items()}
-            cur = big
-        progress = True
-        while rem.total_degree() > 0 and progress:
-            progress = False
-            for triple in kernels.plane_points(cur.q):
-                t = tuple(int(v) for v in triple)
-                q = rem.divide(_line_poly(cur, t))
-                if q is not None:
-                    mult, _ = factors.get(t, (0, cur))
-                    factors[t] = (mult + 1, cur)
-                    rem = q
-                    progress = True
-                    break
-        if rem.total_degree() == 0:
-            break
-    return factors, rem, cur
-
-
-def _is_smooth_conic(conic: MPoly, gf) -> bool:
-    if conic.total_degree() != 2 or not conic.is_homogeneous():
-        return False
-    if conic.square_root() is not None:
-        return False
-    # a singular conic's vertex is cut out by linear forms, hence rational
-    return not kernels.scan_singular_points(conic, gf)
-
-
 def _even_y_monic(form: MPoly) -> bool:
     return bool(form.coeff((0, 4, 0))) and all(e[1] % 2 == 0
                                                for e in form.terms)
-
-
-def _quad_roots(a, b, gf):
-    """Roots of X^2 + aX + b in gf (raw ints)."""
-    return [x for x in range(gf.q)
-            if gf.mul(x, x) ^ gf.mul(a, x) ^ b == 0]
 
 
 def _biconic_split(form: MPoly, gf, max_ext: int = 2):
@@ -582,22 +418,25 @@ def _biconic_split(form: MPoly, gf, max_ext: int = 2):
     bcs = [f.coeff((4, 0, 0)).v, f.coeff((3, 0, 1)).v, f.coeff((2, 0, 2)).v,
            f.coeff((1, 0, 3)).v, f.coeff((0, 0, 4)).v]
     for r in (1, 2):
-        if r > max_ext or gf.m * r > _LOCUS_CAP:
+        if r > max_ext or gf.m * r > LOCUS_CAP:
             break
         gfr = gf if r == 1 else GF.get(gf.m * r)
         table = None if r == 1 else gf.embedding_into(gfr)
         a2, a1, a0 = acs if r == 1 else [table[v] for v in acs]
         b4, b3, b2, b1, b0 = bcs if r == 1 else [table[v] for v in bcs]
         mul = gfr.mul
-        for p in _quad_roots(a2, b4, gfr):
-            for s in _quad_roots(a0, b0, gfr):
-                for q in range(gfr.q):
+
+        def quad_roots(c0, c1):
+            """Roots of X^2 + c1 X + c0 in gfr."""
+            found, _ = roots(UPoly.from_coeffs(gfr, (c0, c1, 1)))
+            return [x for x, _ in found]
+
+        for p in quad_roots(b4, a2):
+            for s in quad_roots(b0, a0):
+                for q in quad_roots(b2 ^ mul(p, a0) ^ mul(s, a2), a1):
                     if (mul(p, a1) ^ mul(q, a2)) != b3:
                         continue
                     if (mul(q, a0) ^ mul(s, a1)) != b1:
-                        continue
-                    if (mul(p, a0) ^ mul(q, a1) ^ mul(s, a2)
-                            ^ mul(q, q)) != b2:
                         continue
                     v = (p, q, s)
                     w = (a2 ^ p, a1 ^ q, a0 ^ s)
@@ -617,31 +456,29 @@ def classify_fibre(curve: PlaneCurveFq, max_ext: int = 2) -> FibreClass:
     """Coarse classification used for the degenerate-fibre tables."""
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
+    _check_max_ext(max_ext)
     gf = curve.gf
     root = curve.form.square_root()
-    if root is not None and _is_smooth_conic(root, gf):
+    if root is not None and is_smooth_conic(root, gf):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
     # with only even powers of y and a y^4 term, every linear factor is
     # rational over the base field, so line peeling need not extend
     even_y = _even_y_monic(curve.form)
-    factors, rem, cur = _split_lines(curve.form, gf,
-                                     1 if even_y else max_ext)
+    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else max_ext)
     if factors:
-        comps = tuple(sorted(
-            (str(_line_poly(fgf, t)), mult)
-            for t, (mult, fgf) in factors.items()))
+        ext = cur.m // gf.m
+        comps = tuple(sorted((str(line_form(cur, t)), mult)
+                             for t, mult in factors.items()))
         if rem.total_degree() == 0:
             mults = sorted(m for _, m in comps)
-            if mults == [1, 3]:
-                return FibreClass(kind="LinePlusTripleLine", components=comps)
-            return FibreClass(kind="Other", components=comps)
-        if (rem.total_degree() == 2 and len(factors) == 1
-                and next(iter(factors.values()))[0] == 2
-                and _is_smooth_conic(rem, cur)):
-            return FibreClass(kind="ConicPlusDoubleLine",
-                              components=comps + ((str(rem), 1),))
-        return FibreClass(kind="Other",
+            kind = "LinePlusTripleLine" if mults == [1, 3] else "Other"
+            return FibreClass(kind=kind, ext=ext, components=comps)
+        kind = "Other"
+        if (rem.total_degree() == 2 and list(factors.values()) == [2]
+                and is_smooth_conic(rem, cur)):
+            kind = "ConicPlusDoubleLine"
+        return FibreClass(kind=kind, ext=ext,
                           components=comps + ((str(rem), 1),))
     if even_y:
         split = _biconic_split(curve.form, gf, max_ext)

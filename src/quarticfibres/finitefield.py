@@ -10,17 +10,18 @@ overloading; hot loops never touch it.
 from __future__ import annotations
 
 from . import gf2x
+from .errors import QuarticError
 
 
-class FieldError(ValueError):
+class FieldError(QuarticError, ValueError):
     pass
 
 
 class GF:
     """The field GF(2^m) = F2[u]/(modulus), elements encoded as ints < 2^m."""
 
-    __slots__ = ("m", "q", "modulus", "exp", "log", "generator", "upow",
-                 "_sqrt_basis", "_embeddings")
+    __slots__ = ("m", "q", "modulus", "exp", "log", "generator",
+                 "_embeddings")
 
     _cache: dict[tuple[int, int], "GF"] = {}
 
@@ -35,10 +36,6 @@ class GF:
         self.q = 1 << m
         self.modulus = modulus
         self._build_tables()
-        # u^k reduced, for k up to 2m-2: the reduction row used by
-        # bit-sliced polynomial multiplication.
-        self.upow = tuple(gf2x.mod(1 << k, modulus) for k in range(2 * m - 1))
-        self._sqrt_basis = tuple(self.sqrt(gf2x.mod(1 << k, modulus)) for k in range(m))
         self._embeddings = {}
 
     @classmethod

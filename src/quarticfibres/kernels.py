@@ -1,32 +1,23 @@
 """Array kernels for point scans over the projective plane of GF(2^m).
 
-The singular-locus search and the smooth-conic test both brute-force
-P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow with boxed
-field elements.  In the power basis, field addition is XOR and
-multiplication goes through the discrete-log tables, so evaluating a
-ternary form at every plane point reduces to integer table lookups.
+The singular-locus search, the smooth-conic test, line peeling and the
+pencil base points all brute-force P^2(GF(2^n)); for n = 8 that is 65793
+points, far too slow with boxed field elements.  In the power basis,
+field addition is XOR and multiplication goes through the discrete-log
+tables, so evaluating a ternary form at every plane point reduces to
+integer table lookups.
 
-Two implementations are kept in lockstep:
-
-* a numba-compiled nested loop (default whenever numba imports), and
-* a pure-numpy vectorised path, forced by ``QUARTICFIBRES_PURE_NUMPY=1``.
-
-``benchmarks/bench_kernels.py`` times one against the other on GF(256).
+The evaluator is a numba-compiled nested loop whenever numba imports,
+and a vectorised numpy path otherwise; ``tests/test_kernels.py`` checks
+the two against each other.  ``perfbench/`` times the scans in context.
 """
-
-import os
 
 import numpy as np
 
-PURE_NUMPY = os.environ.get("QUARTICFIBRES_PURE_NUMPY") == "1"
-
-if PURE_NUMPY:
+try:
+    from numba import njit as _njit
+except ImportError:  # pragma: no cover - numba is an optional speed-up
     _njit = None
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is an optional speed-up
-        _njit = None
 
 USING_NUMBA = _njit is not None
 

@@ -25,6 +25,9 @@ Completeness is certified arithmetically: the base multiplicities must
 satisfy sum mu^2 = deg f0 * deg f1.  A shortfall means a base point was
 missed — necessarily one with irrational coordinates — and raises
 `NonRationalCenter`.
+
+Charts, line peeling and the root finder on exceptional curves come from
+``plane``; the base points are the common zeros of two ``kernels`` scans.
 """
 
 from collections import deque
@@ -33,9 +36,11 @@ from dataclasses import dataclass, field
 from . import kernels
 from .errors import (ConstraintViolation, IdentityFailed, NonRationalCenter,
                      NotHomogeneous, UnknownCurve, ZeroForm)
-from .fibres import _udivmod, _uroot_mult, _utrim
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import MPoly, FORM_VARS
+from .plane import (chart_at, line_form, mult_origin, peel_lines, roots,
+                    shift_out)
+from .upoly import UPoly
 
 _SERIES = "EFGHIJK"
 _MAX_NODES = 64
@@ -217,36 +222,8 @@ class ResolutionReport:
 def base_points(pencil: PencilSpec) -> list:
     """Rational common zeros of the two members, canonically ordered."""
     gf = pencil.gf
-    pts = kernels.plane_points(gf.q)
-    vals = kernels.evaluate_forms(pts, [pencil.f0, pencil.f1], gf)
-    mask = (vals[0] == 0) & (vals[1] == 0)
-    return sorted(tuple(int(v) for v in p) for p in pts[mask])
-
-
-def _line_poly(gf, triple):
-    return MPoly.from_terms(
-        FORM_VARS, gf,
-        [(tuple(1 if k == i else 0 for k in range(3)), GFElem(gf, v))
-         for i, v in enumerate(triple) if v])
-
-
-def _peel_lines(f: MPoly, gf):
-    """Linear factors over the base field with multiplicities, plus the
-    (possibly constant) cofactor."""
-    rem = f
-    found = {}
-    progress = True
-    while rem.total_degree() > 0 and progress:
-        progress = False
-        for triple in kernels.plane_points(gf.q):
-            t = tuple(int(v) for v in triple)
-            q = rem.divide(_line_poly(gf, t))
-            if q is not None:
-                found[t] = found.get(t, 0) + 1
-                rem = q
-                progress = True
-                break
-    return found, rem
+    return sorted(set(kernels.scan_zero_points(pencil.f0, gf))
+                  & set(kernels.scan_zero_points(pencil.f1, gf)))
 
 
 def _named_factors(pencil: PencilSpec):
@@ -257,15 +234,15 @@ def _named_factors(pencil: PencilSpec):
     """
     gf = pencil.gf
     named = []          # (cid, form, fib0, fib1)
-    lines0, rem0 = _peel_lines(pencil.f0, gf)
+    lines0, rem0, _ = peel_lines(pencil.f0, gf)
     parts0 = []
     if rem0.total_degree() > 0:
         parts0.append((rem0, 1))
-    parts0 += [(_line_poly(gf, t), m) for t, m in sorted(lines0.items())]
+    parts0 += [(line_form(gf, t), m) for t, m in sorted(lines0.items())]
     for i, (form, mult) in enumerate(parts0):
         named.append(("W" if i == 0 else f"W{i + 1}", form, mult, 0))
-    lines1, rem1 = _peel_lines(pencil.f1, gf)
-    parts1 = [(_line_poly(gf, t), m) for t, m in
+    lines1, rem1, _ = peel_lines(pencil.f1, gf)
+    parts1 = [(line_form(gf, t), m) for t, m in
               sorted(lines1.items(), key=lambda kv: (-kv[1], kv[0]))]
     if rem1.total_degree() > 0:
         parts1.append((rem1, 1))
@@ -281,76 +258,30 @@ def _named_factors(pencil: PencilSpec):
     return named
 
 
-def _chart_at(f: MPoly, point, gf) -> MPoly:
-    pivot = next(i for i, v in enumerate(point) if v)
-    local = f.dehomogenize(FORM_VARS[pivot])
-    mapping = {}
-    for j, name in enumerate(FORM_VARS):
-        if j != pivot and point[j]:
-            mapping[name] = (MPoly.var(FORM_VARS, gf, name)
-                             + MPoly.const(FORM_VARS, gf, GFElem(gf, point[j])))
-    return local.substitute(mapping) if mapping else local
-
-
-def _mult0(f: MPoly) -> int:
-    return min(sum(e) for e in f.terms)
-
-
 def _vanishes(f: MPoly) -> bool:
     return not f.coeff(tuple([0] * len(f.vars)))
 
 
-def _shift(f: MPoly, idx: int, k: int) -> MPoly:
-    if k == 0:
-        return f
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[idx] -= k
-        terms[tuple(e2)] = c
-    return MPoly(f.vars, f.domain, terms)
+def _axis_poly(f: MPoly, fixed: int, run: int, gf) -> UPoly:
+    """f restricted to {var_fixed = 0}, read as a univariate polynomial
+    in var_run."""
+    cs = {e[run]: c.v for e, c in f.terms.items() if e[fixed] == 0}
+    return UPoly.from_coeffs(gf, [cs.get(k, 0)
+                                  for k in range(max(cs, default=-1) + 1)])
 
 
-def _axis_poly(f: MPoly, fixed: int, run: int):
-    """Coefficient list of f restricted to {var_fixed = 0}, read as a
-    univariate polynomial in var_run.  Empty list when identically 0."""
-    cs = {}
-    for e, c in f.terms.items():
-        if e[fixed] == 0:
-            cs[e[run]] = c.v
-    if not cs:
-        return []
-    out = [0] * (max(cs) + 1)
-    for k, v in cs.items():
-        out[k] = v
-    return _utrim(out)
-
-
-def _ugcd(a, b, gf):
-    a, b = list(a), list(b)
-    while b:
-        _, a = _udivmod(a, b, gf)
-        a, b = b, a
-    return a
-
-
-def _axis_base_points(p0, p1, gf):
-    """Common rational zeros of two coefficient-list polynomials, with a
-    completeness check: any residual common zero would be irrational."""
+def _axis_base_points(p0: UPoly, p1: UPoly):
+    """Common rational zeros of two univariates, with a completeness
+    check: any residual common zero would be irrational."""
     if not p0 and not p1:  # pragma: no cover - min-order division forbids it
         raise ConstraintViolation("pencil transforms vanish on the "
                                   "exceptional curve simultaneously")
-    h = _ugcd(p0, p1, gf) if (p0 and p1) else (p0 or p1)
-    roots = []
-    for alpha in range(gf.q):
-        n, h = _uroot_mult(h, gf, alpha)
-        if n:
-            roots.append(alpha)
-    if h and len(h) - 1 > 0:
+    found, rest = roots(p0.gcd(p1))
+    if rest.deg() > 0:
         raise NonRationalCenter(
             "the transformed pencil has a base point with irrational "
             "coordinates")
-    return sorted(roots)
+    return [alpha for alpha, _ in found]
 
 
 # ----- the engine -----------------------------------------------------------
@@ -367,14 +298,14 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     strict_mults = {cid: {} for cid, _, _, _ in named}
 
     for (pt, series) in report.base_points:
-        pivot = next(i for i, v in enumerate(pt) if v)
+        point = tuple(GFElem(gf, v) for v in pt)
+        g0, pivot = chart_at(pencil.f0, point)
+        g1, _ = chart_at(pencil.f1, point)
         iu, iv = [i for i in range(3) if i != pivot]
         nu, nv = FORM_VARS[iu], FORM_VARS[iv]
-        g0 = _chart_at(pencil.f0, pt, gf)
-        g1 = _chart_at(pencil.f1, pt, gf)
         tracked = {}
         for cid, form, _, _ in named:
-            local = _chart_at(form, pt, gf)
+            local, _ = chart_at(form, point)
             if _vanishes(local):
                 tracked[cid] = local
         queue = deque([{
@@ -391,10 +322,10 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
                     "to be coprime")
             nid = f"{series}{count}"
             g0, g1 = item["g0"], item["g1"]
-            m0, m1 = _mult0(g0), _mult0(g1)
+            m0, m1 = mult_origin(g0), mult_origin(g1)
             mu = min(m0, m1)
             prox = tuple(sorted(item["exc"]))
-            tmults = {cid: _mult0(h) for cid, h in item["tracked"].items()}
+            tmults = {cid: mult_origin(h) for cid, h in item["tracked"].items()}
             for cid, m in tmults.items():
                 strict_mults[cid][nid] = m
             report.nodes.append(BlowupNode(
@@ -407,19 +338,20 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
             for chart, sub, eidx, eline in (
                     ("A", {nv: u_var * v_var}, iu, u_var),
                     ("B", {nu: u_var * v_var}, iv, v_var)):
-                h0 = _shift(g0.substitute(sub), eidx, mu)
-                h1 = _shift(g1.substitute(sub), eidx, mu)
+                h0 = shift_out(g0.substitute(sub), eidx, mu)
+                h1 = shift_out(g1.substitute(sub), eidx, mu)
                 exc2 = {}
                 for eid, h in item["exc"].items():
-                    exc2[eid] = _shift(h.substitute(sub), eidx, 1)
+                    exc2[eid] = shift_out(h.substitute(sub), eidx, 1)
                 exc2[nid] = eline
                 tr2 = {}
                 for cid, h in item["tracked"].items():
-                    tr2[cid] = _shift(h.substitute(sub), eidx, tmults[cid])
+                    tr2[cid] = shift_out(h.substitute(sub), eidx,
+                                         tmults[cid])
                 if chart == "A":
                     run = iv
-                    centres = _axis_base_points(
-                        _axis_poly(h0, iu, iv), _axis_poly(h1, iu, iv), gf)
+                    centres = _axis_base_points(_axis_poly(h0, iu, iv, gf),
+                                                _axis_poly(h1, iu, iv, gf))
                 else:
                     run = iu
                     # chart B only adds the direction at infinity of A

@@ -57,10 +57,6 @@ class ScalarK:
     def const(cls, gf: GF, c: int) -> "ScalarK":
         return cls(UPoly.const(gf, c), UPoly.one(gf), _canonical=True)
 
-    @classmethod
-    def from_upoly(cls, p: UPoly) -> "ScalarK":
-        return cls(p, UPoly.one(p.gf), _canonical=True)
-
     # ----- structure ------------------------------------------------------
 
     @property
@@ -72,12 +68,6 @@ class ScalarK:
 
     def __bool__(self):
         return bool(self.num)
-
-    def is_one(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant() and self.num.coeff(0) == 1
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     # ----- arithmetic ------------------------------------------------------
 

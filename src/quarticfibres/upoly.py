@@ -1,12 +1,12 @@
-"""Univariate polynomials over GF(2^m), bit-sliced.
+"""Univariate polynomials over GF(2^m): the one univariate type.
 
-A polynomial sum_k c_k t^k is stored as m integers ("slices"), one per
-basis coordinate of GF(2^m): bit k of slice j is the j-th coordinate of
-c_k.  Addition is m xors regardless of degree; multiplication is m^2
-carry-less integer products plus the modulus reduction row; gcds run a
-schoolbook Euclid whose inner step is again shift/xor.  For m = 1 this
-degenerates to single-integer arithmetic, which is the hot case for the
-rational function field F2(t).
+For m = 1 a polynomial is a single int in the `gf2x` packing (bit k holds
+the coefficient of t^k), so arithmetic is shift/xor on Python big ints;
+this is the hot case for the rational function field F2(t).  For m > 1 it
+is the sequence of its coefficients, ascending, with no trailing zeros, and
+arithmetic runs schoolbook loops through the field's log tables.  Both
+the fractions of `scalars` and the plane-curve univariates of `plane`
+(root finding, gcds of restrictions) use this type.
 """
 
 from __future__ import annotations
@@ -15,65 +15,101 @@ from . import gf2x
 from .finitefield import GF
 
 
-class UPoly:
-    __slots__ = ("gf", "slices")
+def _pack(gf: GF, cs):
+    """Coefficients as bytes while each fits in one (m <= 8), else as a
+    tuple.  Bytes keep long polynomials within Python's small-object
+    allocator; long tuples go to the system allocator, whose heap then
+    fragments: resident memory grew with every witness replay over F_4(t).
+    """
+    return bytes(cs) if gf.m <= 8 else tuple(cs)
 
-    def __init__(self, gf: GF, slices: tuple[int, ...]):
+
+def _trim(gf: GF, cs):
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return _pack(gf, cs[:n])
+
+
+def _divmod(gf: GF, a, b) -> tuple[list, list]:
+    """Schoolbook division of coefficient sequences over GF(2^m), m > 1,
+    with b trimmed and nonzero: the quotient and the trimmed remainder."""
+    db = len(b) - 1
+    log, exp, n = gf.log, gf.exp, gf.q - 1
+    linv = -log[b[-1]]
+    lb = [(j, log[y]) for j, y in enumerate(b[:-1]) if y]
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        x = r[k + db]
+        if x:
+            lq = (log[x] + linv) % n
+            q[k] = exp[lq]
+            for j, ly in lb:
+                r[k + j] ^= exp[(lq + ly) % n]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+class UPoly:
+    __slots__ = ("gf", "c")
+
+    def __init__(self, gf: GF, c):
         self.gf = gf
-        self.slices = slices
+        self.c = c      # gf2x int when gf.m == 1, else trimmed (see _pack)
 
     # ----- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, gf: GF) -> "UPoly":
-        return cls(gf, (0,) * gf.m)
+        return cls(gf, 0) if gf.m == 1 else cls(gf, _pack(gf, ()))
 
     @classmethod
     def one(cls, gf: GF) -> "UPoly":
-        return cls(gf, (1,) + (0,) * (gf.m - 1))
+        return cls(gf, 1) if gf.m == 1 else cls(gf, _pack(gf, (1,)))
 
     @classmethod
     def t(cls, gf: GF) -> "UPoly":
-        return cls(gf, (2,) + (0,) * (gf.m - 1))
+        return cls(gf, 2) if gf.m == 1 else cls(gf, _pack(gf, (0, 1)))
 
     @classmethod
     def const(cls, gf: GF, c: int) -> "UPoly":
-        return cls(gf, tuple((c >> j) & 1 for j in range(gf.m)))
+        return cls.from_coeffs(gf, (c,))
 
     @classmethod
     def from_coeffs(cls, gf: GF, coeffs) -> "UPoly":
         """Build from field elements (ints) listed by ascending degree."""
-        slices = [0] * gf.m
-        for k, c in enumerate(coeffs):
-            for j in range(gf.m):
-                if (c >> j) & 1:
-                    slices[j] |= 1 << k
-        return cls(gf, tuple(slices))
+        if gf.m == 1:
+            return cls(gf, sum(1 << k for k, c in enumerate(coeffs) if c & 1))
+        return cls(gf, _trim(gf, tuple(coeffs)))
 
     # ----- structure ---------------------------------------------------
 
     def deg(self) -> int:
-        return max(s.bit_length() for s in self.slices) - 1
+        if self.gf.m == 1:
+            return self.c.bit_length() - 1
+        return len(self.c) - 1
 
     def is_zero(self) -> bool:
-        return not any(self.slices)
+        return not self.c
 
     def __bool__(self):
-        return any(self.slices)
+        return bool(self.c)
 
     def coeff(self, k: int) -> int:
-        c = 0
-        for j, s in enumerate(self.slices):
-            if (s >> k) & 1:
-                c |= 1 << j
-        return c
+        if self.gf.m == 1:
+            return (self.c >> k) & 1
+        return self.c[k] if k < len(self.c) else 0
 
     def lc(self) -> int:
-        d = self.deg()
-        return 0 if d < 0 else self.coeff(d)
+        return self.coeff(self.deg()) if self.c else 0
 
     def to_coeffs(self) -> list[int]:
-        return [self.coeff(k) for k in range(self.deg() + 1)]
+        if self.gf.m == 1:
+            return [self.coeff(k) for k in range(self.deg() + 1)]
+        return list(self.c)
 
     def is_constant(self) -> bool:
         return self.deg() <= 0
@@ -81,33 +117,35 @@ class UPoly:
     # ----- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        return UPoly(self.gf, tuple(a ^ b for a, b in zip(self.slices, other.slices)))
+        a, b = self.c, other.c
+        if self.gf.m == 1:
+            return UPoly(self.gf, a ^ b)
+        if len(a) < len(b):
+            a, b = b, a
+        s = [x ^ y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return UPoly(self.gf, _pack(self.gf, s + list(a[len(b):])))
+        return UPoly(self.gf, _trim(self.gf, s))
 
     __sub__ = __add__  # char 2
 
     def __mul__(self, other: "UPoly") -> "UPoly":
         gf = self.gf
-        m = gf.m
-        if m == 1:
-            return UPoly(gf, (gf2x.mul(self.slices[0], other.slices[0]),))
-        A, B = self.slices, other.slices
-        out = [0] * m
-        upow = gf.upow
-        for i in range(m):
-            ai = A[i]
-            if not ai:
-                continue
-            for j in range(m):
-                bj = B[j]
-                if not bj:
-                    continue
-                p = gf2x.mul(ai, bj)
-                w = upow[i + j]
-                while w:
-                    low = w & -w
-                    out[low.bit_length() - 1] ^= p
-                    w ^= low
-        return UPoly(gf, tuple(out))
+        if gf.m == 1:
+            return UPoly(gf, gf2x.mul(self.c, other.c))
+        a, b = self.c, other.c
+        if not a or not b:
+            return UPoly.zero(gf)
+        log, exp, n = gf.log, gf.exp, gf.q - 1
+        out = [0] * (len(a) + len(b) - 1)
+        lb = [(j, log[y]) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for j, ly in lb:
+                    out[i + j] ^= exp[(lx + ly) % n]
+        # the product of the leading coefficients is nonzero
+        return UPoly(gf, _pack(gf, out))
 
     def scalar_mul(self, c: int) -> "UPoly":
         """Multiply by a field element."""
@@ -116,78 +154,27 @@ class UPoly:
             return UPoly.zero(gf)
         if c == 1:
             return self
-        m = gf.m
-        out = [0] * m
-        for l, sl in enumerate(self.slices):
-            if not sl:
-                continue
-            w = gf.mul(c, gf.upow[l])
-            while w:
-                low = w & -w
-                out[low.bit_length() - 1] ^= sl
-                w ^= low
-        return UPoly(gf, tuple(out))
-
-    def shift(self, k: int) -> "UPoly":
-        """Multiply by t^k."""
-        return UPoly(self.gf, tuple(s << k for s in self.slices))
+        return UPoly(gf, _pack(gf, [gf.mul(c, x) for x in self.c]))
 
     def square(self) -> "UPoly":
         gf = self.gf
-        m = gf.m
-        if m == 1:
-            return UPoly(gf, (gf2x.square(self.slices[0]),))
-        out = [0] * m
-        for l, sl in enumerate(self.slices):
-            if not sl:
-                continue
-            sp = gf2x.square(sl)
-            w = gf.upow[2 * l]
-            while w:
-                low = w & -w
-                out[low.bit_length() - 1] ^= sp
-                w ^= low
-        return UPoly(gf, tuple(out))
+        if gf.m == 1:
+            return UPoly(gf, gf2x.square(self.c))
+        out = [0] * (2 * len(self.c) - 1) if self.c else []
+        for k, x in enumerate(self.c):
+            out[2 * k] = gf.mul(x, x)
+        return UPoly(gf, _pack(gf, out))
 
     def divmod(self, b: "UPoly") -> tuple["UPoly", "UPoly"]:
         gf = self.gf
-        m = gf.m
-        db = b.deg()
-        if db < 0:
+        if not b.c:
             raise ZeroDivisionError("UPoly division by zero")
-        if m == 1:
-            q, r = gf2x.divmod_(self.slices[0], b.slices[0])
-            return UPoly(gf, (q,)), UPoly(gf, (r,))
-        da = self.deg()
-        if da < db:
-            return UPoly.zero(gf), self
-        blc = b.coeff(db)
-        binv = gf.inv(blc)
-        R = list(self.slices)
-        Q = [0] * m
-        bsl = b.slices
-        for d in range(da, db - 1, -1):
-            cd = 0
-            for j in range(m):
-                if (R[j] >> d) & 1:
-                    cd |= 1 << j
-            if not cd:
-                continue
-            qc = gf.mul(cd, binv)
-            sh = d - db
-            for j in range(m):
-                if (qc >> j) & 1:
-                    Q[j] |= 1 << sh
-            for l in range(m):
-                bl = bsl[l]
-                if not bl:
-                    continue
-                w = gf.mul(qc, gf.upow[l])
-                while w:
-                    low = w & -w
-                    R[low.bit_length() - 1] ^= bl << sh
-                    w ^= low
-        return UPoly(gf, tuple(Q)), UPoly(gf, tuple(R))
+        if gf.m == 1:
+            q, r = gf2x.divmod_(self.c, b.c)
+            return UPoly(gf, q), UPoly(gf, r)
+        # the quotient's leading coefficient is lc(self) / lc(b), nonzero
+        q, r = _divmod(gf, self.c, b.c)
+        return UPoly(gf, _pack(gf, q)), UPoly(gf, _pack(gf, r))
 
     def mod(self, b: "UPoly") -> "UPoly":
         return self.divmod(b)[1]
@@ -202,14 +189,14 @@ class UPoly:
         """Monic gcd."""
         gf = self.gf
         if gf.m == 1:
-            return UPoly(gf, (gf2x.gcd(self.slices[0], other.slices[0]),))
-        a, b = self, other
+            return UPoly(gf, gf2x.gcd(self.c, other.c))
+        a, b = self.c, other.c
         while b:
-            a, b = b, a.mod(b)
-        lc = a.lc()
-        if lc not in (0, 1):
-            a = a.scalar_mul(gf.inv(lc))
-        return a
+            a, b = b, _divmod(gf, a, b)[1]
+        if a and a[-1] != 1:
+            inv = gf.inv(a[-1])
+            a = [gf.mul(inv, x) for x in a]
+        return UPoly(gf, _pack(gf, a))
 
     def pow(self, e: int) -> "UPoly":
         if e < 0:
@@ -227,41 +214,34 @@ class UPoly:
         """Horner evaluation at a field element."""
         gf = self.gf
         acc = 0
-        for k in range(self.deg(), -1, -1):
-            acc = gf.mul(acc, x) ^ self.coeff(k)
+        for c in reversed(self.to_coeffs()):
+            acc = gf.mul(acc, x) ^ c
         return acc
 
     # ----- char-2 squares -----------------------------------------------
 
     def is_square(self) -> bool:
         """Even-support test: over a perfect coefficient field this is exact."""
-        return all(s & gf2x._odd_mask(s.bit_length()) == 0 for s in self.slices)
+        if self.gf.m == 1:
+            return gf2x.is_square(self.c)
+        return not any(self.c[1::2])
 
     def sqrt(self) -> "UPoly":
         gf = self.gf
-        m = gf.m
-        if m == 1:
-            return UPoly(gf, (gf2x.sqrt(self.slices[0]),))
-        out = [0] * m
-        for l, sl in enumerate(self.slices):
-            if not sl:
-                continue
-            comp = gf2x.sqrt(sl)  # raises if odd support
-            w = gf._sqrt_basis[l]
-            while w:
-                low = w & -w
-                out[low.bit_length() - 1] ^= comp
-                w ^= low
-        return UPoly(gf, tuple(out))
+        if gf.m == 1:
+            return UPoly(gf, gf2x.sqrt(self.c))
+        if not self.is_square():
+            raise ValueError("not a square in GF(2^m)[t]")
+        return UPoly(gf, _pack(gf, [gf.sqrt(x) for x in self.c[::2]]))
 
     # ----- equality / printing -------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, UPoly) and self.gf is other.gf
-                and self.slices == other.slices)
+                and self.c == other.c)
 
     def __hash__(self):
-        return hash((id(self.gf), self.slices))
+        return hash((id(self.gf), self.c))
 
     def __str__(self):
         if self.is_zero():

@@ -104,6 +104,15 @@ def test_exit_codes_and_error_record():
     rec = json.loads(bad_json.stdout)
     assert rec["error"]["type"] == "ConstraintViolation"
     assert bad_json.returncode == 1
+    no_ext = run("fibre", "classify", "--fibration", "pi4",
+                 "--params", "1,0,0", "--max-ext", "0")
+    assert no_ext.returncode == 1
+    assert no_ext.stdout.startswith("error: ConstraintViolation")
+    for field in (["--field-m", "0"],
+                  ["--field-m", "2", "--field-poly", "u^2+1"]):
+        bad_field = run("family", "--tag", "IV", *field)
+        assert bad_field.returncode == 1
+        assert bad_field.stdout.startswith("error: FieldError: ")
 
 
 def test_output_files(tmp_path):

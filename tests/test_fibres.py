@@ -1,9 +1,12 @@
 """Fibre specialization, singularity analysis and the classification."""
 
+from itertools import product
+
 import pytest
 
-from quarticfibres.errors import (NotSingular, NotSmoothPoint,
-                                  PointNotOnCurve, UnsupportedFamily)
+from quarticfibres.errors import (ConstraintViolation, NotSingular,
+                                  NotSmoothPoint, PointNotOnCurve,
+                                  UnsupportedFamily)
 from quarticfibres.families import is_strange
 from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
                                   delta_invariant, multiplicity_at,
@@ -13,6 +16,7 @@ from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
+from quarticfibres.plane import embed_form
 
 SPEC2 = FieldSpec(1)
 SPEC4 = FieldSpec(2)
@@ -76,6 +80,11 @@ def test_singular_locus_extension_points():
     assert tuple(v.v for v in point) == tuple(v.v for v in pred)
     # (ab^2+c)^(1/4) = 0^(1/4)... over F2 all fourth roots are rational
     assert ext == 1
+    # the base field is always searched; a smaller range is no search
+    with pytest.raises(ConstraintViolation):
+        singular_locus(c, max_ext=0)
+    with pytest.raises(ConstraintViolation):
+        classify_fibre(c, max_ext=0)
 
 
 def test_predicted_points_all_fibrations():
@@ -157,3 +166,26 @@ def test_classify_biconic_splits():
 def test_classify_rejects_non_quartic():
     with pytest.raises(Exception):
         classify_fibre(specialize_fibre("pencil-cubic", (1, 0), SPEC2))
+
+
+def test_components_multiply_back_over_reported_field():
+    # every reducible fibre of pi3/pi4/pi5 over GF(2) and GF(4): the printed
+    # components parse over GF(2^{m ext}) and multiply back to the fibre up
+    # to a unit
+    for m in (1, 2):
+        spec = FieldSpec(m)
+        for name in ("pi3", "pi4", "pi5"):
+            for point in product(range(spec.field().q),
+                                 repeat=FIBRATIONS[name][0]):
+                curve = specialize_fibre(name, point, spec)
+                cls = classify_fibre(curve)
+                if not cls.components:
+                    continue
+                big = FieldSpec(m * cls.ext)
+                prod = None
+                for text, mult in cls.components:
+                    part = parse_form(text, big, over="GF").pow(mult)
+                    prod = part if prod is None else prod * part
+                target = embed_form(curve.form, curve.gf, big.field())
+                unit = target.lead()[1] / prod.lead()[1]
+                assert prod.scale(unit) == target, (name, point, m)

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 
@@ -84,26 +81,3 @@ def test_scan_singular_points():
     f = MPoly.from_terms(FORM_VARS, gf, [((0, 4, 0), gf.one_elem()),
                                          ((1, 0, 3), gf.one_elem())])
     assert kernels.scan_singular_points(f, gf) == [(1, 0, 0)]
-
-
-def test_env_flag_forces_numpy_path():
-    env = dict(os.environ)
-    env["QUARTICFIBRES_PURE_NUMPY"] = "1"
-    code = ("from quarticfibres import kernels; "
-            "print(kernels.PURE_NUMPY, kernels.USING_NUMBA)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["True", "False"]
-    # and the fallback still computes the same singular locus
-    code2 = (
-        "from quarticfibres import kernels\n"
-        "from quarticfibres.finitefield import GF\n"
-        "from quarticfibres.mpoly import FORM_VARS, MPoly\n"
-        "gf = GF.get(3)\n"
-        "one = gf.one_elem()\n"
-        "f = MPoly.from_terms(FORM_VARS, gf,"
-        " [((0, 4, 0), one), ((1, 0, 3), one)])\n"
-        "print(kernels.scan_singular_points(f, gf))\n")
-    out2 = subprocess.run([sys.executable, "-c", code2], env=env,
-                          capture_output=True, text=True, check=True)
-    assert out2.stdout.strip() == "[(1, 0, 0)]"
