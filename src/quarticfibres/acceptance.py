@@ -13,8 +13,7 @@ from time import perf_counter
 
 from .errors import Hyperelliptic, IdentityFailed
 from .families import (FamilyTag, build_family, invariant, is_strange)
-from .fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
-                     delta_invariant, multiplicity_at,
+from .fibres import (PlaneCurveFq, classify_fibre, delta_invariant,
                      predicted_singular_point, singular_locus,
                      smooth_points, specialize_fibre, tangent_contact_type)
 from .finitefield import GF, FieldSpec

@@ -15,7 +15,8 @@ curves.  A fibre is a ternary form over GF(2^m), wrapped in
 * ``tangent_contact_type`` restricts the quartic to the tangent line at
   a smooth point and factors the resulting binary quartic;
 * ``classify_fibre`` runs the cascade square-root / linear-split /
-  integral and returns a `FibreClass`.
+  biconic / integral and returns a `FibreClass`; the linear split reads
+  its candidate lines off the zero set and confirms each by division.
 
 Charts, line peeling and univariate root finding come from ``plane``.
 Extension scans are capped: no enumeration touches a field beyond
@@ -249,15 +250,12 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None,
     field (or its degree-`ext` extension), in scan order."""
     gf = curve.gf if ext == 1 else GF.get(curve.gf.m * ext)
     f = embed_form(curve.form, curve.gf, gf)
-    singular = set(kernels.scan_singular_points(f, gf))
-    pts = []
-    for raw in kernels.scan_zero_points(f, gf):
-        if raw in singular:
-            continue
-        pts.append(tuple(GFElem(gf, v) for v in raw))
-        if limit is not None and len(pts) >= limit:
-            break
-    return pts
+    pts = kernels.plane_points(gf.q)
+    vals = kernels.evaluate_forms(pts, [f] + [f.partial(v) for v in f.vars],
+                                  gf)
+    smooth = (vals[0] == 0) & vals[1:].any(axis=0)
+    return [tuple(GFElem(gf, int(v)) for v in raw)
+            for raw in pts[smooth][:limit]]
 
 
 # ----- tangent contact ----------------------------------------------------

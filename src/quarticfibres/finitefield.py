@@ -23,7 +23,7 @@ class GF:
     __slots__ = ("m", "q", "modulus", "exp", "log", "generator",
                  "_embeddings")
 
-    _cache: dict[tuple[int, int], "GF"] = {}
+    _cache: dict[tuple[int, int | None], "GF"] = {}
 
     def __init__(self, m: int, modulus: int | None = None):
         if m < 1:
@@ -40,12 +40,14 @@ class GF:
 
     @classmethod
     def get(cls, m: int, modulus: int | None = None) -> "GF":
-        key = (m, modulus if modulus is not None
-               else gf2x.first_irreducible(m) if m >= 1 else -1)
-        f = cls._cache.get(key)
+        """The cached field; the default modulus and the same modulus given
+        explicitly yield one instance, since elements compare fields by
+        identity."""
+        f = cls._cache.get((m, modulus))
         if f is None:
             f = cls(m, modulus)
-            cls._cache[key] = f
+            f = cls._cache.setdefault((m, f.modulus), f)
+            cls._cache[(m, modulus)] = f
         return f
 
     def _build_tables(self):

@@ -1,16 +1,18 @@
 """Array kernels for point scans over the projective plane of GF(2^m).
 
-The singular-locus search, the smooth-conic test, line peeling and the
-pencil base points all brute-force P^2(GF(2^n)); for n = 8 that is 65793
-points, far too slow with boxed field elements.  In the power basis,
-field addition is XOR and multiplication goes through the discrete-log
-tables, so evaluating a ternary form at every plane point reduces to
-integer table lookups.
+The singular-locus search, the smooth-conic test, the zero set that line
+peeling reads its candidate lines from and the pencil base points all
+scan P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow with
+boxed field elements.  In the power basis, field addition is XOR and
+multiplication goes through the discrete-log tables, so evaluating a
+ternary form at every plane point reduces to integer table lookups.
 
 The evaluator is a numba-compiled nested loop whenever numba imports,
 and a vectorised numpy path otherwise; ``tests/test_kernels.py`` checks
 the two against each other.  ``perfbench/`` times the scans in context.
 """
+
+from functools import cache
 
 import numpy as np
 
@@ -22,8 +24,11 @@ except ImportError:  # pragma: no cover - numba is an optional speed-up
 USING_NUMBA = _njit is not None
 
 
+@cache
 def plane_points(q: int) -> np.ndarray:
-    """Canonical representatives of P^2(F_q): (1:y:z), (0:1:z), (0:0:1)."""
+    """Canonical representatives of P^2(F_q): (1:y:z), (0:1:z), (0:0:1).
+
+    Built once per q and shared, so the array is read-only."""
     ys, zs = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
     affine = np.column_stack(
         [np.ones(q * q, dtype=np.int64), ys.ravel(), zs.ravel()])
@@ -31,7 +36,9 @@ def plane_points(q: int) -> np.ndarray:
         [np.zeros(q, dtype=np.int64), np.ones(q, dtype=np.int64),
          np.arange(q)])
     far = np.array([[0, 0, 1]], dtype=np.int64)
-    return np.concatenate([affine, line, far]).astype(np.int64)
+    pts = np.concatenate([affine, line, far]).astype(np.int64)
+    pts.setflags(write=False)
+    return pts
 
 
 def _eval_numpy(pts, exps, coeffs, logt, expt, qm1):

@@ -3,8 +3,10 @@
 Both the fibre classification and the resolution of pencils work with
 ternary forms in (x, y, z) and the same few local constructions:
 
-* ``line_form`` and ``peel_lines``: linear factors by trial division
-  against every line of P^2 (the candidate lines come from ``kernels``);
+* ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
+  are read off the zero set (one ``kernels`` scan): a line divides a form
+  only if all its rational points are zeros.  Each candidate is then
+  confirmed by division;
 * ``chart_at``: the affine chart at a point, translated to the origin;
   ``mult_origin`` reads the multiplicity there and ``shift_out`` divides
   a chart's pullback by a power of the exceptional coordinate;
@@ -136,11 +138,56 @@ def is_smooth_conic(conic: MPoly, gf: GF) -> bool:
     return not kernels.scan_singular_points(conic, gf)
 
 
+def _join(p, r, gf: GF) -> tuple:
+    """The line through two distinct points: their cross product, scaled
+    so that its first nonzero coordinate is 1 (as ``plane_points``)."""
+    mul = gf.mul
+    a = mul(p[1], r[2]) ^ mul(p[2], r[1])
+    b = mul(p[2], r[0]) ^ mul(p[0], r[2])
+    c = mul(p[0], r[1]) ^ mul(p[1], r[0])
+    if a:
+        return 1, gf.div(b, a), gf.div(c, a)
+    if b:
+        return 0, 1, gf.div(c, b)
+    return 0, 0, 1
+
+
+def _full_lines(zeros: list, gf: GF) -> list:
+    """Every line of P^2(gf) all of whose q+1 points lie in `zeros`.
+
+    The lines through a base point P are told apart by the join P x R of
+    each other zero R; a join shared by q zeros is a full line.  Base
+    points are taken until no line can be left: an unfound full line has
+    no base point on it, so all its q+1 points are in `todo`, and it
+    meets each found line once, so at least q+1 - len(found) of them
+    are in `free`.  The memory used is linear in the number of zeros.
+    """
+    q = gf.q
+    todo = set(zeros)       # zeros not yet taken as a base point
+    free = set(zeros)       # ... nor on a full line found so far
+    found = []
+    while len(todo) > q and len(free) >= q + 1 - len(found):
+        # with q+1 lines found (over GF(2)) `free` can be empty while a
+        # line whose points all lie on found lines is left
+        p = min(free or todo)
+        todo.discard(p)
+        free.discard(p)
+        groups = {}
+        for r in zeros:
+            if r != p:
+                groups.setdefault(_join(p, r, gf), []).append(r)
+        for line, pts in groups.items():
+            if len(pts) == q:
+                found.append(line)
+                free.difference_update(pts)
+    return found
+
+
 def _peel(rem: MPoly, gf: GF, found: dict):
     # a line that does not divide rem divides none of its quotients, so
-    # one pass over the lines finds every factor with its multiplicity
+    # each full line of the zero set is tried once, to its multiplicity
     deg = rem.total_degree()
-    for t in map(tuple, kernels.plane_points(gf.q).tolist()):
+    for t in _full_lines(kernels.scan_zero_points(rem, gf), gf):
         if deg == 0:
             break
         line = line_form(gf, t)
@@ -151,13 +198,17 @@ def _peel(rem: MPoly, gf: GF, found: dict):
 
 
 def peel_lines(form: MPoly, gf: GF, max_ext: int = 1):
-    """Linear factors of a form by trial division, with multiplicities.
+    """Linear factors of a form, with multiplicities.
 
-    Lines over gf are tried first.  A cofactor of positive degree that is
-    not a smooth conic (which has no linear factor over any extension) is
-    then tried over GF(2^{m max_ext}); the factors move to that field only
-    when a new line splits off there.  Returns ({line triple:
-    multiplicity}, cofactor, the field of both); nothing is peeled beyond
+    The candidates are the lines whose rational points are all zeros of
+    the form, and each is confirmed by division: by Bezout every
+    candidate is a factor once q+1 exceeds the degree, but over GF(2) a
+    quartic can vanish on a line it does not contain.  Lines over gf are
+    tried first.  A cofactor of positive degree that is not a smooth
+    conic (which has no linear factor over any extension) is then tried
+    over GF(2^{m max_ext}); the factors move to that field only when a
+    new line splits off there.  Returns ({line triple: multiplicity},
+    cofactor, the field of both); nothing is peeled beyond
     GF(2^LOCUS_CAP).
     """
     if gf.m > LOCUS_CAP:

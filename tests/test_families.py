@@ -10,7 +10,6 @@ from quarticfibres.families import (FamilyTag, build_family,
                                     singular_point)
 from quarticfibres.finitefield import GF, FieldSpec
 from quarticfibres.parser import parse_element, parse_form
-from quarticfibres.scalars import ScalarK
 
 F2 = GF.get(1)
 SPEC2 = FieldSpec(1)

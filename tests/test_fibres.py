@@ -14,7 +14,7 @@ from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
                                   smooth_points, specialize_fibre,
                                   tangent_contact_type)
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
-from quarticfibres.mpoly import FORM_VARS, MPoly
+from quarticfibres.mpoly import MPoly
 from quarticfibres.parser import parse_form
 from quarticfibres.plane import embed_form
 
@@ -128,6 +128,21 @@ def test_classify_integral():
     cls2 = classify_fibre(specialize_fibre("pi4", (0, 1, 0), SPEC2))
     assert cls2.multiplicity == 2 and cls2.delta == 3
     assert tuple(v.v for v in cls2.sing_point) == (1, 0, 1)
+
+
+def test_classify_divides_only_by_candidate_lines(monkeypatch):
+    # a machine-independent work count: trial division by every line of
+    # P^2(GF(64)) would take 4161 divisions
+    calls = []
+    divide = MPoly.divide
+
+    def counted(self, d):
+        calls.append(d)
+        return divide(self, d)
+    monkeypatch.setattr(MPoly, "divide", counted)
+    cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
+    assert cls.kind == "IntegralQuartic"
+    assert len(calls) <= 8
 
 
 def test_classify_double_conic():

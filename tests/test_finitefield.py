@@ -2,12 +2,24 @@ import pickle
 
 import pytest
 
+from quarticfibres import gf2x
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 
 
-def test_cached_instances():
+def test_cached_instances(monkeypatch):
     assert GF.get(2) is GF.get(2)
     assert GF.get(4) is not GF.get(4, 0b11001)  # other modulus
+    # the default modulus given explicitly is the same field, whichever
+    # form is asked for first
+    assert GF.get(5) is GF.get(5, gf2x.first_irreducible(5))
+    assert GF.get(7, gf2x.first_irreducible(7)) is GF.get(7)
+    # a cached field is found without searching for the modulus again
+    f4 = GF.get(2)
+
+    def no_search(m):
+        raise AssertionError("default modulus searched on a cache hit")
+    monkeypatch.setattr(gf2x, "first_irreducible", no_search)
+    assert GF.get(2) is f4
 
 
 def test_f4_tables():

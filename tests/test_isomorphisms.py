@@ -1,7 +1,5 @@
 """Witness application and verification for families III, IV, V."""
 
-import random
-
 import pytest
 
 from quarticfibres.errors import (ConstraintViolation, EpsilonZero,

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from quarticfibres import kernels
 from quarticfibres.finitefield import GF, GFElem
@@ -29,6 +30,10 @@ def test_plane_points_count_and_normalization():
             seen.add(tup)
             first = next(v for v in tup if v)
             assert first == 1
+        # built once per q and shared, so no caller may write to it
+        assert kernels.plane_points(q) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0
 
 
 def test_evaluate_matches_eval_point():

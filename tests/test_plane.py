@@ -1,0 +1,132 @@
+"""Line peeling against trial division by every line of the plane."""
+
+import random
+
+import pytest
+
+from quarticfibres import kernels, plane
+from quarticfibres.finitefield import GF, GFElem
+from quarticfibres.mpoly import FORM_VARS, MPoly
+from quarticfibres.plane import line_form, peel_lines
+
+random.seed(30931)
+
+
+def _trial_division_peel(rem, gf, found):
+    """The reference: divide by each line of P^2(gf) in turn."""
+    deg = rem.total_degree()
+    for t in map(tuple, kernels.plane_points(gf.q).tolist()):
+        line = line_form(gf, t)
+        while deg and (q := rem.divide(line)) is not None:
+            found[t] = found.get(t, 0) + 1
+            rem, deg = q, deg - 1
+    return found, rem
+
+
+def _check(form, gf, max_ext, monkeypatch):
+    got = peel_lines(form, gf, max_ext)
+    with monkeypatch.context() as mp:
+        mp.setattr(plane, "_peel", _trial_division_peel)
+        want = peel_lines(form, gf, max_ext)
+    assert got == want
+    return got
+
+
+def _prod(gf, *factors):
+    out = MPoly.const(FORM_VARS, gf, gf.one_elem())
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _random_form(gf, deg):
+    monos = [(i, j, deg - i - j) for i in range(deg + 1)
+             for j in range(deg + 1 - i)]
+    while True:
+        f = MPoly.from_terms(FORM_VARS, gf, [
+            (e, GFElem(gf, random.randrange(gf.q)))
+            for e in monos if random.random() < 0.6])
+        if not f.is_zero():
+            return f
+
+
+def _random_case(gf):
+    """A product of random lines with multiplicities 1..4 and a random
+    cofactor, of total degree 4."""
+    pts = [tuple(map(int, p)) for p in kernels.plane_points(gf.q)]
+    factors, deg = [], 0
+    while deg < 4 and random.random() < 0.75:
+        mult = random.randint(1, 4 - deg)
+        factors += [line_form(gf, random.choice(pts))] * mult
+        deg += mult
+    if deg < 4:
+        factors.append(_random_form(gf, 4 - deg))
+    return _prod(gf, *factors)
+
+
+@pytest.mark.parametrize("m, max_ext, count", [
+    (1, 1, 60), (1, 2, 60), (2, 1, 60), (2, 2, 40), (3, 1, 40)])
+def test_peel_lines_matches_trial_division(m, max_ext, count, monkeypatch):
+    gf = GF.get(m)
+    for _ in range(count):
+        _check(_random_case(gf), gf, max_ext, monkeypatch)
+
+
+def test_four_concurrent_lines(monkeypatch):
+    for m in (2, 3):
+        gf = GF.get(m)
+        g = gf.algebra_gen()
+        # x, y, x+y and x+g*y all pass through (0:0:1)
+        form = _prod(gf, *(line_form(gf, t) for t in
+                           ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, g, 0))))
+        factors, rem, _ = _check(form, gf, 1, monkeypatch)
+        assert len(factors) == 4 and rem.total_degree() == 0
+
+
+def test_four_lines_over_f2(monkeypatch):
+    """Over GF(2) a quartic can vanish on all seven points of the plane,
+    so every line is a candidate and at least q+1 = 3 of them are found
+    from the first base point alone; the lines left over have lost all
+    their points to found lines and still must be searched."""
+    gf = GF.get(1)
+    x, y, z = (line_form(gf, t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for form in (_prod(gf, x, y, x + y, z),
+                 _prod(gf, x, y, z, x + y + z),
+                 _prod(gf, x, x, y, x + y)):
+        factors, rem, _ = _check(form, gf, 1, monkeypatch)
+        assert sum(factors.values()) == 4 and rem.total_degree() == 0
+    # one line times a cubic through the four points off it: seven
+    # candidates, one of which divides
+    cubic = MPoly.from_terms(FORM_VARS, gf, [
+        ((1, 2, 0), gf.one_elem()), ((2, 1, 0), gf.one_elem()),
+        ((0, 0, 3), gf.one_elem()), ((2, 0, 1), gf.one_elem())])
+    form = x * cubic
+    assert len(kernels.scan_zero_points(form, gf)) == 7
+    factors, rem, _ = _check(form, gf, 1, monkeypatch)
+    assert factors == {(1, 0, 0): 1} and rem == cubic
+
+
+def test_lines_meeting_at_a_shared_zero(monkeypatch):
+    gf = GF.get(2)
+    g = gf.algebra_gen()
+    # a double line and a simple line through (0:1:0) on a conic through it
+    conic = MPoly.from_terms(FORM_VARS, gf, [
+        ((2, 0, 0), gf.one_elem()), ((1, 1, 0), gf.one_elem()),
+        ((0, 0, 2), GFElem(gf, g))])
+    a, b = line_form(gf, (1, 0, 0)), line_form(gf, (1, 0, g))
+    factors, rem, _ = _check(_prod(gf, a, a, b, conic), gf, 1, monkeypatch)
+    assert factors == {(1, 0, 0): 2, (1, 0, g): 1}
+
+
+def test_extension_round_splits_a_conjugate_pair(monkeypatch):
+    gf = GF.get(1)
+    pair = MPoly.from_terms(FORM_VARS, gf, [
+        ((2, 0, 0), gf.one_elem()), ((1, 0, 1), gf.one_elem()),
+        ((0, 0, 2), gf.one_elem())])             # x^2+xz+z^2
+    y = line_form(gf, (0, 1, 0))
+    form = _prod(gf, pair, y, y)
+    factors, rem, field = _check(form, gf, 1, monkeypatch)
+    assert factors == {(0, 1, 0): 2} and rem == pair and field is gf
+    factors, rem, field = _check(form, gf, 2, monkeypatch)
+    assert field is GF.get(2) and rem.total_degree() == 0
+    assert sorted(factors.values()) == [1, 1, 2]
