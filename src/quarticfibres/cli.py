@@ -18,8 +18,8 @@ from time import perf_counter
 
 from .acceptance import run_all
 from .errors import QuarticError
-from .families import (FamilyTag, build_family, invariant, is_strange,
-                       make_params, singular_point)
+from .families import (FAMILY_PARAMS, FamilyTag, build_family, invariant,
+                       is_strange, make_params, singular_point)
 from .fibres import (FIBRATIONS, classify_fibre, predicted_singular_point,
                      specialize_fibre)
 from .finitefield import FieldSpec
@@ -30,20 +30,6 @@ from .tower import (CONST_NAMES, TowerKind, is_nonhyperelliptic, make_tower,
                     normalize_presentation, printed_breve_relation,
                     to_quartic_model, validate_presentation,
                     verify_breve_relation)
-
-_ISO_PARAMS = {
-    FamilyTag.III: ("a", "b", "c", "d"),
-    FamilyTag.IV: ("a", "b", "c"),
-    FamilyTag.V: ("a", "b", "c", "d"),
-}
-
-_SCAN_NAMES = {
-    "pi3": ("a", "b", "c", "d"),
-    "pi4": ("a", "b", "c"),
-    "pi5": ("a", "b", "c", "d"),
-    "pencil-quartic": ("t0", "t1"),
-    "pencil-cubic": ("t0", "t1"),
-}
 
 
 # ----- input parsing --------------------------------------------------------
@@ -215,9 +201,7 @@ def _cmd_iso(args) -> int:
     spec = _field(args)
     gf = spec.field()
     tag = FamilyTag(args.tag)
-    if tag not in _ISO_PARAMS:
-        raise QuarticError(f"no isomorphism data for family {tag}")
-    names = _ISO_PARAMS[tag]
+    names = tuple(FAMILY_PARAMS[tag])
     values = _split_csv(args.params)
     if len(values) != len(names):
         raise QuarticError(f"family {tag} takes {len(names)} parameters"
@@ -269,10 +253,10 @@ def _class_record(cls) -> dict:
 def _cmd_fibre(args) -> int:
     spec = _field(args)
     name = args.fibration
-    arity, _ = FIBRATIONS[name]
+    names, _ = FIBRATIONS[name]
     values = _split_csv(args.params)
-    if len(values) != arity:
-        raise QuarticError(f"{name} takes {arity} parameters")
+    if len(values) != len(names):
+        raise QuarticError(f"{name} takes {len(names)} parameters")
     point = tuple(_gf_value(v, spec) for v in values)
     curve = specialize_fibre(name, point, spec)
     cls = classify_fibre(curve, max_ext=args.max_ext)
@@ -318,7 +302,7 @@ def _cmd_scan(args) -> int:
     spec = _field(args)
     gf = spec.field()
     name = args.fibration
-    names = _SCAN_NAMES[name]
+    names, _ = FIBRATIONS[name]
     fixed = {}
     for part in _split_csv(args.fix or ""):
         key, _, value = part.partition("=")
@@ -381,7 +365,9 @@ def _cmd_resolve(args) -> int:
                "self-intersections "
                + " ".join(f"{cid}={report.self_intersection(cid)}"
                           for cid in report.curve_ids()))
-    rep.check("multiplicity certificate", "blowup-certificate", True)
+    d = report.pencil.degree()
+    rep.check("multiplicity certificate", "blowup-certificate",
+              sum(n.mu * n.mu for n in report.nodes) == d * d)
     if name == "quartic":
         labels = {"E-chain": dynkin_type(report, ["E1", "E2", "E3"]),
                   "F-chain": dynkin_type(report,
@@ -409,7 +395,8 @@ def _cmd_resolve(args) -> int:
         for k in sorted(out):
             rep.lines.append(f"covering {k}: {out[k]}")
         rep.check("inseparable covering identities", "inseparable-covering",
-                  True)
+                  set(out) == {"member-0", "member-1", "W->W'", "Z->Z'",
+                               "X"})
     return _emit(rep, args)
 
 
@@ -470,7 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tower)
 
     p = sub.add_parser("iso", help="apply and verify an isomorphism witness")
-    p.add_argument("--tag", required=True, choices=["III", "IV", "V"])
+    p.add_argument("--tag", required=True,
+                   choices=[t.value for t in MU_NAMES])
     p.add_argument("--params", required=True, metavar="EXPR,...")
     p.add_argument("--witness", required=True, metavar="EXPR,...")
     p.add_argument("--verify", action="store_true")

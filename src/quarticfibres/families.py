@@ -4,7 +4,10 @@ Every regular non-hyperelliptic geometrically rational curve of arithmetic
 genus 3 in characteristic 2 lands in exactly one of the families I-V.  A
 family is a quartic form in x, y, z whose coefficients are polynomial
 expressions in up to four parameters a, b, c, d of K, subject to a
-non-square/non-zero constraint list.  This module builds the forms,
+non-square/non-zero constraint list.  The table is written once, here:
+the parameter rules (`FAMILY_PARAMS`), the forms (`family_terms`) and the
+singular points (`singular_radicands`); the last two are ring-generic, so
+``fibres`` reads them over GF(2^m).  This module builds the forms,
 validates the constraints, locates the singular point in the inseparable
 closure, and computes the residue-degree profile of the chain of primes
 sitting over the singularity.
@@ -82,78 +85,88 @@ class ResidueProfile:
     e1: int
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConstraintViolation(message)
+# The rule each listed parameter obeys ("nonsquare": not in K^2); a
+# parameter a family does not list must be zero.  Listed in a, b, c, d order.
+FAMILY_PARAMS = {
+    FamilyTag.I: {"a": "free", "b": "free", "c": "nonsquare"},
+    FamilyTag.II: {"a": "nonsquare", "b": "nonzero", "c": "free",
+                   "d": "free"},
+    FamilyTag.III: {"a": "nonsquare", "b": "nonzero", "c": "nonzero",
+                    "d": "free"},
+    FamilyTag.IV: {"a": "free", "b": "nonsquare", "c": "free"},
+    FamilyTag.V: {"a": "nonsquare", "b": "nonsquare", "c": "free",
+                  "d": "nonzero"},
+}
+
+
+def family_terms(tag: FamilyTag, one, a, b, c, d) -> list:
+    """The normal form of a family as ((i, j, k), coefficient) pairs of
+    x^i y^j z^k.  Ring-generic: the parameters lie in K for the families
+    and in GF(2^m) for the fibrations pi3, pi4, pi5."""
+    if tag is FamilyTag.I:
+        return [((0, 4, 0), one), ((0, 0, 4), a), ((1, 0, 3), one),
+                ((2, 0, 2), b), ((4, 0, 0), c)]
+    if tag is FamilyTag.II:
+        return [((0, 4, 0), one), ((0, 0, 4), a), ((2, 2, 0), b),
+                ((2, 0, 2), c), ((3, 0, 1), b), ((4, 0, 0), d)]
+    if tag is FamilyTag.III:
+        bc3 = b * c * c.square()
+        return [((0, 4, 0), b), ((0, 0, 4), d), ((0, 2, 2), one),
+                ((1, 0, 3), one), ((2, 0, 2), b + b * bc3),
+                ((2, 2, 0), a), ((3, 0, 1), a),
+                ((4, 0, 0), a * b * bc3 + a.square() * d)]
+    if tag is FamilyTag.IV:
+        return [((0, 4, 0), one), ((0, 0, 4), a), ((1, 0, 3), one),
+                ((3, 0, 1), b), ((4, 0, 0), c)]
+    bd = b * d
+    return [((0, 4, 0), one), ((0, 2, 2), d), ((0, 0, 4), c + a),
+            ((1, 0, 3), d), ((2, 2, 0), bd), ((2, 0, 2), one),
+            ((3, 0, 1), bd), ((4, 0, 0), b.square() * c)]
+
+
+def singular_radicands(tag: FamilyTag, zero, one, a, b, c) -> tuple:
+    """(x, Y, Z) with the singular point at (x : Y^(1/4) : Z^(1/2)).
+
+    The curves are strange (no y in the partials), so the singular locus
+    is cut out by F = F_x = F_z = 0; for each family the system collapses
+    to roots of these parameter expressions.  Ring-generic like
+    `family_terms`."""
+    if tag is FamilyTag.I:
+        # F_x = z^3 and F_z = x z^2 force z = 0, leaving y^4 = c x^4.
+        return one, c, zero
+    if tag is FamilyTag.II:
+        # F_x = b x^2 z, F_z = b x^3 with b != 0 force x = 0: y^4 = a z^4.
+        return zero, a, one
+    if tag is FamilyTag.III:
+        return one, a, a
+    if tag is FamilyTag.IV:
+        return one, a * b.square() + c, b
+    return one, a * b.square() + b, b
 
 
 def build_family(params: FamilyParams) -> QuarticModel:
     """Validate the parameter constraints and emit the quartic form."""
     tag = params.tag
-    a, b, c, d = params.a, params.b, params.c, params.d
-    gf = params.gf
-    one = ScalarK.one(gf)
-    if tag is FamilyTag.I:
-        _require(not c.is_square(), "c ∈ K² for family I")
-        _require(not d, "family I does not use d")
-        terms = [((0, 4, 0), one), ((0, 0, 4), a), ((1, 0, 3), one),
-                 ((2, 0, 2), b), ((4, 0, 0), c)]
-    elif tag is FamilyTag.II:
-        _require(not a.is_square(), "a ∈ K² for family II")
-        _require(bool(b), "b = 0 for family II")
-        terms = [((0, 4, 0), one), ((0, 0, 4), a), ((2, 2, 0), b),
-                 ((2, 0, 2), c), ((3, 0, 1), b), ((4, 0, 0), d)]
-    elif tag is FamilyTag.III:
-        _require(not a.is_square(), "a ∈ K² for family III")
-        _require(bool(b), "b = 0 for family III")
-        _require(bool(c), "c = 0 for family III")
-        bc3 = b * c ** 3
-        terms = [((0, 4, 0), b), ((0, 0, 4), d), ((0, 2, 2), one),
-                 ((1, 0, 3), one), ((2, 0, 2), b + b * bc3),
-                 ((2, 2, 0), a), ((3, 0, 1), a),
-                 ((4, 0, 0), a * b * bc3 + a.square() * d)]
-    elif tag is FamilyTag.IV:
-        _require(not b.is_square(), "b ∈ K² for family IV")
-        _require(not d, "family IV does not use d")
-        terms = [((0, 4, 0), one), ((0, 0, 4), a), ((1, 0, 3), one),
-                 ((3, 0, 1), b), ((4, 0, 0), c)]
-    elif tag is FamilyTag.V:
-        _require(not a.is_square(), "a ∈ K² for family V")
-        _require(not b.is_square(), "b ∈ K² for family V")
-        _require(bool(d), "d = 0 for family V")
-        bd = b * d
-        terms = [((0, 4, 0), one), ((0, 2, 2), d), ((0, 0, 4), c + a),
-                 ((1, 0, 3), d), ((2, 2, 0), bd), ((2, 0, 2), one),
-                 ((3, 0, 1), bd), ((4, 0, 0), b.square() * c)]
-    else:  # pragma: no cover
-        raise UnsupportedFamily(f"unknown tag {tag}")
-    return QuarticModel(params, triform(KDomain.get(gf), terms))
+    rules = FAMILY_PARAMS[tag]
+    for n in ("a", "b", "c", "d"):
+        v, rule = getattr(params, n), rules.get(n)
+        if rule is None and v:
+            raise ConstraintViolation(f"family {tag} does not use {n}")
+        if rule == "nonsquare" and v.is_square():
+            raise ConstraintViolation(f"{n} ∈ K² for family {tag}")
+        if rule == "nonzero" and not v:
+            raise ConstraintViolation(f"{n} = 0 for family {tag}")
+    terms = family_terms(tag, ScalarK.one(params.gf),
+                         params.a, params.b, params.c, params.d)
+    return QuarticModel(params, triform(KDomain.get(params.gf), terms))
 
 
 def singular_point(m: QuarticModel) -> SingularPointSpec:
-    """The unique singular point, with coordinates in K(t^(1/4)).
-
-    The curves are strange (no y in the partials), so the singular locus is
-    cut out by F = F_x = F_z = 0; for each family the system collapses to
-    explicit fourth/square roots of parameter expressions.
-    """
+    """The unique singular point, with coordinates in K(t^(1/4))."""
     p = m.params
-    a, b, c = p.a, p.b, p.c
-    gf = p.gf
-    one = InsepElem.one(gf)
-    zero = InsepElem.zero(gf)
-    if p.tag is FamilyTag.I:
-        # F_x = z^3 and F_z = x z^2 force z = 0, leaving y^4 = c x^4.
-        coords = (one, fourth_root(c), zero)
-    elif p.tag is FamilyTag.II:
-        # F_x = b x^2 z, F_z = b x^3 with b != 0 force x = 0: y^4 = a z^4.
-        coords = (zero, fourth_root(a), one)
-    elif p.tag is FamilyTag.III:
-        coords = (one, fourth_root(a), sqrt_in_quarter(a))
-    elif p.tag is FamilyTag.IV:
-        coords = (one, fourth_root(a * b.square() + c), sqrt_in_quarter(b))
-    else:
-        coords = (one, fourth_root(a * b.square() + b), sqrt_in_quarter(b))
+    x, y4, z2 = singular_radicands(p.tag, ScalarK.zero(p.gf),
+                                   ScalarK.one(p.gf), p.a, p.b, p.c)
+    coords = (InsepElem.from_scalar(x), fourth_root(y4), sqrt_in_quarter(z2))
     point = {"x": coords[0], "y": coords[1], "z": coords[2]}
     for f in (m.form, m.form.partial("x"), m.form.partial("y"), m.form.partial("z")):
         v = f.eval_point(point, lift=InsepElem.from_scalar)
@@ -166,19 +179,20 @@ def singular_point(m: QuarticModel) -> SingularPointSpec:
 def residue_profile(m: QuarticModel) -> ResidueProfile:
     """Residue degrees of the singular prime and its Frobenius pushdowns."""
     p = m.params
-    a, b, c = p.a, p.b, p.c
+    a, b = p.a, p.b
+    # the singular point is (1 : u^(1/4) : b^(1/2)) for IV and V
+    _, u, _ = singular_radicands(p.tag, ScalarK.zero(p.gf), ScalarK.one(p.gf),
+                                 a, b, p.c)
     if p.tag is FamilyTag.III:
         deg_p = subalgebra_dimension([fourth_root(a)])
         deg_p1 = subalgebra_dimension([sqrt_in_quarter(a)])
         return ResidueProfile(deg_p, deg_p1, 1, None, 1, 1)
     if p.tag is FamilyTag.IV:
-        u = a * b.square() + c
         rb = sqrt_in_quarter(b)
         deg_p = subalgebra_dimension([rb, fourth_root(u)])
         deg_p1 = subalgebra_dimension([rb, sqrt_in_quarter(u)])
         deg_p2 = subalgebra_dimension([rb])
     elif p.tag is FamilyTag.V:
-        u = a * b.square() + b
         ra = sqrt_in_quarter(a)
         rb = sqrt_in_quarter(b)
         deg_p = subalgebra_dimension([ra, rb, fourth_root(u)])

@@ -1,10 +1,11 @@
 """Geometric fibres of the quartic fibrations over finite fields of char 2.
 
-Five fibrations are exposed by name.  Three come from the universal
-families (their defining forms read verbatim from ``families``, with the
-parameters specialised to field elements); two are pencils of plane
-curves.  A fibre is a ternary form over GF(2^m), wrapped in
-`PlaneCurveFq`, and the routines here measure it:
+Five fibrations are exposed by name.  Three, pi3, pi4 and pi5, are the
+families III, IV and V with their parameters in GF(2^m): their forms
+(``family_terms``), parameter names (``FAMILY_PARAMS``) and closed-form
+singular points (``singular_radicands``) are read from ``families``.  Two
+are pencils of plane curves.  A fibre is a ternary form over GF(2^m),
+wrapped in `PlaneCurveFq`, and the routines here measure it:
 
 * ``singular_locus`` brute-forces the projective plane over the base
   field and its small extensions (the scans run through ``kernels``);
@@ -24,13 +25,16 @@ Extension scans are capped: no enumeration touches a field beyond
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import kernels
 from .errors import (ConstraintViolation, NotSingular, NotSmoothPoint,
                      NotHomogeneous, PointNotOnCurve, UnsupportedFamily,
                      ZeroForm)
+from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
+                       singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec
-from .mpoly import MPoly, FORM_VARS
+from .mpoly import FORM_VARS, MPoly, triform
 from .plane import (LOCUS_CAP, chart_at, embed_form, is_smooth_conic,
                     line_form, mult_origin, normalize_point, peel_lines,
                     roots, shift_out)
@@ -92,76 +96,57 @@ class FibreClass:
 # ----- fibration catalogue ------------------------------------------------
 
 
-def _form(gf, items) -> MPoly:
-    terms = {}
-    for e, c in items:
-        if not isinstance(c, GFElem):
-            c = gf.elem(c)
-        if c:
-            terms[e] = terms.get(e, gf.zero_elem()) + c
-    return MPoly(FORM_VARS, gf, {e: c for e, c in terms.items() if c})
+# pi3, pi4 and pi5 are the families III, IV and V over GF(2^m)
+_FAMILY_OF = {"pi3": FamilyTag.III, "pi4": FamilyTag.IV, "pi5": FamilyTag.V}
 
 
-def _pi3(gf, a, b, c, d):
-    c3 = c * c * c
-    return _form(gf, [
-        ((0, 4, 0), b), ((0, 0, 4), d), ((0, 2, 2), gf.one_elem()),
-        ((1, 0, 3), gf.one_elem()), ((2, 0, 2), b + b * b * c3),
-        ((2, 2, 0), a), ((3, 0, 1), a), ((4, 0, 0), a * b * b * c3 + a * a * d),
-    ])
+def _family_args(tag, coords, zero) -> list:
+    """a, b, c, d from a point listing the family's own parameters."""
+    given = dict(zip(FAMILY_PARAMS[tag], coords))
+    return [given.get(n, zero) for n in ("a", "b", "c", "d")]
 
 
-def _pi4(gf, a, b, c):
-    return _form(gf, [
-        ((0, 4, 0), gf.one_elem()), ((0, 0, 4), a), ((1, 0, 3), gf.one_elem()),
-        ((3, 0, 1), b), ((4, 0, 0), c),
-    ])
-
-
-def _pi5(gf, a, b, c, d):
-    bd = b * d
-    return _form(gf, [
-        ((0, 4, 0), gf.one_elem()), ((0, 2, 2), d), ((0, 0, 4), c + a),
-        ((1, 0, 3), d), ((2, 2, 0), bd), ((2, 0, 2), gf.one_elem()),
-        ((3, 0, 1), bd), ((4, 0, 0), b * b * c),
-    ])
+def _family_form(tag, gf, *coords):
+    args = _family_args(tag, coords, gf.zero_elem())
+    return triform(gf, family_terms(tag, gf.one_elem(), *args))
 
 
 def _pencil_quartic(gf, t0, t1):
-    return _form(gf, [
-        ((0, 4, 0), t0), ((1, 0, 3), t0), ((3, 0, 1), t1),
-    ])
+    return triform(gf, [((0, 4, 0), t0), ((1, 0, 3), t0), ((3, 0, 1), t1)])
 
 
 def _pencil_cubic(gf, t0, t1):
     # the cubic pencil's coordinates (u, v, w) are written (x, y, z) here
-    return _form(gf, [
-        ((1, 2, 0), t0), ((0, 0, 3), t0), ((2, 0, 1), t1),
-    ])
+    return triform(gf, [((1, 2, 0), t0), ((0, 0, 3), t0), ((2, 0, 1), t1)])
 
 
+# name -> (parameter names, function making the fibre form)
 FIBRATIONS = {
-    "pi3": (4, _pi3),
-    "pi4": (3, _pi4),
-    "pi5": (4, _pi5),
-    "pencil-quartic": (2, _pencil_quartic),
-    "pencil-cubic": (2, _pencil_cubic),
+    **{name: (tuple(FAMILY_PARAMS[tag]), partial(_family_form, tag))
+       for name, tag in _FAMILY_OF.items()},
+    "pencil-quartic": (("t0", "t1"), _pencil_quartic),
+    "pencil-cubic": (("t0", "t1"), _pencil_cubic),
 }
 
 
-def specialize_fibre(fibration: str, point, spec: FieldSpec) -> PlaneCurveFq:
-    """The fibre of a named fibration over a parameter point."""
+def _point_coords(fibration: str, point, gf) -> list:
+    """The parameter point in GF, once the fibration and arity check out."""
     if fibration not in FIBRATIONS:
         raise UnsupportedFamily(
             f"unknown fibration {fibration!r}; "
             f"choose from {sorted(FIBRATIONS)}")
-    arity, builder = FIBRATIONS[fibration]
-    if len(point) != arity:
+    names, _ = FIBRATIONS[fibration]
+    if len(point) != len(names):
         raise ConstraintViolation(
-            f"{fibration} takes {arity} parameters, got {len(point)}")
+            f"{fibration} takes {len(names)} parameters, got {len(point)}")
+    return [c if isinstance(c, GFElem) else gf.elem(c) for c in point]
+
+
+def specialize_fibre(fibration: str, point, spec: FieldSpec) -> PlaneCurveFq:
+    """The fibre of a named fibration over a parameter point."""
     gf = spec.field()
-    coords = [c if isinstance(c, GFElem) else gf.elem(c) for c in point]
-    form = builder(gf, *coords)
+    coords = _point_coords(fibration, point, gf)
+    form = FIBRATIONS[fibration][1](gf, *coords)
     if form.is_zero():
         raise ZeroForm(f"fibre of {fibration} at this point is the zero form")
     return PlaneCurveFq(form, spec)
@@ -170,22 +155,18 @@ def specialize_fibre(fibration: str, point, spec: FieldSpec) -> PlaneCurveFq:
 def predicted_singular_point(fibration: str, point, spec: FieldSpec):
     """Closed-form singular point of the generic integral fibres."""
     gf = spec.field()
-    coords = [c if isinstance(c, GFElem) else gf.elem(c) for c in point]
-    one = gf.one_elem()
-    if fibration == "pi3":
-        a = coords[0]
-        return (one, a.fourth_root(), a.sqrt())
-    if fibration == "pi4":
-        a, b, c = coords
-        return (one, (a * b * b + c).fourth_root(), b.sqrt())
-    if fibration == "pi5":
-        a, b, _, _ = coords
-        return (one, (a * b * b + b).fourth_root(), b.sqrt())
+    coords = _point_coords(fibration, point, gf)
+    zero, one = gf.zero_elem(), gf.one_elem()
+    if fibration in _FAMILY_OF:
+        tag = _FAMILY_OF[fibration]
+        a, b, c, _ = _family_args(tag, coords, zero)
+        x, y4, z2 = singular_radicands(tag, zero, one, a, b, c)
+        return (x, y4.fourth_root(), z2.sqrt())
     if fibration == "pencil-quartic":
         t0, t1 = coords
         if not t0:
             raise ConstraintViolation("the (0:1) member is not integral")
-        return (one, gf.zero_elem(), (t1 / t0).sqrt())
+        return (one, zero, (t1 / t0).sqrt())
     raise UnsupportedFamily(f"no closed-form location for {fibration!r}")
 
 

@@ -218,6 +218,9 @@ class GFElem:
     def __pow__(self, e: int):
         return GFElem(self.gf, self.gf.pow(self.v, e))
 
+    def square(self) -> "GFElem":
+        return GFElem(self.gf, self.gf.mul(self.v, self.v))
+
     def __eq__(self, other):
         return isinstance(other, GFElem) and self.v == other.v and self.gf is other.gf
 

@@ -7,21 +7,18 @@ boxed field elements.  In the power basis, field addition is XOR and
 multiplication goes through the discrete-log tables, so evaluating a
 ternary form at every plane point reduces to integer table lookups.
 
-The evaluator is a numba-compiled nested loop whenever numba imports,
-and a vectorised numpy path otherwise; ``tests/test_kernels.py`` checks
-the two against each other.  ``perfbench/`` times the scans in context.
+There is one evaluator, vectorised with numpy over the points;
+``tests/test_kernels.py`` checks it against `MPoly.eval_point` at every
+point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the scans in
+context.
 """
 
 from functools import cache
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional speed-up
-    _njit = None
-
-USING_NUMBA = _njit is not None
+# Always False: there is no compiled path; kept because perfbench records it.
+USING_NUMBA = False
 
 
 @cache
@@ -63,47 +60,6 @@ def _eval_numpy(pts, exps, coeffs, logt, expt, qm1):
     return values
 
 
-def _eval_loops(pts, exps, coeffs, logt, expt, qm1):  # pragma: no cover
-    n = pts.shape[0]
-    values = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        x0 = pts[i, 0]
-        x1 = pts[i, 1]
-        x2 = pts[i, 2]
-        acc = 0
-        for t in range(exps.shape[0]):
-            c = coeffs[t]
-            if c == 0:
-                continue
-            lsum = logt[c]
-            dead = False
-            if exps[t, 0] > 0:
-                if x0 == 0:
-                    dead = True
-                else:
-                    lsum += exps[t, 0] * logt[x0]
-            if not dead and exps[t, 1] > 0:
-                if x1 == 0:
-                    dead = True
-                else:
-                    lsum += exps[t, 1] * logt[x1]
-            if not dead and exps[t, 2] > 0:
-                if x2 == 0:
-                    dead = True
-                else:
-                    lsum += exps[t, 2] * logt[x2]
-            if not dead:
-                acc ^= expt[lsum % qm1]
-        values[i] = acc
-    return values
-
-
-if USING_NUMBA:
-    _eval_compiled = _njit(cache=False)(_eval_loops)
-else:
-    _eval_compiled = _eval_numpy
-
-
 def _tables(gf):
     logt = np.array(gf.log, dtype=np.int64)
     expt = np.array(gf.exp[: gf.q - 1] if gf.q > 2 else [1], dtype=np.int64)
@@ -126,7 +82,7 @@ def evaluate_forms(points: np.ndarray, forms, gf) -> np.ndarray:
             rows.append(np.zeros(points.shape[0], dtype=np.int64))
             continue
         exps, coeffs = _form_arrays(f)
-        rows.append(_eval_compiled(points, exps, coeffs, logt, expt, qm1))
+        rows.append(_eval_numpy(points, exps, coeffs, logt, expt, qm1))
     return np.stack(rows)
 
 

@@ -162,27 +162,21 @@ class MPoly:
     def substitute(self, mapping: dict[str, "MPoly"]) -> "MPoly":
         """Plug polynomials in for variables (unmentioned variables persist)."""
         vars = self.vars
-        base = {name: MPoly.var(vars, self.domain, name) for name in vars}
-        base.update(mapping)
-        out = MPoly.zero(vars, self.domain)
-        pows: dict[tuple[str, int], MPoly] = {}
-        def vp(name, k):
-            if k == 0:
-                return None
-            key = (name, k)
-            p = pows.get(key)
-            if p is None:
-                p = base[name].pow(k)
-                pows[key] = p
-            return p
-        for e, c in self.terms.items():
-            term = MPoly.const(vars, self.domain, c)
-            for i, k in enumerate(e):
-                p = vp(vars[i], k)
-                if p is not None:
-                    term = term * p
-            out = out + term
-        return out
+        # pows[i][k] is the k-th power of the polynomial put in for vars[i],
+        # each built from the one below it on first use
+        pows = [[None, mapping[name] if name in mapping
+                 else MPoly.var(vars, self.domain, name)] for name in vars]
+
+        def terms():
+            for e, c in self.terms.items():
+                term = MPoly.const(vars, self.domain, c)
+                for p, k in zip(pows, e):
+                    if k:
+                        while len(p) <= k:
+                            p.append(p[-1] * p[1])
+                        term = term * p[k]
+                yield from term.terms.items()
+        return MPoly.from_terms(vars, self.domain, terms())
 
     def eval_point(self, values: dict, lift=None):
         """Evaluate at a point given as {var: coefficient-like value}.
@@ -304,7 +298,3 @@ FORM_VARS = ("x", "y", "z")
 def triform(domain, items) -> MPoly:
     """Ternary form builder: items is an iterable of ((i,j,k), coeff)."""
     return MPoly.from_terms(FORM_VARS, domain, items)
-
-
-def triform_zero(domain) -> MPoly:
-    return MPoly.zero(FORM_VARS, domain)

@@ -9,7 +9,8 @@ import hashlib
 import random
 
 from .errors import UnsupportedKind
-from .families import FamilyTag, FamilyParams, make_params, build_family
+from .families import (FAMILY_PARAMS, FamilyParams, FamilyTag, build_family,
+                       make_params)
 from .finitefield import GF
 from .isomorphisms import IsoWitness, MU_NAMES, make_witness
 from .scalars import ScalarK
@@ -52,19 +53,11 @@ def random_nonsquare(rng, gf: GF, max_deg: int = 2) -> ScalarK:
 
 def random_params(rng, tag: FamilyTag, gf: GF,
                   max_deg: int = 2) -> FamilyParams:
-    any_ = lambda: random_scalar(rng, gf, max_deg)
-    nz = lambda: random_scalar(rng, gf, max_deg, nonzero=True)
-    nsq = lambda: random_nonsquare(rng, gf, max_deg)
-    if tag is FamilyTag.I:
-        params = make_params(tag, gf, a=any_(), b=any_(), c=nsq())
-    elif tag is FamilyTag.II:
-        params = make_params(tag, gf, a=nsq(), b=nz(), c=any_(), d=any_())
-    elif tag is FamilyTag.III:
-        params = make_params(tag, gf, a=nsq(), b=nz(), c=nz(), d=any_())
-    elif tag is FamilyTag.IV:
-        params = make_params(tag, gf, a=any_(), b=nsq(), c=any_())
-    else:
-        params = make_params(tag, gf, a=nsq(), b=nsq(), c=any_(), d=nz())
+    draw = {"free": lambda: random_scalar(rng, gf, max_deg),
+            "nonzero": lambda: random_scalar(rng, gf, max_deg, nonzero=True),
+            "nonsquare": lambda: random_nonsquare(rng, gf, max_deg)}
+    params = make_params(tag, gf, **{
+        n: draw[rule]() for n, rule in FAMILY_PARAMS[tag].items()})
     build_family(params)
     return params
 

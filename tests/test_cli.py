@@ -1,8 +1,11 @@
 """End-to-end runs of the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+
+from quarticfibres import cli
 
 CMD = [sys.executable, "-m", "quarticfibres.cli"]
 
@@ -46,6 +49,27 @@ def test_resolve_counts():
     assert rec2["results"]["blowup_counts"] == {"(1:0:0)": 2, "(0:1:0)": 7}
     assert rec2["results"]["dynkin"]["(0:1) fibre"] == "E7~"
     assert all(c["pass"] for c in rec2["checks"])
+
+
+def test_resolve_checks_are_measured(monkeypatch, capsys):
+    # a resolution missing a blow-up, or a covering check missing an
+    # identity, fails its check rather than printing a fixed PASS
+    resolve = cli.resolve_pencil
+
+    def one_blowup_short(spec):
+        report = resolve(spec)
+        return dataclasses.replace(report, nodes=report.nodes[:-1])
+    monkeypatch.setattr(cli, "resolve_pencil", one_blowup_short)
+    assert cli.main(["resolve", "--pencil", "quartic"]) == 1
+    assert "FAIL multiplicity certificate" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "resolve_pencil", resolve)
+    cover = cli.covering_check
+    monkeypatch.setattr(cli, "covering_check", lambda: {
+        k: v for k, v in cover().items() if k != "member-1"})
+    assert cli.main(["resolve", "--pencil", "cubic"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS multiplicity certificate" in out
+    assert "FAIL inseparable covering identities" in out
 
 
 def test_fibre_classify():

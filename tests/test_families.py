@@ -1,15 +1,20 @@
 """The five quartic normal forms and their attached data."""
 
+from itertools import product
+
 import pytest
 
 from quarticfibres.errors import (ConstraintViolation, NoSuchRow,
                                   NotHomogeneous, UnsupportedFamily)
 from quarticfibres.families import (FamilyTag, build_family,
-                                    classify_by_table, invariant, is_strange,
-                                    make_params, residue_profile,
-                                    singular_point)
+                                    classify_by_table, family_terms,
+                                    invariant, is_strange, make_params,
+                                    residue_profile, singular_point,
+                                    singular_radicands)
 from quarticfibres.finitefield import GF, FieldSpec
+from quarticfibres.mpoly import triform
 from quarticfibres.parser import parse_element, parse_form
+from quarticfibres.sampling import rng_for
 
 F2 = GF.get(1)
 SPEC2 = FieldSpec(1)
@@ -57,20 +62,43 @@ def test_constraints_rejected():
     t = _p("t")
     one = _p("1")
     t2 = _p("t^2")
-    with pytest.raises(ConstraintViolation):
-        build_family(make_params(FamilyTag.I, F2, c=t2))
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^c ∈ K² for family I$"):
+        build_family(make_params(FamilyTag.I, F2, c=t2, d=one))
+    with pytest.raises(ConstraintViolation, match="^b = 0 for family II$"):
         build_family(make_params(FamilyTag.II, F2, a=t, b=_p("0")))
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation,
+                       match="^a ∈ K² for family III$"):
         build_family(make_params(FamilyTag.III, F2, a=one, b=one, c=one))
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^b = 0 for family III$"):
         build_family(make_params(FamilyTag.III, F2, a=t, b=_p("0"), c=one))
-    with pytest.raises(ConstraintViolation):
-        build_family(make_params(FamilyTag.IV, F2, b=t2))
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(ConstraintViolation, match="^b ∈ K² for family IV$"):
+        build_family(make_params(FamilyTag.IV, F2, b=t2, d=one))
+    with pytest.raises(ConstraintViolation,
+                       match="^family IV does not use d$"):
         build_family(make_params(FamilyTag.IV, F2, b=t, d=one))
-    with pytest.raises(ConstraintViolation):
-        build_family(make_params(FamilyTag.V, F2, a=t, b=t))  # d = 0
+    with pytest.raises(ConstraintViolation, match="^d = 0 for family V$"):
+        build_family(make_params(FamilyTag.V, F2, a=t, b=t))
+
+
+def test_table_over_finite_fields():
+    # the ring-generic table with parameters in GF(2^m), as pi3, pi4, pi5
+    # read it; families I and II are checked the same way
+    rng = rng_for(0, "family-table")
+    grids = {1: list(product(range(2), repeat=4)),
+             2: [tuple(rng.randrange(4) for _ in range(4))
+                 for _ in range(40)]}
+    for m, points in grids.items():
+        gf = GF.get(m)
+        zero, one = gf.zero_elem(), gf.one_elem()
+        for tag in FamilyTag:
+            for point in points:
+                a, b, c, d = (gf.elem(v) for v in point)
+                form = triform(gf, family_terms(tag, one, a, b, c, d))
+                assert is_strange(form), (tag, point)
+                x, y4, z2 = singular_radicands(tag, zero, one, a, b, c)
+                sing = {"x": x, "y": y4.fourth_root(), "z": z2.sqrt()}
+                for f in (form, *(form.partial(v) for v in "xyz")):
+                    assert not f.eval_point(sing), (tag, m, point)
 
 
 def test_invariants():

@@ -29,8 +29,8 @@ def _curve(text, spec=SPEC2):
 def test_catalogue():
     assert set(FIBRATIONS) == {"pi3", "pi4", "pi5",
                                "pencil-quartic", "pencil-cubic"}
-    assert FIBRATIONS["pi4"][0] == 3
-    assert FIBRATIONS["pencil-cubic"][0] == 2
+    assert len(FIBRATIONS["pi4"][0]) == 3
+    assert len(FIBRATIONS["pencil-cubic"][0]) == 2
     with pytest.raises(UnsupportedFamily):
         specialize_fibre("pi6", (0,), SPEC2)
 
@@ -44,6 +44,22 @@ def test_specialize_matches_family_shape():
     cub = specialize_fibre("pencil-cubic", (1, 1), SPEC2)
     assert cub.form == parse_form("x*y^2 + z^3 + x^2*z", SPEC2, over="GF")
     assert cub.degree() == 3
+
+
+def test_family_fibres_match_hand_expansion():
+    # over GF(4) = F2[g]/(g^2+g+1), written 0, 1, g, g+1 = 0, 1, 2, 3
+    f3 = specialize_fibre("pi3", (2, 3, 2, 1), SPEC4)
+    # c^3 = 1, so x^2 z^2 has b + b^2 c^3 = 1 and x^4 has a b^2 c^3 + a^2 d = 0
+    assert f3.form == parse_form(
+        "(g+1)*y^4 + z^4 + y^2*z^2 + x*z^3 + x^2*z^2 + g*x^2*y^2"
+        " + g*x^3*z", SPEC4, over="GF")
+    f4 = specialize_fibre("pi4", (2, 1, 3), SPEC4)
+    assert f4.form == parse_form(
+        "y^4 + g*z^4 + x*z^3 + x^3*z + (g+1)*x^4", SPEC4, over="GF")
+    f5 = specialize_fibre("pi5", (2, 3, 1, 2), SPEC4)
+    assert f5.form == parse_form(
+        "y^4 + g*y^2*z^2 + (g+1)*z^4 + g*x*z^3 + x^2*y^2 + x^2*z^2"
+        " + x^3*z + g*x^4", SPEC4, over="GF")
 
 
 def test_multiplicity_and_errors():
@@ -95,6 +111,12 @@ def test_predicted_points_all_fibrations():
         curve = specialize_fibre(name, point, spec)
         pred = predicted_singular_point(name, point, spec)
         assert multiplicity_at(curve, pred) >= 2
+    # the point is checked as for specialize_fibre, never padded or cut
+    for name, point in (("pi4", (1, 1)), ("pi3", (1, 1, 1, 0, 0))):
+        with pytest.raises(ConstraintViolation):
+            predicted_singular_point(name, point, SPEC4)
+    with pytest.raises(UnsupportedFamily):
+        predicted_singular_point("pencil-cubic", (1, 1), SPEC4)
 
 
 def test_tangent_types():
@@ -191,7 +213,7 @@ def test_components_multiply_back_over_reported_field():
         spec = FieldSpec(m)
         for name in ("pi3", "pi4", "pi5"):
             for point in product(range(spec.field().q),
-                                 repeat=FIBRATIONS[name][0]):
+                                 repeat=len(FIBRATIONS[name][0])):
                 curve = specialize_fibre(name, point, spec)
                 cls = classify_fibre(curve)
                 if not cls.components:
