@@ -152,8 +152,8 @@ def _cmd_family(args) -> int:
         "params": {n: str(v) for n, v in scalars.items()}})
     rep.result("tag", tag.value, f"family {tag}")
     rep.result("form", str(model.form), f"form {model.form}")
-    rep.result("singular_point", str(singular_point(model)),
-               f"singular point {singular_point(model)}")
+    sing = singular_point(model)
+    rep.result("singular_point", str(sing), f"singular point {sing}")
     inv = invariant(model)
     rep.result("invariant", None if inv is None else str(inv),
                f"invariant {'-' if inv is None else inv}")
@@ -287,8 +287,8 @@ def _cmd_fibre(args) -> int:
                       "fibre-predicted",
                       tuple(v.v for v in pred)
                       == tuple(v.v for v in cls.sing_point))
-    rep.result("strange", is_strange(curve.form),
-               f"strange {is_strange(curve.form)}")
+    strange = is_strange(curve.form)
+    rep.result("strange", strange, f"strange {strange}")
     return _emit(rep, args)
 
 

@@ -5,9 +5,11 @@ a witness tuple of constants transforms one parameter vector into the
 other; the same witness determines a fractional-linear substitution in
 the curve generators.  `apply_iso` computes the target parameters,
 `iso_maps` the substitution, and `verify_iso` replays the substitution
-inside the target quartic and checks — after clearing denominators —
-that the source quartic is reproduced up to a nonzero scalar.  That last
-computation is the sole correctness oracle and is fully symbolic.
+inside the target quartic and checks that the source quartic is
+reproduced up to a nonzero scalar.  That last computation is the sole
+correctness oracle and is fully symbolic; it clears the denominators of
+the maps and of both quartics once and then runs in GF(q)[t], so no
+fraction is reduced until the scalar is returned.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .families import (FamilyParams, FamilyTag, QuarticModel, build_family,
                        make_params)
 from .mpoly import FORM_VARS, MPoly
 from .scalars import KDomain, ScalarK
+from .upoly import UPoly, UPolyDomain
 
 MU_NAMES = {
     FamilyTag.III: ("mu2", "mu3", "mu4", "mu5"),
@@ -146,18 +149,19 @@ class IsoMaps:
                 and self.ymap.equals_poly(MPoly.var(FORM_VARS, dom, "y")))
 
 
-# denominator bookkeeping per family: z' and y' carry 1/(eps^ez D) and
-# 1/(eps^ey D); clearing the affine quartic needs eps^L with L = max over
-# the quartic monomials y^i z^j of ey*i + ez*j.
-_EPS_POWERS = {FamilyTag.III: (3, 2, 12), FamilyTag.IV: (2, 2, 8),
-               FamilyTag.V: (1, 1, 4)}
+# denominator bookkeeping per family: z' = zn/(eps^ez dd) and
+# y' = yn/(eps^ey dd), so the homogeneous replay x -> eps^a dd,
+# y -> eps^(a-ey) yn, z -> eps^(a-ez) zn with a = max(ez, ey) is the
+# affine one multiplied through by eps^(4a) dd^4.
+_EPS_POWERS = {FamilyTag.III: (3, 2), FamilyTag.IV: (2, 2),
+               FamilyTag.V: (1, 1)}
 
 
-def iso_maps(w: IsoWitness, source: FamilyParams) -> IsoMaps:
-    """The fractional-linear substitution (z', y') -> expressions in (z, y)."""
+def _numerators(w: IsoWitness, source: FamilyParams):
+    """eps and the K-linear forms dd = mu4 + mu5 z, zn and yn, so that
+    z' = zn / (eps^ez dd) and y' = yn / (eps^ey dd)."""
     eps, gamma = epsilon_gamma(w, source)
-    gf = source.gf
-    dom = KDomain.get(gf)
+    dom = KDomain.get(source.gf)
     y = MPoly.var(FORM_VARS, dom, "y")
     z = MPoly.var(FORM_VARS, dom, "z")
     k = lambda s: MPoly.const(FORM_VARS, dom, s)
@@ -165,58 +169,85 @@ def iso_maps(w: IsoWitness, source: FamilyParams) -> IsoMaps:
     lever = source.a if w.tag is FamilyTag.III else source.b
     dd = k(m4) + z.scale(m5)                 # mu4 + mu5 z
     pp = k(m5 * lever) + z.scale(m4)         # mu5*lever + mu4 z
-    ez, ey, _ = _EPS_POWERS[w.tag]
     if w.tag is FamilyTag.IV:
         zn = pp
         yn = dd.scale(w.mu("mu1")) + pp.scale(w.mu("mu2")) + y.scale(eps)
     else:
         zn = dd.scale(gamma) + pp
         yn = dd.scale(w.mu("mu2")) + pp.scale(w.mu("mu3")) + y.scale(eps)
-    den_z = dd.scale(eps ** ez)
-    den_y = dd.scale(eps ** ey)
-    return IsoMaps(RationalMap(zn, den_z), RationalMap(yn, den_y))
+    return eps, dd, zn, yn
+
+
+def iso_maps(w: IsoWitness, source: FamilyParams) -> IsoMaps:
+    """The fractional-linear substitution (z', y') -> expressions in (z, y)."""
+    eps, dd, zn, yn = _numerators(w, source)
+    ez, ey = _EPS_POWERS[w.tag]
+    return IsoMaps(RationalMap(zn, dd.scale(eps ** ez)),
+                   RationalMap(yn, dd.scale(eps ** ey)))
+
+
+def _lcm_den(coeffs) -> UPoly:
+    """The monic lcm of the denominators of some ScalarK."""
+    dens = iter(dict.fromkeys(c.den for c in coeffs))
+    out = next(dens)
+    for d in dens:
+        out = out * d.exact_div(out.gcd(d))
+    return out
+
+
+def _cleared(f: MPoly, den: UPoly, dom: UPolyDomain) -> MPoly:
+    """den * f over GF(q)[t], for den a multiple of every denominator."""
+    return MPoly(f.vars, dom, {e: c.num * den.exact_div(c.den)
+                               for e, c in f.terms.items()})
 
 
 def verify_iso(source: QuarticModel, target: QuarticModel, w: IsoWitness) -> ScalarK:
     """Replay the substitution in the target quartic; return the scalar.
 
     Substituting the maps into the target's affine chart (x = 1) and
-    multiplying through by eps^L (mu4 + mu5 z)^4 must reproduce the
+    multiplying through by eps^(4a) (mu4 + mu5 z)^4 must reproduce the
     source affine quartic up to a nonzero constant, which is returned.
-    Raises SubstitutionMismatch otherwise.
+    The replay runs in GF(q)[t]: the denominators of the maps, of the
+    target and of the source are cleared once, eps^k is folded into the
+    target coefficient it multiplies, and proportionality is tested by
+    cross-multiplication.  Raises SubstitutionMismatch otherwise.
     """
-    maps = iso_maps(w, source.params)
-    eps, _ = epsilon_gamma(w, source.params)
+    eps, dd, zn, yn = _numerators(w, source.params)
     gf = source.params.gf
-    dom = KDomain.get(gf)
-    ez, ey, lcd = _EPS_POWERS[w.tag]
-    zn, yn = maps.zmap.num, maps.ymap.num
-    dd_num = MPoly.const(FORM_VARS, dom, w.mus[2]) \
-        + MPoly.var(FORM_VARS, dom, "z").scale(w.mus[3])
-    ypow = [MPoly.const(FORM_VARS, dom, ScalarK.one(gf))]
-    zpow = [ypow[0]]
-    dpow = [ypow[0]]
-    for _ in range(4):
-        ypow.append(ypow[-1] * yn)
-        zpow.append(zpow[-1] * zn)
-        dpow.append(dpow[-1] * dd_num)
-    eps_pow = [ScalarK.one(gf)]
-    for _ in range(lcd):
-        eps_pow.append(eps_pow[-1] * eps)
-    lifted = MPoly.zero(FORM_VARS, dom)
-    for e, coeff in target.form.dehomogenize("x").terms.items():
-        i, j = e[1], e[2]  # y-, z-exponents
-        term = (ypow[i] * zpow[j] * dpow[4 - i - j]).scale(
-            coeff * eps_pow[lcd - ey * i - ez * j])
-        lifted = lifted + term
+    dom = UPolyDomain(gf)
+    ez, ey = _EPS_POWERS[w.tag]
+    a = max(ez, ey)
+    d_maps = _lcm_den(c for f in (dd, zn, yn) for c in f.terms.values())
+    c_tgt = _lcm_den(target.form.terms.values())
+    en, ed = [UPoly.one(gf)], [UPoly.one(gf)]
+    for _ in range(4 * a):
+        en.append(en[-1] * eps.num)
+        ed.append(ed[-1] * eps.den)
+    # x^h y^i z^j picks up eps^(a h + (a-ey) i + (a-ez) j) = eps^k,
+    # times eps.den^(4a) to clear it
+    folded = {}
+    for e, c in _cleared(target.form, c_tgt, dom).terms.items():
+        k = 4 * a - ey * e[1] - ez * e[2]
+        folded[e] = c * en[k] * ed[4 * a - k]
+    lhs = MPoly(FORM_VARS, dom, folded).substitute(
+        {name: _cleared(f, d_maps, dom)
+         for name, f in zip(FORM_VARS, (dd, yn, zn))})
     src = source.form.dehomogenize("x")
+    s_den = _lcm_den(src.terms.values())
+    rhs = _cleared(src, s_den, dom).terms
+    # the affine replay over K is lhs / scale_den
+    scale_den = c_tgt * (ed[a] * d_maps).pow(4)
     y4 = (0, 4, 0)
-    s = lifted.coeff(y4) / src.coeff(y4)
-    if not s or lifted != src.scale(s):
+    p4, s4 = lhs.terms.get(y4), rhs.get(y4)
+    if (p4 is None or lhs.terms.keys() != rhs.keys()
+            or any(c * s4 != p4 * rhs[e] for e, c in lhs.terms.items())):
+        lifted = MPoly(FORM_VARS, src.domain, {
+            e: ScalarK(c, scale_den) for e, c in lhs.terms.items()})
+        s = lifted.coeff(y4) / src.coeff(y4)
         raise SubstitutionMismatch(
             f"substituted target quartic is not a scalar multiple of the source "
             f"(family {w.tag})", residual=str(lifted + src.scale(s)))
-    return s
+    return ScalarK(p4 * s_den, s4 * scale_den)
 
 
 def search_automorphisms(m: QuarticModel, sample, n: int) -> list[IsoWitness]:

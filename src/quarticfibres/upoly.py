@@ -3,13 +3,18 @@
 For m = 1 a polynomial is a single int in the `gf2x` packing (bit k holds
 the coefficient of t^k), so arithmetic is shift/xor on Python big ints;
 this is the hot case for the rational function field F2(t).  For m > 1 it
-is the sequence of its coefficients, ascending, with no trailing zeros, and
-arithmetic runs schoolbook loops through the field's log tables.  Both
-the fractions of `scalars` and the plane-curve univariates of `plane`
-(root finding, gcds of restrictions) use this type.
+is the sequence of its coefficients, ascending, with no trailing zeros.  A
+product packs both sequences into byte-aligned slots of one integer each
+(Kronecker substitution), makes one carry-less `gf2x.mul` and reduces
+every slot modulo the field's modulus at once; division and gcds run
+schoolbook loops through the field's log tables.  Both the fractions of
+`scalars` and the plane-curve univariates of `plane` (root finding, gcds
+of restrictions) use this type.
 """
 
 from __future__ import annotations
+
+import struct
 
 from . import gf2x
 from .finitefield import GF
@@ -29,6 +34,35 @@ def _trim(gf: GF, cs):
     while n and not cs[n - 1]:
         n -= 1
     return _pack(gf, cs[:n])
+
+
+def _slot_bytes(m: int) -> int:
+    """Bytes per slot of a packed coefficient sequence: a power of two
+    with room for a product of two elements of GF(2^m), 2m-1 bits."""
+    w = 1
+    while 8 * w < 2 * m - 1:
+        w *= 2
+    return w
+
+
+_SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_SLOT_ONE = {w: (1).to_bytes(w, "little") for w in _SLOT_FORMAT}
+
+
+def _to_int(cs, w: int) -> int:
+    """Coefficient k in the w-byte slot k of one integer."""
+    if w == 1:  # m <= 4: cs is already bytes
+        return int.from_bytes(cs, "little")
+    return int.from_bytes(struct.pack(f"<{len(cs)}{_SLOT_FORMAT[w]}", *cs),
+                          "little")
+
+
+def _from_int(p: int, n: int, w: int, m: int):
+    """The n reduced slots of p back in the storage `_pack` chooses."""
+    raw = p.to_bytes(n * w, "little")
+    if m <= 8:
+        return raw[::w]
+    return struct.unpack(f"<{n}{_SLOT_FORMAT[w]}", raw)
 
 
 def _divmod(gf: GF, a, b) -> tuple[list, list]:
@@ -136,16 +170,18 @@ class UPoly:
         a, b = self.c, other.c
         if not a or not b:
             return UPoly.zero(gf)
-        log, exp, n = gf.log, gf.exp, gf.q - 1
-        out = [0] * (len(a) + len(b) - 1)
-        lb = [(j, log[y]) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                lx = log[x]
-                for j, ly in lb:
-                    out[i + j] ^= exp[(lx + ly) % n]
+        # Kronecker substitution: one carry-less product of the packed
+        # sequences, each slot then holding a product of degree <= 2m-2
+        m, w = gf.m, _slot_bytes(gf.m)
+        n = len(a) + len(b) - 1
+        p = gf2x.mul(_to_int(a, w), _to_int(b, w))
+        ones = int.from_bytes(_SLOT_ONE[w] * n, "little")
+        for k in range(2 * m - 2, m - 1, -1):
+            # one bit at the base of each slot with bit k set, times the
+            # modulus: copies that do not overlap, so the product is a xor
+            p ^= ((p >> k) & ones) * (gf.modulus << (k - m))
         # the product of the leading coefficients is nonzero
-        return UPoly(gf, _pack(gf, out))
+        return UPoly(gf, _from_int(p, n, w, m))
 
     def scalar_mul(self, c: int) -> "UPoly":
         """Multiply by a field element."""
@@ -265,3 +301,19 @@ class UPoly:
 
     def __repr__(self):
         return f"UPoly({self})"
+
+
+class UPolyDomain:
+    """Coefficient-domain adapter for sparse forms over GF(2^m)[t]
+    (mirrors `scalars.KDomain`)."""
+
+    __slots__ = ("gf",)
+
+    def __init__(self, gf: GF):
+        self.gf = gf
+
+    def zero_elem(self) -> UPoly:
+        return UPoly.zero(self.gf)
+
+    def one_elem(self) -> UPoly:
+        return UPoly.one(self.gf)

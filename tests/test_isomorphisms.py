@@ -11,11 +11,16 @@ from quarticfibres.isomorphisms import (MU_NAMES, IsoWitness, apply_iso,
                                         epsilon_gamma, identity_witness,
                                         iso_maps, make_witness,
                                         search_automorphisms, verify_iso)
+from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_element
 from quarticfibres.sampling import random_params, random_witness, rng_for
+from quarticfibres.scalars import KDomain, ScalarK
+from quarticfibres.upoly import UPoly
 
 F2 = GF.get(1)
+F4 = GF.get(2)
 SPEC2 = FieldSpec(1)
+SPEC4 = FieldSpec(2)
 
 
 def _p(text):
@@ -25,6 +30,50 @@ def _p(text):
 def _m3(a="t", b="1", c="1", d="0"):
     return build_family(make_params(
         FamilyTag.III, F2, a=_p(a), b=_p(b), c=_p(c), d=_p(d)))
+
+
+# (ez, ey, L) per family: z' and y' carry 1/(eps^ez dd) and 1/(eps^ey dd),
+# and L = max over the quartic monomials y^i z^j of ey*i + ez*j
+_REFERENCE_EPS = {FamilyTag.III: (3, 2, 12), FamilyTag.IV: (2, 2, 8),
+                  FamilyTag.V: (1, 1, 4)}
+
+
+def _replay_over_k(source, target, w):
+    """The substitution replayed term by term in K-arithmetic: every
+    coefficient product and sum is a reduced fraction."""
+    maps = iso_maps(w, source.params)
+    eps, _ = epsilon_gamma(w, source.params)
+    gf = source.params.gf
+    dom = KDomain.get(gf)
+    ez, ey, lcd = _REFERENCE_EPS[w.tag]
+    dd = (MPoly.const(FORM_VARS, dom, w.mus[2])
+          + MPoly.var(FORM_VARS, dom, "z").scale(w.mus[3]))
+    one = MPoly.const(FORM_VARS, dom, ScalarK.one(gf))
+    ypow, zpow, dpow = [one], [one], [one]
+    for _ in range(4):
+        ypow.append(ypow[-1] * maps.ymap.num)
+        zpow.append(zpow[-1] * maps.zmap.num)
+        dpow.append(dpow[-1] * dd)
+    lifted = MPoly.zero(FORM_VARS, dom)
+    for e, coeff in target.form.dehomogenize("x").terms.items():
+        i, j = e[1], e[2]
+        lifted = lifted + (ypow[i] * zpow[j] * dpow[4 - i - j]).scale(
+            coeff * eps ** (lcd - ey * i - ez * j))
+    src = source.form.dehomogenize("x")
+    y4 = (0, 4, 0)
+    s = lifted.coeff(y4) / src.coeff(y4)
+    if not s or lifted != src.scale(s):
+        raise SubstitutionMismatch(
+            f"substituted target quartic is not a scalar multiple of the source "
+            f"(family {w.tag})", residual=str(lifted + src.scale(s)))
+    return s
+
+
+def _outcome(replay, *args):
+    try:
+        return replay(*args)
+    except (SubstitutionMismatch, ConstraintViolation, EpsilonZero) as exc:
+        return type(exc), str(exc), getattr(exc, "residual", None)
 
 
 def test_identity_is_a_fixed_point():
@@ -65,6 +114,17 @@ def test_wrong_pairing_fails_verification():
     other = _m3(d="t")
     with pytest.raises(SubstitutionMismatch):
         verify_iso(other, tgt, w)
+    # the same errors, messages and residuals as the replay over K
+    v = build_family(make_params(FamilyTag.V, F2, a=_p("t"), b=_p("t"),
+                                 d=_p("1")))
+    for case, error in (((other, tgt, w), SubstitutionMismatch),
+                        ((src, v, w), SubstitutionMismatch),
+                        ((v, tgt, w), ConstraintViolation),
+                        ((src, tgt, make_witness(FamilyTag.III, F2,
+                                                 mu2=_p("1"))), EpsilonZero)):
+        got = _outcome(verify_iso, *case)
+        assert got[0] is error
+        assert got == _outcome(_replay_over_k, *case)
 
 
 def test_invariant_is_preserved():
@@ -113,3 +173,58 @@ def test_witness_shapes():
         IsoWitness(FamilyTag.I, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         IsoWitness(FamilyTag.III, (_p("1"),))
+
+
+def test_replay_matches_k_arithmetic_reference():
+    for gf in (F2, F4):
+        t = ScalarK.t(gf)
+        rng = rng_for(5, f"iso-reference-{gf.q}")
+        for tag in (FamilyTag.III, FamilyTag.IV, FamilyTag.V):
+            for k in range(40):
+                params = random_params(rng, tag, gf)
+                w = random_witness(rng, tag, gf)
+                src = build_family(params)
+                tgt = apply_iso(src, w)
+                s = verify_iso(src, tgt, w)
+                assert s and s == _replay_over_k(src, tgt, w)
+                if k % 4:
+                    continue
+                # a perturbed witness and a perturbed source
+                mus = list(w.mus)
+                i = MU_NAMES[tag].index("mu2")
+                mus[i] = mus[i] + ScalarK.one(gf)
+                bad_w = IsoWitness(tag, tuple(mus))
+                name = "c" if tag is FamilyTag.IV else "d"
+                moved = getattr(params, name) + t
+                cases = [(src, tgt, bad_w)]
+                if moved:
+                    cases.append((build_family(make_params(tag, gf, **{
+                        n: moved if n == name else getattr(params, n)
+                        for n in "abcd"})), tgt, w))
+                for case in cases:
+                    got = _outcome(verify_iso, *case)
+                    assert got[0] is SubstitutionMismatch
+                    assert got == _outcome(_replay_over_k, *case)
+
+
+def test_replay_reduces_few_fractions(monkeypatch):
+    # a machine-independent work count: the replay in K-arithmetic makes
+    # about 600 gcds here, one or two per coefficient product and sum
+    p = lambda text: parse_element(text, SPEC4)
+    src = build_family(make_params(
+        FamilyTag.III, F4, a=p("(t^2+g)/(t+1)"), b=p("t+g"), c=p("1/t"),
+        d=p("t^2")))
+    w = make_witness(FamilyTag.III, F4, mu2=p("g*t"), mu3=p("1/(t+g)"),
+                     mu4=p("t+1"), mu5=p("g"))
+    tgt = apply_iso(src, w)
+    calls = []
+    gcd = UPoly.gcd
+
+    def counted(self, other):
+        calls.append(other)
+        return gcd(self, other)
+    monkeypatch.setattr(UPoly, "gcd", counted)
+    s = verify_iso(src, tgt, w)
+    monkeypatch.undo()
+    assert s == _replay_over_k(src, tgt, w)
+    assert len(calls) <= 64

@@ -39,16 +39,35 @@ def test_add_is_xor_of_coeffs():
 
 
 def test_mul_matches_schoolbook():
-    # GF(2^9) coefficients no longer fit a byte: the tuple storage
-    for gf in (F2, F4, GF.get(3), GF.get(9)):
-        for _ in range(60):
-            a, b = _rand(gf, 4), _rand(gf, 4)
+    # the packed product's slots are 8 bits up to m = 4, 16 bits up to
+    # m = 8, 32 bits up to m = 16 and 64 bits beyond; GF(2^9) and up use
+    # the tuple storage
+    def schoolbook(gf, a, b):
+        out = [0] * (a.deg() + b.deg() + 1)
+        for i in range(a.deg() + 1):
+            for j in range(b.deg() + 1):
+                out[i + j] ^= gf.mul(a.coeff(i), b.coeff(j))
+        return out
+
+    for m in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+        gf = GF.get(m)
+        top = UPoly.const(gf, gf.q - 1)
+        pairs = [(_rand(gf, 4), _rand(gf, 4)) for _ in range(30)]
+        pairs += [(_rand(gf, random.randrange(80)),
+                   _rand(gf, random.randrange(80))) for _ in range(4)]
+        pairs += [(top, _rand(gf, 40)), (_rand(gf, 40), UPoly.one(gf)),
+                  (top, top)]
+        for a, b in pairs:
             c = a * b
-            for k in range(10):
-                acc = 0
-                for i in range(k + 1):
-                    acc ^= gf.mul(a.coeff(i), b.coeff(k - i))
-                assert c.coeff(k) == acc
+            if a.is_zero() or b.is_zero():
+                assert c.is_zero()
+                continue
+            # equality also compares the storage (bytes or tuple)
+            assert c == UPoly.from_coeffs(gf, schoolbook(gf, a, b))
+            assert c == b * a
+        for a in (_rand(gf, 40), top, UPoly.zero(gf)):
+            assert (a * UPoly.zero(gf)).is_zero()
+            assert (UPoly.zero(gf) * a) == UPoly.zero(gf)
 
 
 def test_divmod():
