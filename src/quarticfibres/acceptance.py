@@ -296,7 +296,7 @@ def check_integral_fibres(seed: int = 0) -> CheckResult:
         count += 1
         if not is_strange(curve.form):
             return _fail(name, anchor, f"{label}: not strange")
-        locus = singular_locus(curve, max_ext=2)
+        locus = singular_locus(curve)
         if len(locus) != 1 or locus[0][1] != 1:
             return _fail(name, anchor, f"{label}: locus {locus}")
         sing = locus[0][0]

@@ -259,7 +259,7 @@ def _cmd_fibre(args) -> int:
         raise QuarticError(f"{name} takes {len(names)} parameters")
     point = tuple(_gf_value(v, spec) for v in values)
     curve = specialize_fibre(name, point, spec)
-    cls = classify_fibre(curve, max_ext=args.max_ext)
+    cls = classify_fibre(curve)
     rep = _Report("fibre", {
         "field": spec.describe(), "fibration": name,
         "params": list(values), "action": args.action})
@@ -423,27 +423,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     " inseparable tower, over F_q(t) in characteristic 2")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field-m", type=int, default=1, metavar="M",
+    # a subcommand takes only the flags its handler reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", nargs="?", const=True, metavar="PATH",
+                        help="emit JSON (optionally into PATH)")
+    output.add_argument("--out", metavar="PATH",
+                        help="also write the report to PATH")
+    field = argparse.ArgumentParser(add_help=False, parents=[output])
+    field.add_argument("--field-m", type=int, default=1, metavar="M",
                        help="coefficient field GF(2^M) (default 1)")
-        p.add_argument("--field-poly", metavar="POLY",
+    field.add_argument("--field-poly", metavar="POLY",
                        help="modulus for GF(2^M), e.g. 'u^4+u+1'")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the derived generators (default 0)")
-        p.add_argument("--json", nargs="?", const=True, metavar="PATH",
-                       help="emit JSON (optionally into PATH)")
-        p.add_argument("--out", metavar="PATH",
-                       help="also write the report to PATH")
 
-    p = sub.add_parser("family", help="build one quartic normal form")
+    p = sub.add_parser("family", parents=[field],
+                       help="build one quartic normal form")
     p.add_argument("--tag", required=True, choices=[t.value for t in FamilyTag])
     for n in ("a", "b", "c", "d"):
         p.add_argument(f"--{n}", default="0", metavar="EXPR")
-    common(p)
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("tower", help="inspect an inseparable tower"
-                                     " presentation")
+    p = sub.add_parser("tower", parents=[field],
+                       help="inspect an inseparable tower presentation")
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in TowerKind])
     p.add_argument("--consts", default="", metavar="N=EXPR,...",
@@ -453,43 +453,42 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="derive the quartic family parameters")
     p.add_argument("--breve", action="store_true",
                    help="verify the plane relation against elimination")
-    common(p)
     p.set_defaults(func=_cmd_tower)
 
-    p = sub.add_parser("iso", help="apply and verify an isomorphism witness")
+    p = sub.add_parser("iso", parents=[field],
+                       help="apply and verify an isomorphism witness")
     p.add_argument("--tag", required=True,
                    choices=[t.value for t in MU_NAMES])
     p.add_argument("--params", required=True, metavar="EXPR,...")
     p.add_argument("--witness", required=True, metavar="EXPR,...")
     p.add_argument("--verify", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("fibre", help="classify one fibre over GF(2^M)")
+    p = sub.add_parser("fibre", parents=[field],
+                       help="classify one fibre over GF(2^M)")
     p.add_argument("action", choices=["classify"])
     p.add_argument("--fibration", required=True, choices=sorted(FIBRATIONS))
     p.add_argument("--params", required=True, metavar="V,...")
-    p.add_argument("--max-ext", type=int, default=2)
-    common(p)
     p.set_defaults(func=_cmd_fibre)
 
-    p = sub.add_parser("scan", help="classify every fibre on a parameter"
-                                    " grid")
+    p = sub.add_parser("scan", parents=[field],
+                       help="classify every fibre on a parameter grid")
     p.add_argument("--fibration", required=True, choices=sorted(FIBRATIONS))
     p.add_argument("--fix", metavar="N=V,...",
                    help="freeze named parameters, e.g. d=0")
     p.add_argument("--limit", type=int, metavar="N",
                    help="stop after N grid points")
-    common(p)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("resolve", help="resolve a pencil's base locus")
+    p = sub.add_parser("resolve", parents=[output],
+                       help="resolve a pencil's base locus")
     p.add_argument("--pencil", required=True, choices=sorted(PENCILS))
-    common(p)
     p.set_defaults(func=_cmd_resolve)
 
-    p = sub.add_parser("accept", help="run the full acceptance battery")
-    common(p)
+    p = sub.add_parser("accept", parents=[output],
+                       help="run the full acceptance battery")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the derived generators (default 0)")
     p.set_defaults(func=_cmd_accept)
     return top
 

@@ -88,6 +88,10 @@ class NoSuchRow(QuarticError):
     """The property triple matches none of the five classification rows."""
 
 
+class SearchCapped(QuarticError):
+    """A search the answer needs lies beyond an enumeration cap."""
+
+
 class NotHomogeneous(QuarticError):
     """The operation needs a homogeneous form."""
 

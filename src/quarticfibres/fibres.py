@@ -7,8 +7,8 @@ singular points (``singular_radicands``) are read from ``families``.  Two
 are pencils of plane curves.  A fibre is a ternary form over GF(2^m),
 wrapped in `PlaneCurveFq`, and the routines here measure it:
 
-* ``singular_locus`` brute-forces the projective plane over the base
-  field and its small extensions (the scans run through ``kernels``);
+* ``singular_locus`` brute-forces the projective plane over GF(q) and
+  GF(q^2) (the scans run through ``kernels``);
 * ``multiplicity_at`` translates the point into an affine chart and
   reads off the lowest total degree;
 * ``delta_invariant`` iterates blowups, summing m(m-1)/2 over the
@@ -19,9 +19,10 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
   biconic / integral and returns a `FibreClass`; the linear split reads
   its candidate lines off the zero set and confirms each by division.
 
-Charts, line peeling and univariate root finding come from ``plane``.
-Extension scans are capped: no enumeration touches a field beyond
-2^12 elements, and locus searches stop at ``m * ext <= 8``.
+Charts, line peeling, root finding and the search caps come from
+``plane``.  The fibres are strange quartics, whose lines and singular point
+are rational and whose conic pairs split over GF(q^2), so the cascade
+searches GF(q) and GF(q^2) only.
 """
 
 from dataclasses import dataclass
@@ -35,12 +36,10 @@ from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import FORM_VARS, MPoly, triform
-from .plane import (LOCUS_CAP, chart_at, embed_form, is_smooth_conic,
-                    line_form, mult_origin, normalize_point, peel_lines,
-                    roots, shift_out)
+from .plane import (LOCUS_CAP, ROOT_CAP, chart_at, check_cap, embed_form,
+                    is_smooth_conic, line_form, mult_origin, normalize_point,
+                    peel_lines, roots, shift_out)
 from .upoly import UPoly
-
-_CAP_BITS = 12      # largest enumerated field: GF(2^12)
 
 
 @dataclass(frozen=True)
@@ -179,12 +178,6 @@ def _coerce_point(curve: "PlaneCurveFq", point):
                  for c in point)
 
 
-def _check_max_ext(max_ext: int):
-    if max_ext < 1:
-        raise ConstraintViolation(
-            f"max_ext must be at least 1 (the base field), got {max_ext}")
-
-
 def multiplicity_at(curve: PlaneCurveFq, point) -> int:
     """Multiplicity of the curve at a projective point (1 = smooth)."""
     local, _ = chart_at(curve.form, _coerce_point(curve, point))
@@ -196,41 +189,30 @@ def multiplicity_at(curve: PlaneCurveFq, point) -> int:
 # ----- singular locus -----------------------------------------------------
 
 
-def singular_locus(curve: PlaneCurveFq, max_ext: int = 2) -> list:
+def singular_locus(curve: PlaneCurveFq) -> list:
     """Points where the form and its three partials vanish.
 
-    Scans P^2 over GF(2^{m r}) for r = 1..max_ext (within the size cap),
-    deduplicating points already seen over a subfield.  Returns a list
-    of (point, r) with each point a GFElem triple over its own field.
+    Scans P^2 over the base field GF(q) and, within ``LOCUS_CAP``, over
+    GF(q^2), keeping there the points not rational over GF(q).  Returns a
+    list of (point, r), each point a GFElem triple over GF(q^r).
     """
-    _check_max_ext(max_ext)
     base = curve.gf
-    found = []          # (raw coords, r, gf)
-    out = []
-    for r in range(1, max_ext + 1):
-        if base.m * r > LOCUS_CAP:
-            break
-        gfr = GF.get(base.m * r)
-        f = embed_form(curve.form, base, gfr)
-        seen = set()
-        for coords, s, gfs in found:
-            if r % s == 0:
-                table = gfs.embedding_into(gfr)
-                seen.add(tuple(table[v] for v in coords))
-        for raw in kernels.scan_singular_points(f, gfr):
-            if raw in seen:
-                continue
-            found.append((raw, r, gfr))
-            out.append((tuple(GFElem(gfr, v) for v in raw), r))
+    check_cap(base.m, "the singular locus")
+    out = [(tuple(GFElem(base, v) for v in raw), 1)
+           for raw in kernels.scan_singular_points(curve.form, base)]
+    if 2 * base.m <= LOCUS_CAP:
+        big = GF.get(2 * base.m)
+        f = embed_form(curve.form, base, big)
+        out += [(tuple(GFElem(big, v) for v in raw), 2)
+                for raw in kernels.scan_singular_points(f, big)
+                if not all(big.in_subfield(v, base.m) for v in raw)]
     return out
 
 
-def smooth_points(curve: PlaneCurveFq, limit: int | None = None,
-                  ext: int = 1) -> list:
+def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
     """Points of the curve with multiplicity 1, rational over the base
-    field (or its degree-`ext` extension), in scan order."""
-    gf = curve.gf if ext == 1 else GF.get(curve.gf.m * ext)
-    f = embed_form(curve.form, curve.gf, gf)
+    field, in scan order."""
+    gf, f = curve.gf, curve.form
     pts = kernels.plane_points(gf.q)
     vals = kernels.evaluate_forms(pts, [f] + [f.partial(v) for v in f.vars],
                                   gf)
@@ -322,10 +304,8 @@ def _directions(f: MPoly, m: int, iu: int, gf):
     out = []
     r = 1
     while remaining > 0:
-        if gf.m * r > _CAP_BITS:
-            raise ConstraintViolation(
-                "blowup direction lies beyond the enumeration cap")
-        gfr = GF.get(gf.m * r)
+        check_cap(gf.m * r, "the blow-up direction search", ROOT_CAP)
+        gfr = gf if r == 1 else GF.get(gf.m * r)
         table = gf.embedding_into(gfr)
         # roots already found over a subfield of GF(2^{m r})
         skip = {gfs.embedding_into(gfr)[alpha]
@@ -384,7 +364,7 @@ def _even_y_monic(form: MPoly) -> bool:
                                                for e in form.terms)
 
 
-def _biconic_split(form: MPoly, gf, max_ext: int = 2):
+def _biconic_split(form: MPoly, gf):
     """Try to write a quartic with only even y-exponents as a product
     (y^2+v)(y^2+w) of distinct strange conics, over the base field or
     its quadratic extension (conjugate pairs).  For such quartics this
@@ -397,12 +377,12 @@ def _biconic_split(form: MPoly, gf, max_ext: int = 2):
     bcs = [f.coeff((4, 0, 0)).v, f.coeff((3, 0, 1)).v, f.coeff((2, 0, 2)).v,
            f.coeff((1, 0, 3)).v, f.coeff((0, 0, 4)).v]
     for r in (1, 2):
-        if r > max_ext or gf.m * r > LOCUS_CAP:
+        if gf.m * r > LOCUS_CAP:
             break
         gfr = gf if r == 1 else GF.get(gf.m * r)
-        table = None if r == 1 else gf.embedding_into(gfr)
-        a2, a1, a0 = acs if r == 1 else [table[v] for v in acs]
-        b4, b3, b2, b1, b0 = bcs if r == 1 else [table[v] for v in bcs]
+        table = gf.embedding_into(gfr)
+        a2, a1, a0 = (table[v] for v in acs)
+        b4, b3, b2, b1, b0 = (table[v] for v in bcs)
         mul = gfr.mul
 
         def quad_roots(c0, c1):
@@ -431,20 +411,26 @@ def _biconic_split(form: MPoly, gf, max_ext: int = 2):
     return None
 
 
-def classify_fibre(curve: PlaneCurveFq, max_ext: int = 2) -> FibreClass:
-    """Coarse classification used for the degenerate-fibre tables."""
+def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
+    """Coarse classification used for the degenerate-fibre tables.
+
+    The cascade tries the square of a smooth conic, linear factors (over
+    GF(q^2) too unless the form is even in y), a pair of strange conics
+    over GF(q) or GF(q^2), and otherwise measures an integral quartic at
+    the first point of its singular locus.  A search it needs beyond
+    ``LOCUS_CAP`` raises `SearchCapped`.
+    """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
-    _check_max_ext(max_ext)
     gf = curve.gf
     root = curve.form.square_root()
-    if root is not None and is_smooth_conic(root, gf):
+    if root is not None and is_smooth_conic(root):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
     # with only even powers of y and a y^4 term, every linear factor is
     # rational over the base field, so line peeling need not extend
     even_y = _even_y_monic(curve.form)
-    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else max_ext)
+    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else 2)
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)
@@ -454,28 +440,27 @@ def classify_fibre(curve: PlaneCurveFq, max_ext: int = 2) -> FibreClass:
             kind = "LinePlusTripleLine" if mults == [1, 3] else "Other"
             return FibreClass(kind=kind, ext=ext, components=comps)
         kind = "Other"
-        if (rem.total_degree() == 2 and list(factors.values()) == [2]
-                and is_smooth_conic(rem, cur)):
+        if list(factors.values()) == [2] and is_smooth_conic(rem):
             kind = "ConicPlusDoubleLine"
         return FibreClass(kind=kind, ext=ext,
                           components=comps + ((str(rem), 1),))
     if even_y:
-        split = _biconic_split(curve.form, gf, max_ext)
+        split = _biconic_split(curve.form, gf)
         if split is not None:
             c0, c1, sgf = split
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
                               components=tuple(sorted(
                                   ((str(c0), 1), (str(c1), 1)))))
-    sing = singular_locus(curve, max_ext=max_ext)
+    sing = singular_locus(curve)
     if not sing:
+        check_cap(2 * gf.m, "the singular locus")
         return FibreClass(kind="IntegralQuartic")  # smooth: nothing to report
     point, ext = sing[0]
-    mult = multiplicity_at(curve, point)
-    delta, _ = delta_invariant(curve, point)
+    delta, seq = delta_invariant(curve, point)
     tangent = None
     sample = smooth_points(curve, limit=1)
     if sample:
         tangent = tangent_contact_type(curve, sample[0])
     return FibreClass(kind="IntegralQuartic",
-                      sing_point=point, ext=ext, multiplicity=mult,
+                      sing_point=point, ext=ext, multiplicity=seq[0],
                       delta=delta, tangent=tangent)

@@ -1,6 +1,6 @@
 """Array kernels for point scans over the projective plane of GF(2^m).
 
-The singular-locus search, the smooth-conic test, the zero set that line
+The singular-locus search, the smooth points, the zero set that line
 peeling reads its candidate lines from and the pencil base points all
 scan P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow with
 boxed field elements.  In the power basis, field addition is XOR and

@@ -81,10 +81,6 @@ class MPoly:
         e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
     # ----- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":

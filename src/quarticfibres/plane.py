@@ -7,6 +7,7 @@ ternary forms in (x, y, z) and the same few local constructions:
   are read off the zero set (one ``kernels`` scan): a line divides a form
   only if all its rational points are zeros.  Each candidate is then
   confirmed by division;
+* ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the affine chart at a point, translated to the origin;
   ``mult_origin`` reads the multiplicity there and ``shift_out`` divides
   a chart's pullback by a power of the exceptional coordinate;
@@ -14,19 +15,31 @@ ternary forms in (x, y, z) and the same few local constructions:
   blow-up directions, tangent contacts and base points on exceptional
   curves are found.  It is a brute-force scan over the field, the one
   place to swap in an algebraic root finder.
+
+The search limits ``LOCUS_CAP`` and ``ROOT_CAP`` live here, with
+``check_cap``, which raises `SearchCapped` for a search beyond its cap.
 """
 
 from . import kernels
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, SearchCapped
 from .finitefield import GF, GFElem
 from .mpoly import MPoly, FORM_VARS
 from .upoly import UPoly
 
 LOCUS_CAP = 8       # line peeling and locus scans stop at GF(2^8)
+ROOT_CAP = 12       # blow-up directions are enumerated up to GF(2^12)
+
+
+def check_cap(m: int, search: str, cap: int = LOCUS_CAP):
+    """Raise `SearchCapped` when `search` would enumerate GF(2^m) beyond
+    the cap, so that an unsearched field never reads as "none found"."""
+    if m > cap:
+        raise SearchCapped(f"{search} over GF(2^{m}) is beyond the"
+                           f" GF(2^{cap}) enumeration cap")
 
 
 def embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
-    if small.m == big.m:
+    if small is big:
         return f
     table = small.embedding_into(big)
     return MPoly(f.vars, big,
@@ -129,13 +142,17 @@ def roots(h: UPoly) -> tuple[list, UPoly]:
 # ----- linear factors -----------------------------------------------------
 
 
-def is_smooth_conic(conic: MPoly, gf: GF) -> bool:
+def is_smooth_conic(conic: MPoly) -> bool:
+    """Whether a form is a smooth conic.
+
+    In char 2 the partials of a x^2+b y^2+c z^2+d yz+e xz+f xy vanish
+    together only at (d:e:f), so the conic is smooth iff (d,e,f) != 0 and
+    the conic does not vanish there: a d^2+b e^2+c f^2+d e f != 0."""
     if conic.total_degree() != 2 or not conic.is_homogeneous():
         return False
-    if conic.square_root() is not None:
-        return False
-    # a singular conic's vertex is cut out by linear forms, hence rational
-    return not kernels.scan_singular_points(conic, gf)
+    vertex = [conic.coeff(e) for e in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    return any(vertex) and bool(conic.eval_point(dict(zip(conic.vars,
+                                                          vertex))))
 
 
 def _join(p, r, gf: GF) -> tuple:
@@ -206,16 +223,14 @@ def peel_lines(form: MPoly, gf: GF, max_ext: int = 1):
     quartic can vanish on a line it does not contain.  Lines over gf are
     tried first.  A cofactor of positive degree that is not a smooth
     conic (which has no linear factor over any extension) is then tried
-    over GF(2^{m max_ext}); the factors move to that field only when a
-    new line splits off there.  Returns ({line triple: multiplicity},
-    cofactor, the field of both); nothing is peeled beyond
-    GF(2^LOCUS_CAP).
+    over GF(2^{m max_ext}) within ``LOCUS_CAP``; the factors move to that
+    field only when a new line splits off there.  Returns ({line triple:
+    multiplicity}, cofactor, the field of both).
     """
-    if gf.m > LOCUS_CAP:
-        return {}, form, gf
+    check_cap(gf.m, "line peeling")
     factors, rem = _peel(form, gf, {})
     if (max_ext <= 1 or gf.m * max_ext > LOCUS_CAP
-            or rem.total_degree() == 0 or is_smooth_conic(rem, gf)):
+            or rem.total_degree() == 0 or is_smooth_conic(rem)):
         return factors, rem, gf
     big = GF.get(gf.m * max_ext)
     table = gf.embedding_into(big)

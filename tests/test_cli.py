@@ -128,10 +128,18 @@ def test_exit_codes_and_error_record():
     rec = json.loads(bad_json.stdout)
     assert rec["error"]["type"] == "ConstraintViolation"
     assert bad_json.returncode == 1
-    no_ext = run("fibre", "classify", "--fibration", "pi4",
-                 "--params", "1,0,0", "--max-ext", "0")
-    assert no_ext.returncode == 1
-    assert no_ext.stdout.startswith("error: ConstraintViolation")
+    # a flag the subcommand does not read is a usage error
+    assert run("fibre", "classify", "--fibration", "pi4", "--params",
+               "1,0,0", "--max-ext", "2").returncode == 2
+    assert run("resolve", "--pencil", "quartic",
+               "--field-m", "2").returncode == 2
+    # a search beyond the scan cap is an error, never a "smooth" answer
+    capped = ["scan", "--fibration", "pi4", "--field-m", "9", "--limit", "5"]
+    r = run(*capped)
+    assert r.returncode == 1
+    assert r.stdout.startswith("error: SearchCapped: ")
+    rec = json.loads(run(*capped, "--json").stdout)
+    assert rec["error"]["type"] == "SearchCapped"
     for field in (["--field-m", "0"],
                   ["--field-m", "2", "--field-poly", "u^2+1"]):
         bad_field = run("family", "--tag", "IV", *field)
@@ -157,3 +165,9 @@ def test_field_poly_flag():
     rec = json.loads(r.stdout)
     assert r.returncode == 0
     assert rec["inputs"]["field"]["modulus"] == "u^4+u^3+1"
+    # the fibre is scanned and blown up in that same copy of GF(16)
+    f = run("fibre", "classify", "--fibration", "pi4", "--params", "3,5,7",
+            "--field-m", "4", "--field-poly", "u^4+u^3+1")
+    assert f.returncode == 0
+    assert "multiplicity 2 delta 3" in f.stdout
+    assert "PASS singular point at the closed-form location" in f.stdout

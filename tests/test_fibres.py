@@ -4,9 +4,10 @@ from itertools import product
 
 import pytest
 
+from quarticfibres import fibres, kernels
 from quarticfibres.errors import (ConstraintViolation, NotSingular,
                                   NotSmoothPoint, PointNotOnCurve,
-                                  UnsupportedFamily)
+                                  SearchCapped, UnsupportedFamily)
 from quarticfibres.families import is_strange
 from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
                                   delta_invariant, multiplicity_at,
@@ -89,18 +90,51 @@ def test_delta_oracles():
 
 def test_singular_locus_extension_points():
     c = specialize_fibre("pi4", (1, 1, 1), SPEC2)
-    locus = singular_locus(c, max_ext=2)
+    locus = singular_locus(c)
     assert len(locus) == 1
     point, ext = locus[0]
     pred = predicted_singular_point("pi4", (1, 1, 1), SPEC2)
     assert tuple(v.v for v in point) == tuple(v.v for v in pred)
     # (ab^2+c)^(1/4) = 0^(1/4)... over F2 all fourth roots are rational
     assert ext == 1
-    # the base field is always searched; a smaller range is no search
-    with pytest.raises(ConstraintViolation):
-        singular_locus(c, max_ext=0)
-    with pytest.raises(ConstraintViolation):
-        classify_fibre(c, max_ext=0)
+    # y^2 (x^2+xz+z^2) is singular along y = 0 and at (0:1:0); the
+    # GF(4) scan adds only the two points that are not rational
+    locus = singular_locus(_curve("y^2*x^2 + y^2*x*z + y^2*z^2"))
+    assert [(tuple(v.v for v in p), r) for p, r in locus] == [
+        ((1, 0, 0), 1), ((1, 0, 1), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
+        ((1, 0, 2), 2), ((1, 0, 3), 2)]
+    assert all(p[0].gf is GF.get(r) for p, r in locus)
+
+
+def test_non_default_modulus():
+    # the same field GF(8) written with another modulus: every integral
+    # pi4 fibre is measured at its closed-form point in that very field
+    spec = FieldSpec(3, 0b1101)                      # u^3+u^2+1
+    count = 0
+    for point in product(range(8), repeat=3):
+        if point[1] == 0:
+            continue
+        cls = classify_fibre(specialize_fibre("pi4", point, spec))
+        pred = predicted_singular_point("pi4", point, spec)
+        assert cls.sing_point == pred and cls.ext == 1, point
+        assert cls.delta == 3 and cls.multiplicity == 2, point
+        count += 1
+    assert count == 448
+
+
+def test_search_beyond_the_cap_raises():
+    spec = FieldSpec(9)
+    for name, point in (("pi4", (3, 5, 7)), ("pi3", (1, 0, 1, 0))):
+        with pytest.raises(SearchCapped):
+            classify_fibre(specialize_fibre(name, point, spec))
+    with pytest.raises(SearchCapped):
+        singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
+    # the Klein quartic is smooth: over GF(32) no rational singular point
+    # is found and GF(2^10) is not scanned, so "smooth" is not known
+    klein = "x^3*y + y^3*z + z^3*x"
+    with pytest.raises(SearchCapped):
+        classify_fibre(_curve(klein, FieldSpec(5)))
+    assert classify_fibre(_curve(klein, FieldSpec(4))).sing_point is None
 
 
 def test_predicted_points_all_fibrations():
@@ -137,8 +171,6 @@ def test_tangent_types():
 def test_smooth_points_extension():
     c = specialize_fibre("pi4", (0, 1, 0), SPEC2)
     base = smooth_points(c)
-    bigger = smooth_points(c, ext=2)
-    assert len(bigger) >= len(base)
     assert smooth_points(c, limit=1) == base[:1]
 
 
@@ -152,29 +184,41 @@ def test_classify_integral():
     assert tuple(v.v for v in cls2.sing_point) == (1, 0, 1)
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_classify_divides_only_by_candidate_lines(monkeypatch):
     # a machine-independent work count: trial division by every line of
     # P^2(GF(64)) would take 4161 divisions
-    calls = []
-    divide = MPoly.divide
-
-    def counted(self, d):
-        calls.append(d)
-        return divide(self, d)
-    monkeypatch.setattr(MPoly, "divide", counted)
+    calls = _count_calls(monkeypatch, MPoly, "divide")
+    charts = _count_calls(monkeypatch, fibres, "chart_at")
     cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
     assert cls.kind == "IntegralQuartic"
     assert len(calls) <= 8
+    # the multiplicity is the first of the delta invariant's sequence
+    assert sum(point == cls.sing_point for _, point in charts) == 1
 
 
-def test_classify_double_conic():
+def test_classify_double_conic(monkeypatch):
+    scans = _count_calls(monkeypatch, kernels, "scan_singular_points")
     cls = classify_fibre(specialize_fibre("pi5", (1, 1, 1, 0), SPEC4))
+    assert scans == []      # the smooth-conic test is a closed form
     assert cls.kind == "DoubleConic"
     assert len(cls.components) == 1 and cls.components[0][1] == 2
 
 
-def test_classify_conic_plus_double_line():
+def test_classify_conic_plus_double_line(monkeypatch):
+    scans = _count_calls(monkeypatch, kernels, "scan_singular_points")
     cls = classify_fibre(specialize_fibre("pi3", (1, 0, 1, 0), SPEC2))
+    assert scans == []
     assert cls.kind == "ConicPlusDoubleLine"
     mults = sorted(m for _, m in cls.components)
     assert mults == [1, 2]

@@ -1,13 +1,17 @@
 """Structure of the package source."""
 
+import argparse
 import ast
+import inspect
 import pathlib
 import re
 import sys
+import textwrap
 
 import pytest
 
 import quarticfibres
+from quarticfibres import cli
 
 PACKAGE = pathlib.Path(quarticfibres.__file__).parent
 
@@ -45,3 +49,44 @@ def test_third_party_imports_are_the_declared_dependencies():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"quarticfibres"}
     assert third_party == declared
+
+
+def _args_read(fn, seen) -> set:
+    """Names a cli function reads off its parsed `args`, with those the
+    module-level cli helpers it passes `args` to read."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads, dynamic = set(), False
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args"
+                      for a in node.args)):
+            name = node.func.id
+            if name == "getattr":
+                key = node.args[1]
+                if isinstance(key, ast.Constant):
+                    reads.add(key.value)
+                else:
+                    dynamic = True
+            elif hasattr(cli, name) and name not in seen:
+                seen.add(name)
+                reads |= _args_read(getattr(cli, name), seen)
+    if dynamic:
+        # getattr(args, n) over literal names: count every string literal
+        reads |= {n.value for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return reads
+
+
+def test_cli_subcommands_define_only_the_flags_they_read():
+    top = cli._build_parser()
+    subs = next(a for a in top._actions
+                if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, parser in sorted(subs.choices.items()):
+        reads = _args_read(parser.get_default("func"), set())
+        unread += [f"{command} {a.dest}" for a in parser._actions
+                   if a.dest != "help" and a.dest not in reads]
+    assert unread == []

@@ -1,13 +1,15 @@
-"""Line peeling against trial division by every line of the plane."""
+"""Line peeling against trial division by every line of the plane, and
+the closed-form smooth-conic test against a plane scan."""
 
 import random
+from itertools import product
 
 import pytest
 
 from quarticfibres import kernels, plane
 from quarticfibres.finitefield import GF, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
-from quarticfibres.plane import line_form, peel_lines
+from quarticfibres.plane import is_smooth_conic, line_form, peel_lines
 
 random.seed(30931)
 
@@ -116,6 +118,35 @@ def test_lines_meeting_at_a_shared_zero(monkeypatch):
     a, b = line_form(gf, (1, 0, 0)), line_form(gf, (1, 0, g))
     factors, rem, _ = _check(_prod(gf, a, a, b, conic), gf, 1, monkeypatch)
     assert factors == {(1, 0, 0): 2, (1, 0, g): 1}
+
+
+_CONIC_MONOS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1),
+                (1, 1, 0))
+
+
+def _smooth_conic_oracle(conic, gf):
+    """Not a square, and no rational point where the conic and its
+    partials vanish (a singular conic's vertex is rational)."""
+    if conic.total_degree() != 2 or conic.square_root() is not None:
+        return False
+    return not kernels.scan_singular_points(conic, gf)
+
+
+def test_smooth_conic_closed_form_matches_scan():
+    def conic(gf, cs):
+        return MPoly.from_terms(FORM_VARS, gf, [
+            (e, GFElem(gf, c)) for e, c in zip(_CONIC_MONOS, cs)])
+    gf = GF.get(1)
+    cases = [(gf, conic(gf, cs)) for cs in product(range(2), repeat=6)]
+    for m in (2, 3, 4):
+        gf = GF.get(m)
+        cases += [(gf, conic(gf, [random.randrange(gf.q)
+                                  if random.random() < 0.7 else 0
+                                  for _ in _CONIC_MONOS]))
+                  for _ in range(150)]
+    verdicts = [is_smooth_conic(c) for _, c in cases]
+    assert verdicts == [_smooth_conic_oracle(c, gf) for gf, c in cases]
+    assert 0 < sum(verdicts) < len(cases)
 
 
 def test_extension_round_splits_a_conjugate_pair(monkeypatch):
