@@ -17,7 +17,7 @@ from itertools import product
 from time import perf_counter
 
 from .acceptance import run_all
-from .errors import QuarticError
+from .errors import QuarticError, ZeroForm
 from .families import (FAMILY_PARAMS, FamilyTag, build_family, invariant,
                        is_strange, make_params, singular_point)
 from .fibres import (FIBRATIONS, classify_fibre, predicted_singular_point,
@@ -317,8 +317,11 @@ def _cmd_scan(args) -> int:
                             for k in names)):
         if limit is not None and scanned >= limit:
             break
+        try:
+            curve = specialize_fibre(name, point, spec)
+        except ZeroForm:    # a pencil's (0, 0) is no member
+            continue
         scanned += 1
-        curve = specialize_fibre(name, point, spec)
         key = _scan_key(classify_fibre(curve))
         counts[key] = counts.get(key, 0) + 1
     rep = _Report("scan", {

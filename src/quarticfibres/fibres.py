@@ -247,14 +247,17 @@ def _binary_profile(g: MPoly, gf) -> tuple:
 def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
     """Factor the restriction of the curve to its tangent line at a
     smooth point."""
-    point = _coerce_point(curve, point)
-    if multiplicity_at(curve, point) != 1:
-        raise NotSmoothPoint("tangent contact is measured at smooth points")
-    p, _ = normalize_point(point)
+    p, _ = normalize_point(_coerce_point(curve, point))
     gf = p[0].gf
     f = embed_form(curve.form, curve.gf, gf)
     vals = {name: c for name, c in zip(f.vars, p)}
+    if f.eval_point(vals):
+        raise PointNotOnCurve("the point does not lie on the curve")
+    # on the curve, Euler's relation makes the chart's partials vanish
+    # iff all three of the form's do: smooth iff the gradient is nonzero
     grad = [f.partial(name).eval_point(vals) for name in f.vars]
+    if not any(grad):
+        raise NotSmoothPoint("tangent contact is measured at smooth points")
     j = next(i for i, c in enumerate(grad) if c)
     # two independent points spanning the tangent line
     spans = []

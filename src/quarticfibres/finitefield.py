@@ -20,7 +20,7 @@ class FieldError(QuarticError, ValueError):
 class GF:
     """The field GF(2^m) = F2[u]/(modulus), elements encoded as ints < 2^m."""
 
-    __slots__ = ("m", "q", "modulus", "exp", "log", "generator",
+    __slots__ = ("m", "q", "slot", "modulus", "exp", "log", "generator",
                  "_embeddings")
 
     _cache: dict[tuple[int, int | None], "GF"] = {}
@@ -34,6 +34,7 @@ class GF:
             raise FieldError(f"modulus {bin(modulus)} is not irreducible of degree {m}")
         self.m = m
         self.q = 1 << m
+        self.slot = 2 * m - 1   # bits per coefficient of a packed UPoly
         self.modulus = modulus
         self._build_tables()
         self._embeddings = {}

@@ -90,20 +90,6 @@ def is_square(a: int) -> bool:
     return a & _odd_mask(a.bit_length()) == 0
 
 
-def sqrt(a: int) -> int:
-    """Square root of an even-support polynomial (bit decimation)."""
-    if not is_square(a):
-        raise ValueError("not a square in GF(2)[t]")
-    r = 0
-    k = 0
-    while a:
-        if a & 1:
-            r |= 1 << k
-        a >>= 2
-        k += 1
-    return r
-
-
 def square(a: int) -> int:
     """a^2 = bit spreading (char-2 Frobenius)."""
     r = 0

@@ -13,6 +13,16 @@ from .finitefield import GF
 from .upoly import UPoly
 
 
+def _monic_den(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """The fraction num/den rescaled to a monic denominator."""
+    lc = den.lc()
+    if lc != 1:
+        inv = den.gf.inv(lc)
+        num = num.scalar_mul(inv)
+        den = den.scalar_mul(inv)
+    return num, den
+
+
 class ScalarK:
     __slots__ = ("num", "den")
 
@@ -31,13 +41,7 @@ class ScalarK:
         if g.deg() > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        lc = den.lc()
-        if lc != 1:
-            inv = den.gf.inv(lc)
-            num = num.scalar_mul(inv)
-            den = den.scalar_mul(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(num, den)
 
     # ----- constructors --------------------------------------------------
 
@@ -105,25 +109,12 @@ class ScalarK:
         if g2.deg() > 0:
             n2 = n2.exact_div(g2)
             d1 = d1.exact_div(g2)
-        num = n1 * n2
-        den = d1 * d2
-        lc = den.lc()
-        if lc != 1:
-            inv = den.gf.inv(lc)
-            num = num.scalar_mul(inv)
-            den = den.scalar_mul(inv)
-        return ScalarK(num, den, _canonical=True)
+        return ScalarK(*_monic_den(n1 * n2, d1 * d2), _canonical=True)
 
     def inverse(self) -> "ScalarK":
         if not self:
             raise DivisionByZero("inverse of 0 in K")
-        num, den = self.den, self.num
-        lc = den.lc()
-        if lc != 1:
-            inv = den.gf.inv(lc)
-            num = num.scalar_mul(inv)
-            den = den.scalar_mul(inv)
-        return ScalarK(num, den, _canonical=True)
+        return ScalarK(*_monic_den(self.den, self.num), _canonical=True)
 
     def __truediv__(self, other: "ScalarK") -> "ScalarK":
         return self * other.inverse()

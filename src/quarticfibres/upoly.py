@@ -1,112 +1,87 @@
 """Univariate polynomials over GF(2^m): the one univariate type.
 
-For m = 1 a polynomial is a single int in the `gf2x` packing (bit k holds
-the coefficient of t^k), so arithmetic is shift/xor on Python big ints;
-this is the hot case for the rational function field F2(t).  For m > 1 it
-is the sequence of its coefficients, ascending, with no trailing zeros.  A
-product packs both sequences into byte-aligned slots of one integer each
-(Kronecker substitution), makes one carry-less `gf2x.mul` and reduces
-every slot modulo the field's modulus at once; division and gcds run
-schoolbook loops through the field's log tables.  Both the fractions of
-`scalars` and the plane-curve univariates of `plane` (root finding, gcds
-of restrictions) use this type.
+A polynomial is one Python int.  Coefficient k (a field element, m bits)
+sits in bits [k*s, k*s + m) with slot width s = 2m - 1 (`GF.slot`), room
+for a product of two field elements; for m = 1 this is the `gf2x` packing
+of GF(2)[t].  Addition is xor.  A product is one carry-less `gf2x.mul` of
+the packed ints (Kronecker substitution), after which every slot is reduced
+modulo the field's modulus at once.  Division runs schoolbook on the packed
+int against a monic divisor, one shift-xor per quotient term; over GF(2)
+it is `gf2x`'s own.  Both the fractions of `scalars` and the plane-curve
+univariates of `plane` (root finding, gcds of restrictions) use this type.
 """
 
 from __future__ import annotations
-
-import struct
 
 from . import gf2x
 from .finitefield import GF
 
 
-def _pack(gf: GF, cs):
-    """Coefficients as bytes while each fits in one (m <= 8), else as a
-    tuple.  Bytes keep long polynomials within Python's small-object
-    allocator; long tuples go to the system allocator, whose heap then
-    fragments: resident memory grew with every witness replay over F_4(t).
-    """
-    return bytes(cs) if gf.m <= 8 else tuple(cs)
+def _ones(width: int, nbits: int) -> int:
+    """One bit at the base of each width-bit slot covering nbits bits."""
+    n = nbits // width + 1
+    return ((1 << (n * width)) - 1) // ((1 << width) - 1)
 
 
-def _trim(gf: GF, cs):
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    return _pack(gf, cs[:n])
+def _reduce(gf: GF, p: int) -> int:
+    """Reduce every slot of a carry-less product modulo the modulus."""
+    m = gf.m
+    if m == 1:  # GF(2) needs no slot reduction
+        return p
+    ones = _ones(gf.slot, p.bit_length())
+    for k in range(2 * m - 2, m - 1, -1):
+        # one bit at the base of each slot with bit k set, times the
+        # modulus: copies that do not overlap, so the product is a xor
+        p ^= ((p >> k) & ones) * (gf.modulus << (k - m))
+    return p
 
 
-def _slot_bytes(m: int) -> int:
-    """Bytes per slot of a packed coefficient sequence: a power of two
-    with room for a product of two elements of GF(2^m), 2m-1 bits."""
-    w = 1
-    while 8 * w < 2 * m - 1:
-        w *= 2
-    return w
+def _lc(gf: GF, c: int) -> int:
+    """Leading coefficient of a nonzero packed polynomial."""
+    s = gf.slot
+    return c >> ((c.bit_length() - 1) // s * s)
 
 
-_SLOT_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
-_SLOT_ONE = {w: (1).to_bytes(w, "little") for w in _SLOT_FORMAT}
+def _monic(gf: GF, c: int) -> tuple[int, int]:
+    """c scaled to leading coefficient 1, and the scale (c nonzero)."""
+    inv = gf.inv(_lc(gf, c))
+    return (c, 1) if inv == 1 else (_reduce(gf, gf2x.mul(c, inv)), inv)
 
 
-def _to_int(cs, w: int) -> int:
-    """Coefficient k in the w-byte slot k of one integer."""
-    if w == 1:  # m <= 4: cs is already bytes
-        return int.from_bytes(cs, "little")
-    return int.from_bytes(struct.pack(f"<{len(cs)}{_SLOT_FORMAT[w]}", *cs),
-                          "little")
-
-
-def _from_int(p: int, n: int, w: int, m: int):
-    """The n reduced slots of p back in the storage `_pack` chooses."""
-    raw = p.to_bytes(n * w, "little")
-    if m <= 8:
-        return raw[::w]
-    return struct.unpack(f"<{n}{_SLOT_FORMAT[w]}", raw)
-
-
-def _divmod(gf: GF, a, b) -> tuple[list, list]:
-    """Schoolbook division of coefficient sequences over GF(2^m), m > 1,
-    with b trimmed and nonzero: the quotient and the trimmed remainder."""
-    db = len(b) - 1
-    log, exp, n = gf.log, gf.exp, gf.q - 1
-    linv = -log[b[-1]]
-    lb = [(j, log[y]) for j, y in enumerate(b[:-1]) if y]
-    r = list(a)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(q) - 1, -1, -1):
-        x = r[k + db]
-        if x:
-            lq = (log[x] + linv) % n
-            q[k] = exp[lq]
-            for j, ly in lb:
-                r[k + j] ^= exp[(lq + ly) % n]
-    del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
+def _divmod_monic(gf: GF, a: int, b: int) -> tuple[int, int]:
+    """Schoolbook division by a monic b: quotient and remainder."""
+    s, mask = gf.slot, gf.q - 1
+    top = (b.bit_length() - 1) // s * s
+    q = 0
+    while a.bit_length() > top:
+        lead = (a.bit_length() - 1) // s * s
+        x = (a >> lead) & mask
+        sh = lead - top
+        q |= x << sh
+        a ^= (b if x == 1 else _reduce(gf, gf2x.mul(b, x))) << sh
+    return q, a
 
 
 class UPoly:
     __slots__ = ("gf", "c")
 
-    def __init__(self, gf: GF, c):
+    def __init__(self, gf: GF, c: int):
         self.gf = gf
-        self.c = c      # gf2x int when gf.m == 1, else trimmed (see _pack)
+        self.c = c      # packed coefficients, see the module docstring
 
     # ----- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, gf: GF) -> "UPoly":
-        return cls(gf, 0) if gf.m == 1 else cls(gf, _pack(gf, ()))
+        return cls(gf, 0)
 
     @classmethod
     def one(cls, gf: GF) -> "UPoly":
-        return cls(gf, 1) if gf.m == 1 else cls(gf, _pack(gf, (1,)))
+        return cls(gf, 1)
 
     @classmethod
     def t(cls, gf: GF) -> "UPoly":
-        return cls(gf, 2) if gf.m == 1 else cls(gf, _pack(gf, (0, 1)))
+        return cls(gf, 1 << gf.slot)
 
     @classmethod
     def const(cls, gf: GF, c: int) -> "UPoly":
@@ -115,16 +90,16 @@ class UPoly:
     @classmethod
     def from_coeffs(cls, gf: GF, coeffs) -> "UPoly":
         """Build from field elements (ints) listed by ascending degree."""
-        if gf.m == 1:
-            return cls(gf, sum(1 << k for k, c in enumerate(coeffs) if c & 1))
-        return cls(gf, _trim(gf, tuple(coeffs)))
+        s, mask = gf.slot, gf.q - 1
+        c = 0
+        for x in reversed(coeffs):
+            c = c << s | x & mask
+        return cls(gf, c)
 
     # ----- structure ---------------------------------------------------
 
     def deg(self) -> int:
-        if self.gf.m == 1:
-            return self.c.bit_length() - 1
-        return len(self.c) - 1
+        return (self.c.bit_length() - 1) // self.gf.slot
 
     def is_zero(self) -> bool:
         return not self.c
@@ -133,17 +108,14 @@ class UPoly:
         return bool(self.c)
 
     def coeff(self, k: int) -> int:
-        if self.gf.m == 1:
-            return (self.c >> k) & 1
-        return self.c[k] if k < len(self.c) else 0
+        return (self.c >> (k * self.gf.slot)) & (self.gf.q - 1)
 
     def lc(self) -> int:
-        return self.coeff(self.deg()) if self.c else 0
+        return _lc(self.gf, self.c) if self.c else 0
 
     def to_coeffs(self) -> list[int]:
-        if self.gf.m == 1:
-            return [self.coeff(k) for k in range(self.deg() + 1)]
-        return list(self.c)
+        c, s, mask = self.c, self.gf.slot, self.gf.q - 1
+        return [(c >> (k * s)) & mask for k in range(self.deg() + 1)]
 
     def is_constant(self) -> bool:
         return self.deg() <= 0
@@ -151,55 +123,24 @@ class UPoly:
     # ----- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        a, b = self.c, other.c
-        if self.gf.m == 1:
-            return UPoly(self.gf, a ^ b)
-        if len(a) < len(b):
-            a, b = b, a
-        s = [x ^ y for x, y in zip(a, b)]
-        if len(a) > len(b):
-            return UPoly(self.gf, _pack(self.gf, s + list(a[len(b):])))
-        return UPoly(self.gf, _trim(self.gf, s))
+        return UPoly(self.gf, self.c ^ other.c)
 
     __sub__ = __add__  # char 2
 
     def __mul__(self, other: "UPoly") -> "UPoly":
         gf = self.gf
-        if gf.m == 1:
-            return UPoly(gf, gf2x.mul(self.c, other.c))
-        a, b = self.c, other.c
-        if not a or not b:
-            return UPoly.zero(gf)
-        # Kronecker substitution: one carry-less product of the packed
-        # sequences, each slot then holding a product of degree <= 2m-2
-        m, w = gf.m, _slot_bytes(gf.m)
-        n = len(a) + len(b) - 1
-        p = gf2x.mul(_to_int(a, w), _to_int(b, w))
-        ones = int.from_bytes(_SLOT_ONE[w] * n, "little")
-        for k in range(2 * m - 2, m - 1, -1):
-            # one bit at the base of each slot with bit k set, times the
-            # modulus: copies that do not overlap, so the product is a xor
-            p ^= ((p >> k) & ones) * (gf.modulus << (k - m))
-        # the product of the leading coefficients is nonzero
-        return UPoly(gf, _from_int(p, n, w, m))
+        return UPoly(gf, _reduce(gf, gf2x.mul(self.c, other.c)))
 
     def scalar_mul(self, c: int) -> "UPoly":
         """Multiply by a field element."""
-        gf = self.gf
-        if c == 0:
-            return UPoly.zero(gf)
         if c == 1:
             return self
-        return UPoly(gf, _pack(gf, [gf.mul(c, x) for x in self.c]))
+        gf = self.gf
+        return UPoly(gf, _reduce(gf, gf2x.mul(self.c, c)))
 
     def square(self) -> "UPoly":
         gf = self.gf
-        if gf.m == 1:
-            return UPoly(gf, gf2x.square(self.c))
-        out = [0] * (2 * len(self.c) - 1) if self.c else []
-        for k, x in enumerate(self.c):
-            out[2 * k] = gf.mul(x, x)
-        return UPoly(gf, _pack(gf, out))
+        return UPoly(gf, _reduce(gf, gf2x.square(self.c)))
 
     def divmod(self, b: "UPoly") -> tuple["UPoly", "UPoly"]:
         gf = self.gf
@@ -208,9 +149,12 @@ class UPoly:
         if gf.m == 1:
             q, r = gf2x.divmod_(self.c, b.c)
             return UPoly(gf, q), UPoly(gf, r)
-        # the quotient's leading coefficient is lc(self) / lc(b), nonzero
-        q, r = _divmod(gf, self.c, b.c)
-        return UPoly(gf, _pack(gf, q)), UPoly(gf, _pack(gf, r))
+        # self = q' * (b / lc(b)) + r, and q = q' / lc(b)
+        monic, inv = _monic(gf, b.c)
+        q, r = _divmod_monic(gf, self.c, monic)
+        if inv != 1:
+            q = _reduce(gf, gf2x.mul(q, inv))
+        return UPoly(gf, q), UPoly(gf, r)
 
     def mod(self, b: "UPoly") -> "UPoly":
         return self.divmod(b)[1]
@@ -228,11 +172,9 @@ class UPoly:
             return UPoly(gf, gf2x.gcd(self.c, other.c))
         a, b = self.c, other.c
         while b:
-            a, b = b, _divmod(gf, a, b)[1]
-        if a and a[-1] != 1:
-            inv = gf.inv(a[-1])
-            a = [gf.mul(inv, x) for x in a]
-        return UPoly(gf, _pack(gf, a))
+            b = _monic(gf, b)[0]
+            a, b = b, _divmod_monic(gf, a, b)[1]
+        return UPoly(gf, _monic(gf, a)[0] if a else 0)
 
     def pow(self, e: int) -> "UPoly":
         if e < 0:
@@ -258,17 +200,18 @@ class UPoly:
 
     def is_square(self) -> bool:
         """Even-support test: over a perfect coefficient field this is exact."""
-        if self.gf.m == 1:
-            return gf2x.is_square(self.c)
-        return not any(self.c[1::2])
-
-    def sqrt(self) -> "UPoly":
         gf = self.gf
         if gf.m == 1:
-            return UPoly(gf, gf2x.sqrt(self.c))
+            return gf2x.is_square(self.c)
+        odd = _ones(2 * gf.slot, self.c.bit_length()) * ((gf.q - 1) << gf.slot)
+        return not self.c & odd
+
+    def sqrt(self) -> "UPoly":
         if not self.is_square():
             raise ValueError("not a square in GF(2^m)[t]")
-        return UPoly(gf, _pack(gf, [gf.sqrt(x) for x in self.c[::2]]))
+        gf = self.gf
+        return UPoly.from_coeffs(
+            gf, [gf.sqrt(x) for x in self.to_coeffs()[::2]])
 
     # ----- equality / printing -------------------------------------------
 

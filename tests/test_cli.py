@@ -96,6 +96,19 @@ def test_scan_tables():
     rec3 = json.loads(r3.stdout)
     assert rec3["results"]["scanned"] == 0
     assert rec3["results"]["counts"] == {}
+    # a pencil's grid point (0, 0) is no member and is not scanned
+    r4 = run("scan", "--fibration", "pencil-quartic", "--field-m", "1")
+    assert r4.returncode == 0
+    assert r4.stdout == ("scanned 3 fibres\n"
+                         "    1  IntegralQuartic mult 2\n"
+                         "    1  IntegralQuartic mult 3\n"
+                         "    1  LinePlusTripleLine\n")
+    r5 = run("scan", "--fibration", "pencil-quartic", "--field-m", "2",
+             "--json")
+    assert json.loads(r5.stdout)["results"]["scanned"] == 15
+    r6 = run("scan", "--fibration", "pencil-cubic", "--json")
+    assert r6.returncode == 1
+    assert json.loads(r6.stdout)["error"]["type"] == "ConstraintViolation"
 
 
 def test_tower_breve():

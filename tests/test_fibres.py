@@ -166,6 +166,10 @@ def test_tangent_types():
     assert t3.kind == "Bitangent22" and tuple(t3.profile) == (2, 2)
     with pytest.raises(NotSmoothPoint):
         tangent_contact_type(c4, (1, 0, 1))  # the singular point
+    with pytest.raises(PointNotOnCurve):
+        tangent_contact_type(c4, (1, 1, 1))
+    with pytest.raises(ConstraintViolation):
+        tangent_contact_type(c4, (0, 0, 0))
 
 
 def test_smooth_points_extension():

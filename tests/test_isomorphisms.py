@@ -176,11 +176,11 @@ def test_witness_shapes():
 
 
 def test_replay_matches_k_arithmetic_reference():
-    for gf in (F2, F4):
+    for gf, n in ((F2, 40), (F4, 40), (GF.get(3), 12), (GF.get(9), 8)):
         t = ScalarK.t(gf)
         rng = rng_for(5, f"iso-reference-{gf.q}")
         for tag in (FamilyTag.III, FamilyTag.IV, FamilyTag.V):
-            for k in range(40):
+            for k in range(n):
                 params = random_params(rng, tag, gf)
                 w = random_witness(rng, tag, gf)
                 src = build_family(params)

@@ -50,14 +50,15 @@ def test_zero_denominator_rejected():
 
 
 def test_field_axioms_random():
-    for _ in range(120):
-        a, b, c = _rand(F4), _rand(F4), _rand(F4)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert a + a == ScalarK.zero(F4)
-        if a:
-            assert a * a.inverse() == ScalarK.one(F4)
+    for gf, n in ((F4, 120), (GF.get(3), 60), (GF.get(9), 60)):
+        for _ in range(n):
+            a, b, c = _rand(gf), _rand(gf), _rand(gf)
+            assert a + b == b + a
+            assert (a + b) + c == a + (b + c)
+            assert a * (b + c) == a * b + a * c
+            assert a + a == ScalarK.zero(gf)
+            if a:
+                assert a * a.inverse() == ScalarK.one(gf)
 
 
 def test_pow_and_square():

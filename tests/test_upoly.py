@@ -9,6 +9,8 @@ random.seed(71002)
 
 F4 = GF.get(2)
 F2 = GF.get(1)
+# packed slot widths 2m - 1 from 1 to 33 bits
+MS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
 
 
 def _rand(gf, max_deg=6):
@@ -27,6 +29,15 @@ def test_constructors():
     assert p.to_coeffs() == [1, 2, 3]
     # trailing zeros are trimmed
     assert UPoly.from_coeffs(F4, [1, 0, 0]).deg() == 0
+    for m in MS:
+        gf = GF.get(m)
+        for _ in range(10):
+            cs = [random.randrange(gf.q) for _ in range(12)] + [gf.q - 1]
+            p = UPoly.from_coeffs(gf, cs)
+            assert p.to_coeffs() == cs and p.deg() == 12
+            assert [p.coeff(k) for k in range(14)] == cs + [0]
+            assert UPoly.from_coeffs(gf, cs + [0, 0]) == p
+            assert p.lc() == gf.q - 1
 
 
 def test_add_is_xor_of_coeffs():
@@ -39,9 +50,6 @@ def test_add_is_xor_of_coeffs():
 
 
 def test_mul_matches_schoolbook():
-    # the packed product's slots are 8 bits up to m = 4, 16 bits up to
-    # m = 8, 32 bits up to m = 16 and 64 bits beyond; GF(2^9) and up use
-    # the tuple storage
     def schoolbook(gf, a, b):
         out = [0] * (a.deg() + b.deg() + 1)
         for i in range(a.deg() + 1):
@@ -49,7 +57,7 @@ def test_mul_matches_schoolbook():
                 out[i + j] ^= gf.mul(a.coeff(i), b.coeff(j))
         return out
 
-    for m in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+    for m in MS:
         gf = GF.get(m)
         top = UPoly.const(gf, gf.q - 1)
         pairs = [(_rand(gf, 4), _rand(gf, 4)) for _ in range(30)]
@@ -62,7 +70,6 @@ def test_mul_matches_schoolbook():
             if a.is_zero() or b.is_zero():
                 assert c.is_zero()
                 continue
-            # equality also compares the storage (bytes or tuple)
             assert c == UPoly.from_coeffs(gf, schoolbook(gf, a, b))
             assert c == b * a
         for a in (_rand(gf, 40), top, UPoly.zero(gf)):
@@ -71,8 +78,9 @@ def test_mul_matches_schoolbook():
 
 
 def test_divmod():
-    for gf in (F4, GF.get(9)):
-        for _ in range(150):
+    for m in MS:
+        gf = GF.get(m)
+        for _ in range(40):
             a = _rand(gf, 8)
             b = _rand(gf, 4)
             if b.is_zero():
@@ -80,33 +88,42 @@ def test_divmod():
             q, r = a.divmod(b)
             assert q * b + r == a
             assert r.deg() < b.deg()
+            assert (a * b).exact_div(b) == a
     with pytest.raises(ZeroDivisionError):
         _rand(F4).divmod(UPoly.zero(F4))
 
 
 def test_gcd_monic_and_divides():
-    for _ in range(100):
-        a, b, c = _rand(F4, 3), _rand(F4, 3), _rand(F4, 2)
-        g = (a * c).gcd(b * c)
-        if g.is_zero():
-            continue
-        assert g.lc() == 1
-        if not c.is_zero():
-            assert (a * c).mod(g).is_zero()
-            assert g.mod(c.scalar_mul(F4.inv(c.lc()))).is_zero()
+    for m in MS:
+        gf = GF.get(m)
+        for _ in range(30):
+            a, b, c = _rand(gf, 3), _rand(gf, 3), _rand(gf, 2)
+            g = (a * c).gcd(b * c)
+            if g.is_zero():
+                continue
+            assert g.lc() == 1
+            if a:
+                assert a.gcd(UPoly.zero(gf)) == a.scalar_mul(gf.inv(a.lc()))
+            if not c.is_zero():
+                assert (a * c).mod(g).is_zero()
+                assert g.mod(c.scalar_mul(gf.inv(c.lc()))).is_zero()
 
 
 def test_square_sqrt():
-    for _ in range(100):
-        a = _rand(F4, 5)
-        s = a.square()
-        assert s == a * a
-        assert s.is_square()
-        assert s.sqrt() == a
-    t = UPoly.t(F4)
-    assert not t.is_square()
-    with pytest.raises(ValueError):
-        t.sqrt()
+    for m in MS:
+        gf = GF.get(m)
+        t = UPoly.t(gf)
+        for _ in range(30):
+            a = _rand(gf, 5)
+            s = a.square()
+            assert s == a * a
+            assert s.is_square()
+            assert s.sqrt() == a
+            odd = t.pow(random.randrange(1, 12, 2)).scalar_mul(gf.q - 1)
+            assert not (s + odd).is_square()
+        assert not t.is_square()
+        with pytest.raises(ValueError):
+            t.sqrt()
 
 
 def test_eval_frobenius():
