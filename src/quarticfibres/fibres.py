@@ -11,16 +11,17 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
   GF(q^2) (the scans run through ``kernels``);
 * ``multiplicity_at`` translates the point into an affine chart and
   reads off the lowest total degree;
-* ``delta_invariant`` iterates blowups, summing m(m-1)/2 over the
-  infinitely near points;
+* ``delta_invariant`` iterates ``plane.blow_up`` at the directions of
+  ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
+  points;
 * ``tangent_contact_type`` restricts the quartic to the tangent line at
   a smooth point and factors the resulting binary quartic;
 * ``classify_fibre`` runs the cascade square-root / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
   its candidate lines off the zero set and confirms each by division.
 
-Charts, line peeling, root finding and the search caps come from
-``plane``.  The fibres are strange quartics, whose lines and singular point
+Charts, blow-ups, line peeling, root finding and the search caps come
+from ``plane``.  The fibres are strange quartics, whose lines and singular point
 are rational and whose conic pairs split over GF(q^2), so the cascade
 searches GF(q) and GF(q^2) only.
 """
@@ -36,9 +37,9 @@ from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import FORM_VARS, MPoly, triform
-from .plane import (LOCUS_CAP, ROOT_CAP, chart_at, check_cap, embed_form,
-                    is_smooth_conic, line_form, mult_origin, normalize_point,
-                    peel_lines, roots, shift_out)
+from .plane import (LOCUS_CAP, ROOT_CAP, blow_up, chart_at, check_cap,
+                    embed_form, is_smooth_conic, line_form, mult_origin,
+                    normalize_point, peel_lines, roots, tangent_cone)
 from .upoly import UPoly
 
 
@@ -224,15 +225,12 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
 # ----- tangent contact ----------------------------------------------------
 
 
-def _binary_profile(g: MPoly, gf) -> tuple:
-    """Contact profile of a nonzero binary quartic: root multiplicities
-    over the algebraic closure, conjugates counted separately."""
-    d = g.total_degree()
-    k0 = min(e[1] for e in g.terms)          # multiplicity of the root (1:0)
-    cs = [0] * (d - k0 + 1)
-    for e, c in g.terms.items():
-        cs[e[0]] = c.v
-    found, rest = roots(UPoly.from_coeffs(gf, cs))
+def _binary_profile(g: MPoly) -> tuple:
+    """Contact profile of a nonzero binary quartic in (x, y): root
+    multiplicities over the algebraic closure, conjugates counted
+    separately."""
+    h, k0 = tangent_cone(g, g.total_degree(), 1)   # k0: the root (1:0)
+    found, rest = roots(h)
     profile = ([k0] if k0 else []) + [n for _, n in found]
     # The root-free rest has degree 0, 2, 3 or 4.  Over a perfect field
     # its only repeated factor can be a quadratic squared, which is an
@@ -280,7 +278,7 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
     if g.total_degree() != curve.degree():
         raise ConstraintViolation(
             "tangent restriction degenerated")  # pragma: no cover
-    profile = _binary_profile(g, gf)
+    profile = _binary_profile(g)
     if profile == (4,):
         kind = "Hyperflex4"
     elif profile == (2, 2):
@@ -293,33 +291,29 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 # ----- delta invariant ----------------------------------------------------
 
 
-def _directions(f: MPoly, m: int, iu: int, gf):
-    """Roots of the leading binary form: (eta, mult, gf) per finite
-    direction plus the multiplicity of the vertical direction (0:1)."""
-    cs = [0] * (m + 1)      # c_k u^k v^(m-k), indexed by k
-    for e, c in f.terms.items():
-        if sum(e) == m:
-            cs[e[iu]] = c.v
-    # L(1, eta) has coefficient c_{m-j} on eta^j
-    h = cs[::-1]
-    remaining = UPoly.from_coeffs(gf, h).deg()
-    vertical = m - remaining
-    out = []
-    r = 1
-    while remaining > 0:
-        check_cap(gf.m * r, "the blow-up direction search", ROOT_CAP)
-        gfr = gf if r == 1 else GF.get(gf.m * r)
-        table = gf.embedding_into(gfr)
-        # roots already found over a subfield of GF(2^{m r})
-        skip = {gfs.embedding_into(gfr)[alpha]
-                for alpha, _, gfs in out if r % (gfs.m // gf.m) == 0}
-        for alpha, n in roots(UPoly.from_coeffs(
-                gfr, [table[c] for c in h]))[0]:
-            if alpha not in skip:
-                out.append((alpha, n, gfr))
-                remaining -= n
+def _directions(f: MPoly, m: int, iu: int):
+    """The finite blow-up directions of a point of multiplicity m, each a
+    GFElem over the smallest GF(q^r) that holds it, in ascending (r, eta)
+    order, and the multiplicity of the direction u = 0.
+
+    The roots over GF(q) are divided out first.  The cofactor left has
+    degree at most 4 and no root, so its factors have degree 2 to 4 and
+    all of them split over the first GF(q^r) where it has a root: no
+    root is found twice."""
+    h, vertical = tangent_cone(f, m, iu)
+    gf = f.domain
+    if h.deg() > 0:
+        check_cap(gf.m, "the blow-up direction search", ROOT_CAP)
+    found, rest = roots(h)
+    r, split = 1, []
+    while rest.deg() > 0 and not split:
         r += 1
-    return out, vertical
+        check_cap(gf.m * r, "the blow-up direction search", ROOT_CAP)
+        gfr = GF.get(gf.m * r)
+        table = gf.embedding_into(gfr)
+        lifted = UPoly.from_coeffs(gfr, [table[c] for c in rest.to_coeffs()])
+        split = [GFElem(gfr, alpha) for alpha, _ in roots(lifted)[0]]
+    return [GFElem(gf, alpha) for alpha, _ in found] + split, vertical
 
 
 def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
@@ -329,32 +323,19 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     if mult_origin(local) < 2:
         raise NotSingular("the delta invariant needs a singular point")
     iu, iv = [i for i in range(3) if i != pivot]
-    nu, nv = local.vars[iu], local.vars[iv]
     delta = 0
     seq = []
     stack = [local]
     while stack:
         f = stack.pop()
-        gf = f.domain
         m = mult_origin(f)
         seq.append(m)
         if m < 2:
             continue
         delta += m * (m - 1) // 2
-        dirs, vertical = _directions(f, m, iu, gf)
-        nxt = []
-        if vertical:
-            u_var = MPoly.var(f.vars, gf, nu)
-            v_var = MPoly.var(f.vars, gf, nv)
-            g = f.substitute({nu: u_var * v_var})
-            nxt.append(shift_out(g, iv, m))
-        for alpha, _, gfr in sorted(dirs, key=lambda t: (t[2].m, t[0])):
-            fr = embed_form(f, gf, gfr)
-            u_var = MPoly.var(f.vars, gfr, nu)
-            v_var = MPoly.var(f.vars, gfr, nv)
-            eta = MPoly.const(f.vars, gfr, GFElem(gfr, alpha))
-            g = fr.substitute({nv: u_var * (eta + v_var)})
-            nxt.append(shift_out(g, iu, m))
+        etas, vertical = _directions(f, m, iu)
+        nxt = [blow_up(f, iu, iv, m, None)] if vertical else []
+        nxt += [blow_up(f, iu, iv, m, eta) for eta in etas]
         stack.extend(reversed(nxt))
     return delta, tuple(seq)
 

@@ -91,15 +91,9 @@ def is_square(a: int) -> bool:
 
 
 def square(a: int) -> int:
-    """a^2 = bit spreading (char-2 Frobenius)."""
-    r = 0
-    k = 0
-    while a:
-        if a & 1:
-            r |= 1 << (2 * k)
-        a >>= 1
-        k += 1
-    return r
+    """a^2 = bit spreading (char-2 Frobenius): a zero between every two
+    binary digits of a."""
+    return int("0".join(bin(a)[2:]), 2)
 
 
 _ODD_MASKS: dict[int, int] = {}

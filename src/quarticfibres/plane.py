@@ -9,8 +9,13 @@ ternary forms in (x, y, z) and the same few local constructions:
   confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the affine chart at a point, translated to the origin;
-  ``mult_origin`` reads the multiplicity there and ``shift_out`` divides
-  a chart's pullback by a power of the exceptional coordinate;
+  ``mult_origin`` reads the multiplicity there;
+* ``tangent_cone`` and ``blow_up``: the one blow-up step, which
+  ``fibres.delta_invariant`` and ``resolution.resolve_pencil`` iterate.
+  The degree-k part of a local equation, read as a `UPoly` in the
+  direction, has the centres on the exceptional curve as its roots; the
+  strict transform at one centre is one substitution and a division by
+  the k-th power of the exceptional coordinate;
 * ``roots``: the rational roots of a univariate `UPoly`, which is how
   blow-up directions, tangent contacts and base points on exceptional
   curves are found.  It is a brute-force scan over the field, the one
@@ -91,17 +96,51 @@ def mult_origin(f: MPoly) -> int:
     return min(sum(e) for e in f.terms)
 
 
-def shift_out(f: MPoly, idx: int, k: int) -> MPoly:
+def _shift_out(f: MPoly, idx: int, k: int) -> MPoly:
     """Divide by the k-th power of variable `idx`, which the caller knows
     divides f (the exceptional coordinate of a blow-up chart)."""
-    if k == 0:
-        return f
     terms = {}
     for e, c in f.terms.items():
         e2 = list(e)
         e2[idx] -= k
         terms[tuple(e2)] = c
     return MPoly(f.vars, f.domain, terms)
+
+
+# ----- blow-ups -----------------------------------------------------------
+
+
+def tangent_cone(f: MPoly, k: int, iu: int) -> tuple[UPoly, int]:
+    """The degree-k part L(u, v) of a local equation in the coordinates u
+    (variable `iu`) and v, read as L(1, eta), a `UPoly` in the direction
+    eta of the line v = eta u, and the multiplicity of the direction
+    u = 0: the power of u dividing L, or k when L = 0."""
+    cs = [0] * (k + 1)
+    for e, c in f.terms.items():
+        if sum(e) == k:
+            cs[k - e[iu]] = c.v
+    h = UPoly.from_coeffs(f.domain, cs)
+    return h, (k - h.deg() if h else k)
+
+
+def blow_up(f: MPoly, iu: int, iv: int, k: int, eta) -> MPoly:
+    """Strict transform of a local equation at the infinitely near point
+    of direction eta (a GFElem, over whose field the transform lives), or
+    of the direction u = 0 when eta is None.
+
+    One substitution moves that point to the origin: v -> u (eta + v),
+    with exceptional curve u = 0, or u -> u v, with exceptional curve
+    v = 0.  The transform is then divided by the k-th power of the
+    exceptional coordinate, so k must not exceed the multiplicity of f."""
+    gf = f.domain if eta is None else eta.gf
+    f = embed_form(f, f.domain, gf)
+    nu, nv = f.vars[iu], f.vars[iv]
+    u_var = MPoly.var(f.vars, gf, nu)
+    v_var = MPoly.var(f.vars, gf, nv)
+    if eta is None:
+        return _shift_out(f.substitute({nu: u_var * v_var}), iv, k)
+    eta = MPoly.const(f.vars, gf, eta)
+    return _shift_out(f.substitute({nv: u_var * (eta + v_var)}), iu, k)
 
 
 # ----- univariate roots ---------------------------------------------------

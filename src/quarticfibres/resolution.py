@@ -1,8 +1,8 @@
 """Resolution of the base locus of a pencil of plane curves over GF(2^m).
 
 ``resolve_pencil`` repeatedly blows up base points of the transformed
-pencil.  In each affine chart both members are pulled back and divided
-by the exceptional coordinate to the *minimum* vanishing order mu (the
+pencil.  At each centre both members are pulled back and divided by
+the exceptional coordinate to the *minimum* vanishing order mu (the
 base multiplicity); the residual orders then give the multiplicity of
 the new exceptional curve in the two special members.  A curve with
 both residues zero is horizontal.
@@ -26,8 +26,12 @@ satisfy sum mu^2 = deg f0 * deg f1.  A shortfall means a base point was
 missed — necessarily one with irrational coordinates — and raises
 `NonRationalCenter`.
 
-Charts, line peeling and the root finder on exceptional curves come from
-``plane``; the base points are the common zeros of two ``kernels`` scans.
+The centres on each exceptional curve are the rational roots of the gcd
+of the members' degree-mu tangent cones, plus the direction u = 0 when
+both cones contain it; a cofactor left over has irrational roots and
+raises `NonRationalCenter` at once.  Charts, the blow-up step, line
+peeling and the root finder come from ``plane``; the base points are the
+common zeros of two ``kernels`` scans.
 """
 
 from collections import deque
@@ -38,9 +42,8 @@ from .errors import (ConstraintViolation, IdentityFailed, NonRationalCenter,
                      NotHomogeneous, UnknownCurve, ZeroForm)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import MPoly, FORM_VARS
-from .plane import (chart_at, line_form, mult_origin, peel_lines, roots,
-                    shift_out)
-from .upoly import UPoly
+from .plane import (blow_up, chart_at, line_form, mult_origin, peel_lines,
+                    roots, tangent_cone)
 
 _SERIES = "EFGHIJK"
 _MAX_NODES = 64
@@ -262,28 +265,6 @@ def _vanishes(f: MPoly) -> bool:
     return not f.coeff(tuple([0] * len(f.vars)))
 
 
-def _axis_poly(f: MPoly, fixed: int, run: int, gf) -> UPoly:
-    """f restricted to {var_fixed = 0}, read as a univariate polynomial
-    in var_run."""
-    cs = {e[run]: c.v for e, c in f.terms.items() if e[fixed] == 0}
-    return UPoly.from_coeffs(gf, [cs.get(k, 0)
-                                  for k in range(max(cs, default=-1) + 1)])
-
-
-def _axis_base_points(p0: UPoly, p1: UPoly):
-    """Common rational zeros of two univariates, with a completeness
-    check: any residual common zero would be irrational."""
-    if not p0 and not p1:  # pragma: no cover - min-order division forbids it
-        raise ConstraintViolation("pencil transforms vanish on the "
-                                  "exceptional curve simultaneously")
-    found, rest = roots(p0.gcd(p1))
-    if rest.deg() > 0:
-        raise NonRationalCenter(
-            "the transformed pencil has a base point with irrational "
-            "coordinates")
-    return [alpha for alpha, _ in found]
-
-
 # ----- the engine -----------------------------------------------------------
 
 
@@ -302,7 +283,6 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
         g0, pivot = chart_at(pencil.f0, point)
         g1, _ = chart_at(pencil.f1, point)
         iu, iv = [i for i in range(3) if i != pivot]
-        nu, nv = FORM_VARS[iu], FORM_VARS[iv]
         tracked = {}
         for cid, form, _, _ in named:
             local, _ = chart_at(form, point)
@@ -333,51 +313,33 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
                 chart=item["chart"], mu=mu, m0=m0, m1=m1, prox=prox,
                 tracked=dict(tmults)))
 
-            u_var = MPoly.var(FORM_VARS, gf, nu)
-            v_var = MPoly.var(FORM_VARS, gf, nv)
-            for chart, sub, eidx, eline in (
-                    ("A", {nv: u_var * v_var}, iu, u_var),
-                    ("B", {nu: u_var * v_var}, iv, v_var)):
-                h0 = shift_out(g0.substitute(sub), eidx, mu)
-                h1 = shift_out(g1.substitute(sub), eidx, mu)
-                exc2 = {}
-                for eid, h in item["exc"].items():
-                    exc2[eid] = shift_out(h.substitute(sub), eidx, 1)
-                exc2[nid] = eline
-                tr2 = {}
-                for cid, h in item["tracked"].items():
-                    tr2[cid] = shift_out(h.substitute(sub), eidx,
-                                         tmults[cid])
-                if chart == "A":
-                    run = iv
-                    centres = _axis_base_points(_axis_poly(h0, iu, iv, gf),
-                                                _axis_poly(h1, iu, iv, gf))
-                else:
-                    run = iu
-                    # chart B only adds the direction at infinity of A
-                    centres = [0] if (_vanishes(h0) and _vanishes(h1)) else []
-                rn = FORM_VARS[run]
-                for beta in centres:
-                    if chart == "B" and beta != 0:  # pragma: no cover
-                        continue
-                    if beta:
-                        t = {rn: MPoly.var(FORM_VARS, gf, rn)
-                             + MPoly.const(FORM_VARS, gf, GFElem(gf, beta))}
-                        tg0, tg1 = h0.substitute(t), h1.substitute(t)
-                        texc = {k: h.substitute(t) for k, h in exc2.items()}
-                        ttr = {k: h.substitute(t) for k, h in tr2.items()}
-                    else:
-                        tg0, tg1, texc, ttr = h0, h1, exc2, tr2
-                    queue.append({
-                        "g0": tg0, "g1": tg1,
-                        "exc": {k: h for k, h in texc.items()
+            # the centres on the new exceptional curve: the common
+            # directions of the two members' degree-mu cones
+            (h0, v0), (h1, v1) = (tangent_cone(g, mu, iu) for g in (g0, g1))
+            found, rest = roots(h0.gcd(h1))
+            if rest.deg() > 0:
+                raise NonRationalCenter(
+                    "the transformed pencil has a base point with irrational "
+                    "coordinates")
+            centres = [GFElem(gf, beta) for beta, _ in found]
+            for eta in centres + ([None] if v0 and v1 else []):
+                exc = {eid: blow_up(h, iu, iv, 1, eta)
+                       for eid, h in item["exc"].items()}
+                exc[nid] = MPoly.var(FORM_VARS, gf,
+                                    FORM_VARS[iv if eta is None else iu])
+                tracked = {cid: blow_up(h, iu, iv, tmults[cid], eta)
+                           for cid, h in item["tracked"].items()}
+                chart = ("B" if eta is None
+                         else f"A[{eta.v}]" if eta.v else "A")
+                queue.append({
+                    "g0": blow_up(g0, iu, iv, mu, eta),
+                    "g1": blow_up(g1, iu, iv, mu, eta),
+                    "exc": {k: h for k, h in exc.items() if _vanishes(h)},
+                    "tracked": {k: h for k, h in tracked.items()
                                 if _vanishes(h)},
-                        "tracked": {k: h for k, h in ttr.items()
-                                    if _vanishes(h)},
-                        "parent": nid,
-                        "chart": item["chart"].rstrip("-") + chart
-                                 + (f"[{beta}]" if beta else ""),
-                    })
+                    "parent": nid,
+                    "chart": item["chart"].rstrip("-") + chart,
+                })
 
     d = pencil.degree()
     if sum(n.mu * n.mu for n in report.nodes) != d * d:

@@ -17,7 +17,7 @@ from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import MPoly
 from quarticfibres.parser import parse_form
-from quarticfibres.plane import embed_form
+from quarticfibres.plane import chart_at, embed_form
 
 SPEC2 = FieldSpec(1)
 SPEC4 = FieldSpec(2)
@@ -86,6 +86,22 @@ def test_delta_oracles():
     assert dn == 1
     with pytest.raises(NotSingular):
         delta_invariant(_curve("y^4 + x*z^3"), (0, 0, 1))
+
+
+@pytest.mark.parametrize("text, want, r", [
+    # a node whose two tangents are conjugate over GF(4)
+    ("x^2*z^2 + x*y*z^2 + y^2*z^2 + x^3*z + y^4", (1, (2, 1, 1)), 2),
+    # four concurrent lines, conjugate over GF(16)
+    ("x^4 + x^3*y + y^4", (6, (4, 1, 1, 1, 1)), 4),
+])
+def test_delta_through_irrational_directions(text, want, r):
+    curve = _curve(text)
+    assert delta_invariant(curve, (0, 0, 1)) == want
+    local, _ = chart_at(curve.form, tuple(GFElem(curve.gf, v)
+                                          for v in (0, 0, 1)))
+    etas, vertical = fibres._directions(local, want[1][0], 0)
+    assert vertical == 0 and len(etas) == want[1][0]
+    assert all(eta.gf.m == r for eta in etas)
 
 
 def test_singular_locus_extension_points():

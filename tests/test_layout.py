@@ -90,3 +90,31 @@ def test_cli_subcommands_define_only_the_flags_they_read():
         unread += [f"{command} {a.dest}" for a in parser._actions
                    if a.dest != "help" and a.dest not in reads]
     assert unread == []
+
+
+def test_every_public_plane_function_has_a_caller_elsewhere():
+    # the shared toolkit exports only what another module calls
+    tree = ast.parse((PACKAGE / "plane.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    called = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "plane.py":
+            continue
+        module = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: alias.name
+                    for node in ast.walk(module)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "plane"
+                    for alias in node.names}
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Name) and fn.id in imported:
+                called.add(imported[fn.id])
+            elif (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+                  and fn.value.id == "plane"):
+                called.add(fn.attr)
+    assert sorted(public - called) == []

@@ -20,6 +20,48 @@ def test_blowup_counts():
     assert RC.blowup_counts() == {"(1:0:0)": 2, "(0:1:0)": 7}
 
 
+# (nid, parent, chart, mu, m0, m1, prox, tracked) per blow-up: the chart
+# path is read from the base point, A[b] for the direction v = b u and B
+# for u = 0
+NODES = {
+    "quartic": [
+        ("E1", None, "-", 1, 3, 1, (), {"W": 3, "Z": 1}),
+        ("E2", "E1", "A", 1, 3, 1, ("E1",), {"W": 1, "Z": 1}),
+        ("E3", "E2", "AA", 1, 2, 1, ("E2",), {"Z": 1}),
+        ("E4", "E3", "AAA", 1, 1, 1, ("E3",), {"Z": 1}),
+        ("F1", None, "-", 1, 1, 3, (), {"W": 1, "X": 1}),
+        ("F2", "F1", "B", 1, 1, 5, ("F1",), {"W": 1, "X": 1}),
+        ("F3", "F2", "BB", 1, 1, 7, ("F2",), {"W": 1, "X": 1}),
+        ("F4", "F3", "BBB", 1, 1, 9, ("F3",), {"W": 1, "X": 1}),
+        ("F5", "F4", "BBBA[1]", 1, 1, 8, ("F4",), {"W": 1}),
+        ("F6", "F5", "BBBA[1]A", 1, 1, 7, ("F5",), {"W": 1}),
+        ("F7", "F6", "BBBA[1]AA", 1, 1, 6, ("F6",), {"W": 1}),
+        ("F8", "F7", "BBBA[1]AAA", 1, 1, 5, ("F7",), {"W": 1}),
+        ("F9", "F8", "BBBA[1]AAAA", 1, 1, 4, ("F8",), {"W": 1}),
+        ("F10", "F9", "BBBA[1]AAAAA", 1, 1, 3, ("F9",), {"W": 1}),
+        ("F11", "F10", "BBBA[1]AAAAAA", 1, 1, 2, ("F10",), {"W": 1}),
+        ("F12", "F11", "BBBA[1]AAAAAAA", 1, 1, 1, ("F11",), {"W": 1}),
+    ],
+    "cubic": [
+        ("E1", None, "-", 1, 2, 1, (), {"W": 2, "Z": 1}),
+        ("E2", "E1", "A", 1, 1, 1, ("E1",), {"Z": 1}),
+        ("F1", None, "-", 1, 1, 3, (), {"W": 1, "X": 1, "Z": 1}),
+        ("F2", "F1", "B", 1, 1, 4, ("F1",), {"W": 1, "X": 1}),
+        ("F3", "F2", "BB", 1, 1, 5, ("F2",), {"W": 1, "X": 1}),
+        ("F4", "F3", "BBA[1]", 1, 1, 4, ("F3",), {"W": 1}),
+        ("F5", "F4", "BBA[1]A", 1, 1, 3, ("F4",), {"W": 1}),
+        ("F6", "F5", "BBA[1]AA", 1, 1, 2, ("F5",), {"W": 1}),
+        ("F7", "F6", "BBA[1]AAA", 1, 1, 1, ("F6",), {"W": 1}),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, rep", [("quartic", RQ), ("cubic", RC)])
+def test_node_table(name, rep):
+    assert [(n.nid, n.parent, n.chart, n.mu, n.m0, n.m1, n.prox, n.tracked)
+            for n in rep.nodes] == NODES[name]
+
+
 def test_base_point_series():
     assert [(pt, s) for pt, s in RQ.base_points] == \
         [((1, 0, 0), "E"), ((0, 0, 1), "F")]
@@ -125,11 +167,19 @@ def test_pencil_validation():
 
 def test_irrational_base_point_detected():
     spec = FieldSpec(1)
-    # x^2+xy+y^2 and z^2 share only a conjugate pair of points
-    f0 = parse_form("x^2+x*y+y^2", spec, over="GF")
-    f1 = parse_form("z^2", spec, over="GF")
-    with pytest.raises(NonRationalCenter):
-        resolve_pencil(PencilSpec(f0, f1, spec))
+    for f0, f1, match in (
+            # x^2+xy+y^2 and z^2 share only a conjugate pair of points,
+            # which the final sum mu^2 = d^2 check catches
+            ("x^2+x*y+y^2", "z^2", "intersection cycle"),
+            # both members have the cone x^2+xy+y^2 at (0:0:1), whose
+            # directions are conjugate over GF(4): the centre search
+            # itself stops there
+            ("(x^2+x*y+y^2)*z^2", "(x^2+x*y+y^2)*z^2+x^4",
+             "transformed pencil")):
+        pencil = PencilSpec(parse_form(f0, spec, over="GF"),
+                            parse_form(f1, spec, over="GF"), spec)
+        with pytest.raises(NonRationalCenter, match=match):
+            resolve_pencil(pencil)
 
 
 def test_pencils_table():
