@@ -318,7 +318,13 @@ def _directions(f: MPoly, m: int, iu: int):
 
 def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     """Delta invariant at a singular point and the multiplicity sequence
-    of the infinitely near points (depth-first when branches split)."""
+    of the infinitely near points (depth-first when branches split).
+
+    A reduced plane curve of degree d has delta at most d(d-1)/2 at a
+    point (d concurrent lines); along a multiple component the blow-ups
+    never end, so a running delta beyond that raises ConstraintViolation.
+    """
+    d = curve.form.total_degree()
     local, pivot = chart_at(curve.form, _coerce_point(curve, point))
     if mult_origin(local) < 2:
         raise NotSingular("the delta invariant needs a singular point")
@@ -333,6 +339,8 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
         if m < 2:
             continue
         delta += m * (m - 1) // 2
+        if delta > d * (d - 1) // 2:
+            raise ConstraintViolation("curve is not reduced at this point")
         etas, vertical = _directions(f, m, iu)
         nxt = [blow_up(f, iu, iv, m, None)] if vertical else []
         nxt += [blow_up(f, iu, iv, m, eta) for eta in etas]

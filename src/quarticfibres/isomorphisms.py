@@ -6,18 +6,24 @@ other; the same witness determines a fractional-linear substitution in
 the curve generators.  `apply_iso` computes the target parameters,
 `iso_maps` the substitution, and `verify_iso` replays the substitution
 inside the target quartic and checks that the source quartic is
-reproduced up to a nonzero scalar.  That last computation is the sole
-correctness oracle and is fully symbolic; it clears the denominators of
-the maps and of both quartics once and then runs in GF(q)[t], so no
-fraction is reduced until the scalar is returned.
+reproduced up to a nonzero scalar.  All three read one computation, in
+which the witness constants and the parameters are fractions
+n * prod f_i^e_i over a shared list of factors f_i in GF(q)[t] (the input
+denominators and the inverted sums, eps among them): products add
+exponents and sums factor out the common denominator, so no gcd is taken,
+and each target parameter is reduced once, when it becomes a ScalarK.
+`verify_iso` is the sole correctness oracle and is fully symbolic; it
+takes the maps over their common denominator, clears the denominators of
+both quartics once and then runs in GF(q)[t], so no fraction is reduced
+until the scalar is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConstraintViolation, EpsilonZero, SubstitutionMismatch,
-                     UnsupportedFamily)
+from .errors import (ConstraintViolation, DivisionByZero, EpsilonZero,
+                     SubstitutionMismatch, UnsupportedFamily)
 from .families import (FamilyParams, FamilyTag, QuarticModel, build_family,
                        make_params)
 from .mpoly import FORM_VARS, MPoly
@@ -65,64 +71,183 @@ def identity_witness(tag: FamilyTag, gf) -> IsoWitness:
     return make_witness(tag, gf, mu4=ScalarK.one(gf))
 
 
+class _Factors:
+    """The factor list f_0, f_1, ... of one witness computation (the
+    denominators of its inputs and the numerators it inverts), with the
+    powers f_i^k it has used."""
+
+    def __init__(self, gf):
+        self.gf = gf
+        self.index: dict[UPoly, int] = {}
+        self.polys: list[UPoly] = []
+        self.pows: dict[tuple[int, int], UPoly] = {}
+
+    def factor(self, f: UPoly) -> int:
+        i = self.index.get(f)
+        if i is None:
+            i = self.index[f] = len(self.polys)
+            self.polys.append(f)
+        return i
+
+    def times(self, n: UPoly, e: dict) -> UPoly:
+        """n * prod f_i^e_i, all e_i >= 0."""
+        for i, k in e.items():
+            if k:
+                p = self.pows.get((i, k))
+                if p is None:
+                    p = self.pows[i, k] = self.polys[i].pow(k)
+                n = n * p
+        return n
+
+    def lift(self, s: ScalarK) -> "_Frac":
+        e = {} if s.den.is_constant() else {self.factor(s.den): -1}
+        return _Frac(self, s.num, e)
+
+    def common(self, fracs) -> tuple[list[UPoly], dict]:
+        """The numerators of the fractions over prod f_i^low_i, with low_i
+        the least exponent of f_i among them (at most 0)."""
+        low: dict[int, int] = {}
+        for x in fracs:
+            for i, k in x.e.items():
+                if k < low.get(i, 0):
+                    low[i] = k
+        nums = []
+        for x in fracs:
+            e = dict(x.e)
+            for i, k in low.items():
+                e[i] = e.get(i, 0) - k
+            nums.append(self.times(x.n, e) if x else x.n)
+        return nums, low
+
+    def cleared(self, fracs) -> tuple[list[UPoly], UPoly]:
+        """The numerators of the fractions and their common denominator."""
+        nums, low = self.common(fracs)
+        return nums, self.times(UPoly.one(self.gf),
+                                {i: -k for i, k in low.items()})
+
+
+class _Frac:
+    """An element n * prod f_i^e_i of K with n in GF(q)[t], over the factor
+    list of one witness computation.  A product adds exponents and a sum
+    factors out the common denominator, so no gcd is taken until
+    `scalar` makes the one canonical ScalarK."""
+
+    __slots__ = ("fs", "n", "e")
+
+    def __init__(self, fs: _Factors, n: UPoly, e: dict):
+        self.fs = fs
+        self.n = n
+        self.e = e if n else {}   # factor index -> nonzero exponent
+
+    def __bool__(self):
+        return bool(self.n)
+
+    def __add__(self, other: "_Frac") -> "_Frac":
+        if not self:
+            return other
+        if not other:
+            return self
+        (n1, n2), low = self.fs.common((self, other))
+        return _Frac(self.fs, n1 + n2, low)
+
+    def __mul__(self, other: "_Frac") -> "_Frac":
+        e = dict(self.e)
+        for i, k in other.e.items():
+            k += e.get(i, 0)
+            if k:
+                e[i] = k
+            else:
+                del e[i]
+        return _Frac(self.fs, self.n * other.n, e)
+
+    def square(self) -> "_Frac":
+        return self ** 2
+
+    def __pow__(self, k: int) -> "_Frac":
+        return _Frac(self.fs, self.n.pow(k),
+                     {i: k * v for i, v in self.e.items()})
+
+    def inverse(self) -> "_Frac":
+        if not self:
+            raise DivisionByZero("inverse of 0 in K")
+        fs = self.fs
+        one = UPoly.one(fs.gf)
+        inv = _Frac(fs, one, {i: -k for i, k in self.e.items()})
+        if self.n == one:
+            return inv
+        return inv * _Frac(fs, one, {fs.factor(self.n): -1})
+
+    def scalar(self) -> ScalarK:
+        (n,), den = self.fs.cleared((self,))
+        return ScalarK(n, den)
+
+
+def _eps_gamma(w: IsoWitness, params: FamilyParams):
+    """The witness constants, the lever (a for III, b otherwise), eps and
+    gamma as fractions of one computation; no gcd is taken."""
+    if w.tag is not params.tag:
+        raise ConstraintViolation(
+            f"witness is for family {w.tag}, model is family {params.tag}")
+    fs = _Factors(params.gf)
+    mus = [fs.lift(m) for m in w.mus]
+    lever = fs.lift(params.a if w.tag is FamilyTag.III else params.b)
+    eps = mus[2].square() + mus[3].square() * lever
+    if not eps:
+        raise EpsilonZero("mu4 = mu5 = 0 gives no fractional-linear map")
+    gamma = (mus[0].square() + mus[1].square() * lever) * eps.inverse()
+    return mus, lever, eps, gamma
+
+
 def epsilon_gamma(w: IsoWitness, params: FamilyParams) -> tuple[ScalarK, ScalarK]:
     """The two derived constants; EpsilonZero iff mu4 = mu5 = 0.
 
     (For valid parameters the other root of epsilon would force a or b
     into K-squares, so the degenerate witness is the only zero locus.)
     """
-    if w.tag is not params.tag:
-        raise ConstraintViolation(
-            f"witness is for family {w.tag}, model is family {params.tag}")
-    m4, m5 = w.mus[2], w.mus[3]
-    lever = params.a if w.tag is FamilyTag.III else params.b
-    eps = m4.square() + m5.square() * lever
-    if not eps:
-        raise EpsilonZero("mu4 = mu5 = 0 gives no fractional-linear map")
-    gamma = (w.mus[0].square() + w.mus[1].square() * lever) / eps
-    return eps, gamma
+    _, _, eps, gamma = _eps_gamma(w, params)
+    return eps.scalar(), gamma.scalar()
 
 
 def apply_iso(m: QuarticModel, w: IsoWitness) -> QuarticModel:
     """Transform the model parameters by the witness; validates the target."""
     p = m.params
-    a, b, c, d = p.a, p.b, p.c, p.d
-    eps, gamma = epsilon_gamma(w, p)
-    gf = p.gf
+    mus, _, eps, gamma = _eps_gamma(w, p)
+    fs = eps.fs
+    a, b, c, d = (fs.lift(v) for v in (p.a, p.b, p.c, p.d))
+    ie = eps.inverse()
     if w.tag is FamilyTag.III:
-        mu3, mu4, mu5 = w.mu("mu3"), w.mu("mu4"), w.mu("mu5")
+        _, mu3, mu4, mu5 = mus
         k = mu4 * mu5 + mu3.square()
-        target = make_params(
-            FamilyTag.III, gf,
-            a=(a + gamma.square()) / eps ** 6,
-            b=b / eps ** 3,
+        target = dict(
+            a=(a + gamma.square()) * ie ** 6,
+            b=b * ie ** 3,
             c=eps * c,
             d=(eps * k.square() * b + eps.square() * k
                + eps.square() * (mu5.square() * b.square() * c ** 3 + eps * d)))
     elif w.tag is FamilyTag.IV:
-        mu2, mu4, mu5 = w.mu("mu2"), w.mu("mu4"), w.mu("mu5")
+        _, mu2, mu4, mu5 = mus
         cross = eps * mu4 * mu5 + mu2 ** 4
         hull = c + a * b.square()
-        target = make_params(
-            FamilyTag.IV, gf,
+        target = dict(
             a=eps.square() * a + cross + mu5 ** 4 * hull,
-            b=b / eps ** 4,
-            c=(c + gamma.square() + cross * b.square() / eps.square()
-               + mu5 ** 4 * hull * b.square() / eps.square()) / eps ** 6)
+            b=b * ie ** 4,
+            c=(c + gamma.square() + (cross + mu5 ** 4 * hull) * b.square()
+               * ie ** 2) * ie ** 6)
     else:
-        mu3, mu4, mu5 = w.mu("mu3"), w.mu("mu4"), w.mu("mu5")
+        _, mu3, mu4, mu5 = mus
         big = b + gamma.square()
+        ib = big.inverse()
         k = mu3.square() + mu4 * mu5
         # the k*(k + eps*d) term is forced: any other multiplier leaves a
         # k^2 + k residue in the substitution identity that verify_iso checks
-        target = make_params(
-            FamilyTag.V, gf,
-            a=eps.square() * a * b.square() / big.square(),
-            b=big / eps.square(),
+        target = dict(
+            a=eps.square() * a * b.square() * ib.square(),
+            b=big * ie ** 2,
             c=(eps.square() * (c + a) + (k + eps * d) * k
-               + a * b.square() * (mu5 ** 4 + eps.square() / big.square())),
+               + a * b.square() * (mu5 ** 4 + eps.square() * ib.square())),
             d=eps * d)
-    return build_family(target)
+    return build_family(make_params(
+        w.tag, p.gf, **{n: v.scalar() for n, v in target.items()}))
 
 
 @dataclass(frozen=True)
@@ -157,33 +282,33 @@ _EPS_POWERS = {FamilyTag.III: (3, 2), FamilyTag.IV: (2, 2),
                FamilyTag.V: (1, 1)}
 
 
-def _numerators(w: IsoWitness, source: FamilyParams):
-    """eps and the K-linear forms dd = mu4 + mu5 z, zn and yn, so that
-    z' = zn / (eps^ez dd) and y' = yn / (eps^ey dd)."""
-    eps, gamma = epsilon_gamma(w, source)
-    dom = KDomain.get(source.gf)
-    y = MPoly.var(FORM_VARS, dom, "y")
-    z = MPoly.var(FORM_VARS, dom, "z")
-    k = lambda s: MPoly.const(FORM_VARS, dom, s)
-    m4, m5 = w.mus[2], w.mus[3]
-    lever = source.a if w.tag is FamilyTag.III else source.b
-    dd = k(m4) + z.scale(m5)                 # mu4 + mu5 z
-    pp = k(m5 * lever) + z.scale(m4)         # mu5*lever + mu4 z
-    if w.tag is FamilyTag.IV:
-        zn = pp
-        yn = dd.scale(w.mu("mu1")) + pp.scale(w.mu("mu2")) + y.scale(eps)
-    else:
-        zn = dd.scale(gamma) + pp
-        yn = dd.scale(w.mu("mu2")) + pp.scale(w.mu("mu3")) + y.scale(eps)
-    return eps, dd, zn, yn
+def _map_forms(tag: FamilyTag, mus, lever, eps, gamma):
+    """The linear forms dd = mu4 + mu5 z, yn and zn in y, z, as
+    {exponent: fraction}, so that z' = zn / (eps^ez dd) and
+    y' = yn / (eps^ey dd)."""
+    m4, m5 = mus[2], mus[3]
+    one, z = (0, 0, 0), (0, 0, 1)
+    dd = {one: m4, z: m5}
+    pp = {one: m5 * lever, z: m4}            # mu5*lever + mu4 z
+    # mus[:2] is (mu1, mu2) for IV and (mu2, mu3) otherwise
+    zn = pp if tag is FamilyTag.IV else {e: gamma * dd[e] + pp[e] for e in dd}
+    yn = {e: mus[0] * dd[e] + mus[1] * pp[e] for e in dd}
+    yn[0, 1, 0] = eps
+    return dd, yn, zn
 
 
 def iso_maps(w: IsoWitness, source: FamilyParams) -> IsoMaps:
     """The fractional-linear substitution (z', y') -> expressions in (z, y)."""
-    eps, dd, zn, yn = _numerators(w, source)
+    mus, lever, eps, gamma = _eps_gamma(w, source)
+    dd, yn, zn = _map_forms(w.tag, mus, lever, eps, gamma)
     ez, ey = _EPS_POWERS[w.tag]
-    return IsoMaps(RationalMap(zn, dd.scale(eps ** ez)),
-                   RationalMap(yn, dd.scale(eps ** ey)))
+    dom = KDomain.get(source.gf)
+
+    def form(f, s=None):
+        return MPoly.from_terms(FORM_VARS, dom, (
+            (e, (c if s is None else c * s).scalar()) for e, c in f.items()))
+    return IsoMaps(RationalMap(form(zn), form(dd, eps ** ez)),
+                   RationalMap(form(yn), form(dd, eps ** ey)))
 
 
 def _lcm_den(coeffs) -> UPoly:
@@ -212,26 +337,30 @@ def verify_iso(source: QuarticModel, target: QuarticModel, w: IsoWitness) -> Sca
     target coefficient it multiplies, and proportionality is tested by
     cross-multiplication.  Raises SubstitutionMismatch otherwise.
     """
-    eps, dd, zn, yn = _numerators(w, source.params)
+    mus, lever, eps, gamma = _eps_gamma(w, source.params)
+    forms = _map_forms(w.tag, mus, lever, eps, gamma)
+    fs = eps.fs
     gf = source.params.gf
     dom = UPolyDomain(gf)
     ez, ey = _EPS_POWERS[w.tag]
     a = max(ez, ey)
-    d_maps = _lcm_den(c for f in (dd, zn, yn) for c in f.terms.values())
+    nums, d_maps = fs.cleared([c for f in forms for c in f.values()])
+    nums = iter(nums)
+    maps = {name: MPoly.from_terms(FORM_VARS, dom, ((e, next(nums)) for e in f))
+            for name, f in zip(FORM_VARS, forms)}
+    (eps_num,), eps_den = fs.cleared((eps,))
     c_tgt = _lcm_den(target.form.terms.values())
     en, ed = [UPoly.one(gf)], [UPoly.one(gf)]
     for _ in range(4 * a):
-        en.append(en[-1] * eps.num)
-        ed.append(ed[-1] * eps.den)
+        en.append(en[-1] * eps_num)
+        ed.append(ed[-1] * eps_den)
     # x^h y^i z^j picks up eps^(a h + (a-ey) i + (a-ez) j) = eps^k,
-    # times eps.den^(4a) to clear it
+    # times eps_den^(4a) to clear it
     folded = {}
     for e, c in _cleared(target.form, c_tgt, dom).terms.items():
         k = 4 * a - ey * e[1] - ez * e[2]
         folded[e] = c * en[k] * ed[4 * a - k]
-    lhs = MPoly(FORM_VARS, dom, folded).substitute(
-        {name: _cleared(f, d_maps, dom)
-         for name, f in zip(FORM_VARS, (dd, yn, zn))})
+    lhs = MPoly(FORM_VARS, dom, folded).substitute(maps)
     src = source.form.dehomogenize("x")
     s_den = _lcm_den(src.terms.values())
     rhs = _cleared(src, s_den, dom).terms

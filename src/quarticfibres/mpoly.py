@@ -129,6 +129,13 @@ class MPoly:
                      {tuple(a + b for a, b in zip(e, e0)): c * v
                       for e, v in self.terms.items()})
 
+    def square(self) -> "MPoly":
+        """Char 2 has no cross terms: square each coefficient at doubled
+        exponents (distinct exponents stay distinct, squares stay nonzero)."""
+        return MPoly(self.vars, self.domain,
+                     {tuple(2 * k for k in e): c.square()
+                      for e, c in self.terms.items()})
+
     def pow(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -139,7 +146,7 @@ class MPoly:
                 r = r * b
             n >>= 1
             if n:
-                b = b * b
+                b = b.square()
         return r
 
     # ----- calculus / substitution ------------------------------------------------
@@ -159,7 +166,7 @@ class MPoly:
         """Plug polynomials in for variables (unmentioned variables persist)."""
         vars = self.vars
         # pows[i][k] is the k-th power of the polynomial put in for vars[i],
-        # each built from the one below it on first use
+        # built on first use: a square at even k, else one more factor
         pows = [[None, mapping[name] if name in mapping
                  else MPoly.var(vars, self.domain, name)] for name in vars]
 
@@ -169,7 +176,9 @@ class MPoly:
                 for p, k in zip(pows, e):
                     if k:
                         while len(p) <= k:
-                            p.append(p[-1] * p[1])
+                            n = len(p)
+                            p.append(p[n >> 1].square() if n % 2 == 0
+                                     else p[-1] * p[1])
                         term = term * p[k]
                 yield from term.terms.items()
         return MPoly.from_terms(vars, self.domain, terms())

@@ -6,9 +6,12 @@ for a product of two field elements; for m = 1 this is the `gf2x` packing
 of GF(2)[t].  Addition is xor.  A product is one carry-less `gf2x.mul` of
 the packed ints (Kronecker substitution), after which every slot is reduced
 modulo the field's modulus at once.  Division runs schoolbook on the packed
-int against a monic divisor, one shift-xor per quotient term; over GF(2)
-it is `gf2x`'s own.  Both the fractions of `scalars` and the plane-curve
-univariates of `plane` (root finding, gcds of restrictions) use this type.
+int, one shift-xor per quotient term against the divisor scaled to cancel
+the leading coefficient; the divisor is scaled once per distinct leading
+coefficient met, and a gcd makes only its result monic.  Over GF(2),
+division and gcd are `gf2x`'s own.  The fractions of `scalars` and the
+plane-curve univariates of `plane` (root finding, gcds of restrictions)
+both use this type.
 """
 
 from __future__ import annotations
@@ -42,23 +45,27 @@ def _lc(gf: GF, c: int) -> int:
     return c >> ((c.bit_length() - 1) // s * s)
 
 
-def _monic(gf: GF, c: int) -> tuple[int, int]:
-    """c scaled to leading coefficient 1, and the scale (c nonzero)."""
-    inv = gf.inv(_lc(gf, c))
-    return (c, 1) if inv == 1 else (_reduce(gf, gf2x.mul(c, inv)), inv)
-
-
-def _divmod_monic(gf: GF, a: int, b: int) -> tuple[int, int]:
-    """Schoolbook division by a monic b: quotient and remainder."""
+def _divmod(gf: GF, a: int, b: int) -> tuple[int, int]:
+    """Schoolbook division by a nonzero b: quotient and remainder.  The
+    divisor is scaled once per distinct leading coefficient x met, to the
+    multiple (x / lc(b)) b whose leading coefficient cancels x."""
     s, mask = gf.slot, gf.q - 1
     top = (b.bit_length() - 1) // s * s
+    lc = b >> top
+    inv = gf.inv(lc)
+    scaled = {lc: (1, b)}
     q = 0
     while a.bit_length() > top:
         lead = (a.bit_length() - 1) // s * s
         x = (a >> lead) & mask
+        hit = scaled.get(x)
+        if hit is None:
+            y = gf.mul(x, inv)
+            hit = scaled[x] = (y, _reduce(gf, gf2x.mul(b, y)))
+        y, bx = hit
         sh = lead - top
-        q |= x << sh
-        a ^= (b if x == 1 else _reduce(gf, gf2x.mul(b, x))) << sh
+        q |= y << sh
+        a ^= bx << sh
     return q, a
 
 
@@ -148,12 +155,8 @@ class UPoly:
             raise ZeroDivisionError("UPoly division by zero")
         if gf.m == 1:
             q, r = gf2x.divmod_(self.c, b.c)
-            return UPoly(gf, q), UPoly(gf, r)
-        # self = q' * (b / lc(b)) + r, and q = q' / lc(b)
-        monic, inv = _monic(gf, b.c)
-        q, r = _divmod_monic(gf, self.c, monic)
-        if inv != 1:
-            q = _reduce(gf, gf2x.mul(q, inv))
+        else:
+            q, r = _divmod(gf, self.c, b.c)
         return UPoly(gf, q), UPoly(gf, r)
 
     def mod(self, b: "UPoly") -> "UPoly":
@@ -166,27 +169,30 @@ class UPoly:
         return q
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd."""
+        """Monic gcd; 1 at once when an operand is a nonzero constant."""
         gf = self.gf
+        a, b, s = self.c, other.c, gf.slot
+        if (a and not a >> s) or (b and not b >> s):
+            return UPoly.one(gf)
         if gf.m == 1:
-            return UPoly(gf, gf2x.gcd(self.c, other.c))
-        a, b = self.c, other.c
+            return UPoly(gf, gf2x.gcd(a, b))
         while b:
-            b = _monic(gf, b)[0]
-            a, b = b, _divmod_monic(gf, a, b)[1]
-        return UPoly(gf, _monic(gf, a)[0] if a else 0)
+            a, b = b, _divmod(gf, a, b)[1]
+        g = UPoly(gf, a)
+        return g.scalar_mul(gf.inv(_lc(gf, a))) if a else g
 
     def pow(self, e: int) -> "UPoly":
         if e < 0:
             raise ValueError("negative power of a UPoly")
-        r = UPoly.one(self.gf)
+        r = None
         b = self
         while e:
             if e & 1:
-                r = r * b
-            b = b.square()
+                r = b if r is None else r * b
             e >>= 1
-        return r
+            if e:
+                b = b.square()
+        return UPoly.one(self.gf) if r is None else r
 
     def eval(self, x: int) -> int:
         """Horner evaluation at a field element."""

@@ -1,5 +1,6 @@
 """Fibre specialization, singularity analysis and the classification."""
 
+import signal
 from itertools import product
 
 import pytest
@@ -102,6 +103,24 @@ def test_delta_through_irrational_directions(text, want, r):
     etas, vertical = fibres._directions(local, want[1][0], 0)
     assert vertical == 0 and len(etas) == want[1][0]
     assert all(eta.gf.m == r for eta in etas)
+
+
+@pytest.mark.parametrize("text", ["x^2*y^2", "x^2*y"])
+def test_delta_rejects_a_non_reduced_curve(text):
+    # along a double component the blow-ups never end: delta at a point of
+    # a reduced curve of degree d is at most d(d-1)/2, and the alarm fails
+    # the test instead of hanging the suite if that bound stops working
+    def hang(signum, frame):
+        raise TimeoutError("delta_invariant did not return")
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(8)
+    try:
+        with pytest.raises(ConstraintViolation,
+                           match="curve is not reduced at this point"):
+            delta_invariant(_curve(text), (0, 0, 1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_singular_locus_extension_points():

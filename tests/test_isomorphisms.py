@@ -7,10 +7,11 @@ from quarticfibres.errors import (ConstraintViolation, EpsilonZero,
 from quarticfibres.families import (FamilyTag, build_family, invariant,
                                     make_params)
 from quarticfibres.finitefield import GF, FieldSpec
-from quarticfibres.isomorphisms import (MU_NAMES, IsoWitness, apply_iso,
-                                        epsilon_gamma, identity_witness,
-                                        iso_maps, make_witness,
-                                        search_automorphisms, verify_iso)
+from quarticfibres.isomorphisms import (MU_NAMES, IsoMaps, IsoWitness,
+                                        RationalMap, apply_iso, epsilon_gamma,
+                                        identity_witness, iso_maps,
+                                        make_witness, search_automorphisms,
+                                        verify_iso)
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_element
 from quarticfibres.sampling import random_params, random_witness, rng_for
@@ -38,11 +39,87 @@ _REFERENCE_EPS = {FamilyTag.III: (3, 2, 12), FamilyTag.IV: (2, 2, 8),
                   FamilyTag.V: (1, 1, 4)}
 
 
+def _eps_gamma_over_k(w, params):
+    """eps and gamma in K-arithmetic: every product and sum is a reduced
+    fraction."""
+    if w.tag is not params.tag:
+        raise ConstraintViolation(
+            f"witness is for family {w.tag}, model is family {params.tag}")
+    m4, m5 = w.mus[2], w.mus[3]
+    lever = params.a if w.tag is FamilyTag.III else params.b
+    eps = m4.square() + m5.square() * lever
+    if not eps:
+        raise EpsilonZero("mu4 = mu5 = 0 gives no fractional-linear map")
+    gamma = (w.mus[0].square() + w.mus[1].square() * lever) / eps
+    return eps, gamma
+
+
+def _apply_over_k(m, w):
+    """The target model with its parameters computed in K-arithmetic."""
+    p = m.params
+    a, b, c, d = p.a, p.b, p.c, p.d
+    eps, gamma = _eps_gamma_over_k(w, p)
+    gf = p.gf
+    if w.tag is FamilyTag.III:
+        mu3, mu4, mu5 = w.mu("mu3"), w.mu("mu4"), w.mu("mu5")
+        k = mu4 * mu5 + mu3.square()
+        target = make_params(
+            FamilyTag.III, gf,
+            a=(a + gamma.square()) / eps ** 6,
+            b=b / eps ** 3,
+            c=eps * c,
+            d=(eps * k.square() * b + eps.square() * k
+               + eps.square() * (mu5.square() * b.square() * c ** 3 + eps * d)))
+    elif w.tag is FamilyTag.IV:
+        mu2, mu4, mu5 = w.mu("mu2"), w.mu("mu4"), w.mu("mu5")
+        cross = eps * mu4 * mu5 + mu2 ** 4
+        hull = c + a * b.square()
+        target = make_params(
+            FamilyTag.IV, gf,
+            a=eps.square() * a + cross + mu5 ** 4 * hull,
+            b=b / eps ** 4,
+            c=(c + gamma.square() + cross * b.square() / eps.square()
+               + mu5 ** 4 * hull * b.square() / eps.square()) / eps ** 6)
+    else:
+        mu3, mu4, mu5 = w.mu("mu3"), w.mu("mu4"), w.mu("mu5")
+        big = b + gamma.square()
+        k = mu3.square() + mu4 * mu5
+        target = make_params(
+            FamilyTag.V, gf,
+            a=eps.square() * a * b.square() / big.square(),
+            b=big / eps.square(),
+            c=(eps.square() * (c + a) + (k + eps * d) * k
+               + a * b.square() * (mu5 ** 4 + eps.square() / big.square())),
+            d=eps * d)
+    return build_family(target)
+
+
+def _maps_over_k(w, source):
+    """The fractional-linear maps with K coefficients."""
+    eps, gamma = _eps_gamma_over_k(w, source)
+    dom = KDomain.get(source.gf)
+    y = MPoly.var(FORM_VARS, dom, "y")
+    z = MPoly.var(FORM_VARS, dom, "z")
+    m4, m5 = w.mus[2], w.mus[3]
+    lever = source.a if w.tag is FamilyTag.III else source.b
+    dd = MPoly.const(FORM_VARS, dom, m4) + z.scale(m5)
+    pp = MPoly.const(FORM_VARS, dom, m5 * lever) + z.scale(m4)
+    if w.tag is FamilyTag.IV:
+        zn = pp
+        yn = dd.scale(w.mu("mu1")) + pp.scale(w.mu("mu2")) + y.scale(eps)
+    else:
+        zn = dd.scale(gamma) + pp
+        yn = dd.scale(w.mu("mu2")) + pp.scale(w.mu("mu3")) + y.scale(eps)
+    ez, ey, _ = _REFERENCE_EPS[w.tag]
+    return IsoMaps(RationalMap(zn, dd.scale(eps ** ez)),
+                   RationalMap(yn, dd.scale(eps ** ey)))
+
+
 def _replay_over_k(source, target, w):
     """The substitution replayed term by term in K-arithmetic: every
     coefficient product and sum is a reduced fraction."""
-    maps = iso_maps(w, source.params)
-    eps, _ = epsilon_gamma(w, source.params)
+    maps = _maps_over_k(w, source.params)
+    eps, _ = _eps_gamma_over_k(w, source.params)
     gf = source.params.gf
     dom = KDomain.get(gf)
     ez, ey, lcd = _REFERENCE_EPS[w.tag]
@@ -176,19 +253,41 @@ def test_witness_shapes():
 
 
 def test_replay_matches_k_arithmetic_reference():
+    def apply_params(m, w):
+        return apply_iso(m, w).params
+
+    def reference_params(m, w):
+        return _apply_over_k(m, w).params
     for gf, n in ((F2, 40), (F4, 40), (GF.get(3), 12), (GF.get(9), 8)):
         t = ScalarK.t(gf)
         rng = rng_for(5, f"iso-reference-{gf.q}")
+        other_rng = rng_for(5, f"iso-reference-other-{gf.q}")
+        models = [build_family(random_params(other_rng, tag, gf))
+                  for tag in (FamilyTag.III, FamilyTag.IV)]
         for tag in (FamilyTag.III, FamilyTag.IV, FamilyTag.V):
             for k in range(n):
                 params = random_params(rng, tag, gf)
                 w = random_witness(rng, tag, gf)
                 src = build_family(params)
                 tgt = apply_iso(src, w)
+                assert tgt.params == _apply_over_k(src, w).params
+                assert epsilon_gamma(w, params) == _eps_gamma_over_k(w, params)
+                assert iso_maps(w, params) == _maps_over_k(w, params)
                 s = verify_iso(src, tgt, w)
                 assert s and s == _replay_over_k(src, tgt, w)
                 if k % 4:
                     continue
+                # the same errors and messages as the K-arithmetic apply:
+                # no map (mu4 = mu5 = 0) and a model of another family
+                mus = list(w.mus)
+                mus[2] = mus[3] = ScalarK.zero(gf)
+                other = next(o for o in models if o.tag is not tag)
+                for case, error in (((src, IsoWitness(tag, tuple(mus))),
+                                     EpsilonZero),
+                                    ((other, w), ConstraintViolation)):
+                    got = _outcome(apply_params, *case)
+                    assert got[0] is error
+                    assert got == _outcome(reference_params, *case)
                 # a perturbed witness and a perturbed source
                 mus = list(w.mus)
                 i = MU_NAMES[tag].index("mu2")
@@ -207,16 +306,18 @@ def test_replay_matches_k_arithmetic_reference():
                     assert got == _outcome(_replay_over_k, *case)
 
 
-def test_replay_reduces_few_fractions(monkeypatch):
-    # a machine-independent work count: the replay in K-arithmetic makes
-    # about 600 gcds here, one or two per coefficient product and sum
+def _fixed_f4_case():
     p = lambda text: parse_element(text, SPEC4)
     src = build_family(make_params(
         FamilyTag.III, F4, a=p("(t^2+g)/(t+1)"), b=p("t+g"), c=p("1/t"),
         d=p("t^2")))
     w = make_witness(FamilyTag.III, F4, mu2=p("g*t"), mu3=p("1/(t+g)"),
                      mu4=p("t+1"), mu5=p("g"))
-    tgt = apply_iso(src, w)
+    return src, w
+
+
+def _gcd_calls(monkeypatch, f, *args):
+    """f(*args) and the number of UPoly gcds it takes."""
     calls = []
     gcd = UPoly.gcd
 
@@ -224,7 +325,27 @@ def test_replay_reduces_few_fractions(monkeypatch):
         calls.append(other)
         return gcd(self, other)
     monkeypatch.setattr(UPoly, "gcd", counted)
-    s = verify_iso(src, tgt, w)
-    monkeypatch.undo()
+    try:
+        return f(*args), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def test_replay_reduces_few_fractions(monkeypatch):
+    # a machine-independent work count: the replay in K-arithmetic makes
+    # about 600 gcds here, one or two per coefficient product and sum
+    src, w = _fixed_f4_case()
+    tgt = apply_iso(src, w)
+    s, calls = _gcd_calls(monkeypatch, verify_iso, src, tgt, w)
     assert s == _replay_over_k(src, tgt, w)
-    assert len(calls) <= 64
+    assert calls <= 64
+
+
+def test_apply_reduces_few_fractions(monkeypatch):
+    # the same count for apply_iso: computing the target parameters in
+    # K-arithmetic and building the target form makes 74 gcds here;
+    # reducing each parameter once makes 22, most of them in build_family
+    src, w = _fixed_f4_case()
+    tgt, calls = _gcd_calls(monkeypatch, apply_iso, src, w)
+    assert tgt.params == _apply_over_k(src, w).params
+    assert calls <= 30

@@ -2,6 +2,8 @@ import random
 
 from quarticfibres.finitefield import GF, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly, grevlex_key, triform
+from quarticfibres.scalars import KDomain, ScalarK
+from quarticfibres.upoly import UPoly, UPolyDomain
 
 random.seed(71005)
 
@@ -59,6 +61,40 @@ def test_pow_and_scale():
         assert a.pow(0).total_degree() == 0
         g = GFElem(F4, 2)
         assert a.scale(g).scale(F4.one_elem() / g) == a
+    # squares are termwise in char 2: pow and the power ladder of
+    # substitute against repeated products, over GF(4), K and GF(4)[t]
+    rng = random.Random(54)
+    upoly = lambda: UPoly.from_coeffs(F4, [rng.randrange(4) for _ in range(3)])
+    domains = (
+        (F4, lambda: GFElem(F4, rng.randrange(4))),
+        (KDomain.get(F4),
+         lambda: ScalarK(upoly(), upoly() or UPoly.one(F4))),
+        (UPolyDomain(F4), upoly))
+    for dom, coeff in domains:
+        def rand_form(nterms):
+            return MPoly.from_terms(FORM_VARS, dom, [
+                (tuple(rng.randrange(3) for _ in range(3)), coeff())
+                for _ in range(nterms)])
+
+        def power(f, k):
+            out = MPoly.const(FORM_VARS, dom, dom.one_elem())
+            for _ in range(k):
+                out = out * f
+            return out
+        for _ in range(10):
+            a = rand_form(4)
+            assert a.pow(2) == a * a
+            assert a.pow(4) == a * a * a * a
+            sub = dict(zip(FORM_VARS, (rand_form(3) for _ in FORM_VARS)))
+            f = rand_form(5) + MPoly.from_terms(
+                FORM_VARS, dom, [((4, 0, 0), coeff()), ((0, 3, 1), coeff())])
+            want = MPoly.zero(FORM_VARS, dom)
+            for e, c in f.terms.items():
+                term = MPoly.const(FORM_VARS, dom, c)
+                for name, k in zip(FORM_VARS, e):
+                    term = term * power(sub[name], k)
+                want = want + term
+            assert f.substitute(sub) == want
 
 
 def test_partial_leibniz():

@@ -107,6 +107,14 @@ def test_gcd_monic_and_divides():
             if not c.is_zero():
                 assert (a * c).mod(g).is_zero()
                 assert g.mod(c.scalar_mul(gf.inv(c.lc()))).is_zero()
+        # a nonzero constant operand: the gcd is 1, whatever the other
+        rng = random.Random(m)
+        one = UPoly.one(gf)
+        for _ in range(10):
+            k = UPoly.const(gf, rng.randrange(1, gf.q))
+            a = UPoly.from_coeffs(gf, [rng.randrange(gf.q) for _ in range(5)])
+            assert k.gcd(a) == a.gcd(k) == one
+            assert k.gcd(UPoly.zero(gf)) == k.gcd(k) == one
 
 
 def test_square_sqrt():
