@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import product
 from time import perf_counter
@@ -35,6 +36,9 @@ from .tower import (CONST_NAMES, TowerKind, is_nonhyperelliptic, make_tower,
 # ----- input parsing --------------------------------------------------------
 
 
+_MODULUS_TERM = re.compile(r"1|u(?:\^([0-9]+))?")
+
+
 def _parse_modulus(text: str) -> int:
     """Modulus polynomial over F2, either bit-packed ("19") or written
     out ("u^4+u+1")."""
@@ -44,14 +48,10 @@ def _parse_modulus(text: str) -> int:
         pass
     bits = 0
     for part in text.replace(" ", "").split("+"):
-        if part == "1":
-            bits |= 1
-        elif part == "u":
-            bits |= 2
-        elif part.startswith("u^"):
-            bits |= 1 << int(part[2:])
-        else:
+        term = _MODULUS_TERM.fullmatch(part)
+        if term is None:
             raise QuarticError(f"cannot read modulus term {part!r}")
+        bits |= 1 if part == "1" else 1 << int(term[1] or 1)
     return bits
 
 

@@ -94,11 +94,3 @@ class SearchCapped(QuarticError):
 
 class NotHomogeneous(QuarticError):
     """The operation needs a homogeneous form."""
-
-
-class EliminationMismatch(QuarticError):
-    """A symbolic elimination disagrees with the closed-form relation."""
-
-    def __init__(self, message, coefficient=None):
-        super().__init__(message)
-        self.coefficient = coefficient

@@ -8,9 +8,11 @@ non-square/non-zero constraint list.  The table is written once, here:
 the parameter rules (`FAMILY_PARAMS`), the forms (`family_terms`) and the
 singular points (`singular_radicands`); the last two are ring-generic, so
 ``fibres`` reads them over GF(2^m).  This module builds the forms,
-validates the constraints, locates the singular point in the inseparable
-closure, and computes the residue-degree profile of the chain of primes
-sitting over the singularity.
+validates the constraints, locates the singular point in K(t^(1/4)) (the
+`insep` field, where every coordinate of it lives), and computes the
+residue-degree profile of the chain of primes sitting over the
+singularity from the subfields K, K(t^(1/2)), K(t^(1/4)) that the
+point's coordinates generate.
 """
 
 from __future__ import annotations

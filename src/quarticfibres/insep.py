@@ -1,10 +1,15 @@
 """The degree-4 purely inseparable extension of K = F_q(t).
 
-In characteristic 2 the field K(t^(1/4)) is spanned over K by the powers
-s^0..s^3 of s = t^(1/4), with s^4 = t.  Elements are stored as coordinate
-vectors in that basis; every fourth root that exists over the algebraic
-closure of K already lives here, which is what makes singular points of
-the quartic models computable without any factorization.
+In characteristic 2 the field K(t^(1/4)) is F_q(s) with s = t^(1/4): a
+rational function field over the same F_q, so an element is one reduced
+`ScalarK` whose polynomials are read in s, and all arithmetic is
+`ScalarK`'s.  The Frobenius gives the maps between the two fields: K sits
+inside as the polynomials in s^4, and the fourth root of a polynomial in
+t takes the fourth root of each coefficient and keeps the exponents.
+Every fourth root that exists over the algebraic closure of K already
+lives here, which is what makes singular points of the quartic models
+computable without any factorization.  Only printing goes back to the
+K-coordinates in the basis 1, s, s^2, s^3.
 """
 
 from __future__ import annotations
@@ -13,115 +18,93 @@ from .scalars import ScalarK
 from .upoly import UPoly
 
 
+def _stretch(p: UPoly) -> UPoly:
+    """p(t) read as p(s^4)."""
+    coeffs = [0] * (4 * p.deg() + 1)
+    coeffs[::4] = p.to_coeffs()
+    return UPoly.from_coeffs(p.gf, coeffs)
+
+
+def _shrink(p: UPoly) -> UPoly:
+    """The polynomial in t whose coefficient k is p's coefficient of s^(4k)."""
+    return UPoly.from_coeffs(p.gf, p.to_coeffs()[::4])
+
+
+def _root4(p: UPoly) -> UPoly:
+    """The polynomial in s whose fourth power is p(s^4)."""
+    gf = p.gf
+    return UPoly.from_coeffs(gf, [gf.fourth_root(c) for c in p.to_coeffs()])
+
+
 class InsepElem:
-    """An element c0 + c1*t^(1/4) + c2*t^(1/2) + c3*t^(3/4), ci in K."""
+    """An element of K(t^(1/4)) = F_q(s), stored as one ScalarK in s."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("x",)
 
-    def __init__(self, coords):
-        coords = tuple(coords)
-        assert len(coords) == 4
-        self.coords = coords
+    def __init__(self, x: ScalarK):
+        self.x = x
 
     # ----- constructors ---------------------------------------------------
 
     @classmethod
-    def from_scalar(cls, s: ScalarK) -> "InsepElem":
-        z = ScalarK.zero(s.gf)
-        return cls((s, z, z, z))
-
-    @classmethod
-    def zero(cls, gf) -> "InsepElem":
-        z = ScalarK.zero(gf)
-        return cls((z, z, z, z))
+    def from_scalar(cls, a: ScalarK) -> "InsepElem":
+        # t -> s^4 is an injective ring map, so a reduced a stays reduced
+        return cls(ScalarK(_stretch(a.num), _stretch(a.den), _canonical=True))
 
     @classmethod
     def one(cls, gf) -> "InsepElem":
-        z = ScalarK.zero(gf)
-        return cls((ScalarK.one(gf), z, z, z))
-
-    @property
-    def gf(self):
-        return self.coords[0].gf
+        return cls(ScalarK.one(gf))
 
     # ----- predicates -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __bool__(self):
-        return any(bool(c) for c in self.coords)
+        return bool(self.x)
 
     def in_base_field(self) -> bool:
-        return not any(self.coords[1:])
+        """Whether the element lies in K, the fourth powers of F_q(s)."""
+        return self.x.is_square() and self.x.sqrt().is_square()
 
     def as_scalar(self) -> ScalarK:
         if not self.in_base_field():
             raise ValueError("element has nontrivial inseparable part")
-        return self.coords[0]
+        return ScalarK(_shrink(self.x.num), _shrink(self.x.den), _canonical=True)
 
     # ----- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "InsepElem") -> "InsepElem":
-        return InsepElem(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __sub__ = __add__
+        return InsepElem(self.x + other.x)
 
     def __mul__(self, other: "InsepElem") -> "InsepElem":
-        t = ScalarK.t(self.gf)
-        z = ScalarK.zero(self.gf)
-        out = [z, z, z, z]
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                p = a * b
-                k = i + j
-                if k >= 4:
-                    p = p * t
-                    k -= 4
-                out[k] = out[k] + p
-        return InsepElem(tuple(out))
+        return InsepElem(self.x * other.x)
 
-    def scalar_mul(self, s: ScalarK) -> "InsepElem":
-        return InsepElem(tuple(c * s for c in self.coords))
+    def scalar_mul(self, a: ScalarK) -> "InsepElem":
+        return self * InsepElem.from_scalar(a)
 
     def square(self) -> "InsepElem":
-        t = ScalarK.t(self.gf)
-        z = ScalarK.zero(self.gf)
-        c0, c1, c2, c3 = self.coords
-        # (sum ci s^i)^2 = c0^2 + c2^2 t + (c1^2 + c3^2 t) s^2
-        return InsepElem((c0.square() + c2.square() * t, z,
-                          c1.square() + c3.square() * t, z))
+        return InsepElem(self.x.square())
 
     def pow(self, n: int) -> "InsepElem":
-        if n < 0:
-            raise ValueError("negative power in K^(1/4)")
-        r = InsepElem.one(self.gf)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b.square()
-        return r
+        return InsepElem(self.x ** n)
 
     def __eq__(self, other):
-        return isinstance(other, InsepElem) and self.coords == other.coords
+        return isinstance(other, InsepElem) and self.x == other.x
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.x)
 
     # ----- printing ----------------------------------------------------------------
 
     _POWERS = ("", "t^(1/4)", "t^(1/2)", "t^(3/4)")
 
     def __str__(self):
+        # n/d = n d^3 / d^4 with d^4 in K; the monomial c s^(4r+i) of n d^3
+        # is c t^r in coordinate i
+        n, d = self.x.num, self.x.den
+        e = (n * d.pow(3)).to_coeffs()
+        den = _shrink(d.pow(4))
         parts = []
-        for i, c in enumerate(self.coords):
+        for i in range(4):
+            c = ScalarK(UPoly.from_coeffs(n.gf, e[i::4]), den)
             if not c:
                 continue
             cs = str(c)
@@ -154,28 +137,11 @@ def _needs_parens(s: str) -> bool:
 def fourth_root(x: ScalarK) -> InsepElem:
     """The fourth root of an element of K, inside K(t^(1/4)).
 
-    With x = n/d in lowest terms, x = n d^3 / d^4, so it suffices to take
-    the fourth root of the polynomial n d^3 coefficient-by-coefficient:
-    the monomial c t^k contributes c^(1/4) t^(k//4) to coordinate k mod 4.
+    With x = n/d reduced and d monic, the fourth root is n'/d' where n' and
+    d' take the fourth root of every coefficient and keep the exponents:
+    again reduced, with d' monic.
     """
-    gf = x.gf
-    e = x.num * x.den.pow(3)
-    deg = e.deg()
-    buckets: list[list] = [[], [], [], []]
-    for k in range(deg + 1):
-        c = e.coeff(k)
-        if c:
-            r, m = divmod(k, 4)
-            lst = buckets[m]
-            while len(lst) <= r:
-                lst.append(0)
-            lst[r] = gf.fourth_root(c)
-    den = x.den
-    coords = []
-    for lst in buckets:
-        num = UPoly.from_coeffs(gf, lst)
-        coords.append(ScalarK(num, den))
-    return InsepElem(tuple(coords))
+    return InsepElem(ScalarK(_root4(x.num), _root4(x.den), _canonical=True))
 
 
 def sqrt_in_quarter(x: ScalarK) -> InsepElem:
@@ -184,45 +150,18 @@ def sqrt_in_quarter(x: ScalarK) -> InsepElem:
 
 
 def is_fourth_power(x: ScalarK) -> bool:
-    r = fourth_root(x)
-    return r.in_base_field()
+    return fourth_root(x).in_base_field()
 
 
 def subalgebra_dimension(gens) -> int:
     """Dimension over K of the subfield K(g1,...,gn) of K(t^(1/4)).
 
-    Multiplicative closure of the K-span; the lattice of intermediate
-    fields only allows dimensions 1, 2, 4.
+    K has the single p-basis element t, so the only fields between K and
+    K(t^(1/4)) are K, K(t^(1/2)) = the squares of F_q(s), and K(t^(1/4)).
     """
     gens = list(gens)
-    if not gens:
-        return 1
-    gf = gens[0].gf
-    basis: list[tuple] = []  # echelon rows as coordinate tuples
-
-    def insert(vec) -> bool:
-        vec = list(vec)
-        for piv, row in basis:
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                for i in range(4):
-                    vec[i] = vec[i] + row[i] * f
-        for i in range(4):
-            if vec[i]:
-                basis.append((i, tuple(vec)))
-                return True
-        return False
-
-    reps = [InsepElem.one(gf)]
-    insert(reps[0].coords)
-    frontier = list(reps)
-    while frontier and len(basis) < 4:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                p = r * g
-                if insert(p.coords):
-                    reps.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return len(basis)
+    if any(not g.x.is_square() for g in gens):
+        return 4
+    if any(not g.in_base_field() for g in gens):
+        return 2
+    return 1

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (ConstraintViolation, EliminationMismatch, Hyperelliptic,
-                     InternalCheckFailed, UnsupportedFamily, UnsupportedKind)
+from .errors import (ConstraintViolation, Hyperelliptic, InternalCheckFailed,
+                     UnsupportedFamily, UnsupportedKind)
 from .families import FamilyParams, FamilyTag, build_family, make_params
 from .mpoly import MPoly
 from .scalars import KDomain, ScalarK
@@ -299,14 +299,13 @@ def eliminate_to_breve(p: TowerPresentation) -> MPoly:
             + (tt * tt).scale(a0 * c4.square()) + k(c4.square()))
 
 
-def verify_breve_relation(p: TowerPresentation, printed: MPoly | None = None,
-                          strict: bool = False) -> bool:
+def verify_breve_relation(p: TowerPresentation,
+                          printed: MPoly | None = None) -> bool:
     """Check the eliminated quartic against the closed form.
 
     For kind A the elimination is denominator-cleared, so the closed form
     matches after scaling by (c1 B1)^2; kinds B and C match on the nose.
-    A deliberately corrupted `printed` override returns False (or raises
-    EliminationMismatch with the offending monomial when strict).
+    A deliberately corrupted `printed` override returns False.
     """
     q = normalize_presentation(p)
     lhs = eliminate_to_breve(q)
@@ -314,14 +313,7 @@ def verify_breve_relation(p: TowerPresentation, printed: MPoly | None = None,
     if q.kind is TowerKind.A:
         c1, B1 = q.const("c1"), q.const("B1")
         rhs = rhs.scale((c1 * B1).square())
-    if lhs == rhs:
-        return True
-    if strict:
-        diff = lhs + rhs
-        e, c = diff.lead()
-        raise EliminationMismatch(
-            f"breve relation mismatch at monomial zb^{e[0]}*yb^{e[1]}", str(c))
-    return False
+    return lhs == rhs
 
 
 # --- invariants, automorphisms, pseudo-canonical field ---------------------

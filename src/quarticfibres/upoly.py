@@ -16,13 +16,15 @@ both use this type.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import gf2x
 from .finitefield import GF
 
 
-def _ones(width: int, nbits: int) -> int:
-    """One bit at the base of each width-bit slot covering nbits bits."""
-    n = nbits // width + 1
+@cache
+def _ones(width: int, n: int) -> int:
+    """One bit at the base of each of n width-bit slots."""
     return ((1 << (n * width)) - 1) // ((1 << width) - 1)
 
 
@@ -31,7 +33,7 @@ def _reduce(gf: GF, p: int) -> int:
     m = gf.m
     if m == 1:  # GF(2) needs no slot reduction
         return p
-    ones = _ones(gf.slot, p.bit_length())
+    ones = _ones(gf.slot, p.bit_length() // gf.slot + 1)
     for k in range(2 * m - 2, m - 1, -1):
         # one bit at the base of each slot with bit k set, times the
         # modulus: copies that do not overlap, so the product is a xor
@@ -209,7 +211,8 @@ class UPoly:
         gf = self.gf
         if gf.m == 1:
             return gf2x.is_square(self.c)
-        odd = _ones(2 * gf.slot, self.c.bit_length()) * ((gf.q - 1) << gf.slot)
+        w = 2 * gf.slot
+        odd = _ones(w, self.c.bit_length() // w + 1) * ((gf.q - 1) << gf.slot)
         return not self.c & odd
 
     def sqrt(self) -> "UPoly":

@@ -2,16 +2,23 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from quarticfibres import cli
 
 CMD = [sys.executable, "-m", "quarticfibres.cli"]
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=env)
 
 
 def test_family_json_report():
@@ -158,6 +165,16 @@ def test_exit_codes_and_error_record():
         bad_field = run("family", "--tag", "IV", *field)
         assert bad_field.returncode == 1
         assert bad_field.stdout.startswith("error: FieldError: ")
+    # a modulus term that is not 1, u or u^k (k >= 0) is an input error
+    for poly in ("u^x+1", "u^-1+1"):
+        field = ["--field-m", "4", "--field-poly", poly]
+        bad_poly = run("family", "--tag", "III", "--a", "t", "--b", "1",
+                       "--c", "1", *field)
+        assert bad_poly.returncode == 1
+        assert bad_poly.stdout.startswith("error: QuarticError: ")
+        rec = json.loads(run("family", "--tag", "III", "--a", "t", "--b", "1",
+                             "--c", "1", *field, "--json").stdout)
+        assert rec["error"]["type"] == "QuarticError"
 
 
 def test_output_files(tmp_path):

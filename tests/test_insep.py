@@ -2,9 +2,14 @@ import random
 
 import pytest
 
+from quarticfibres import families
+from quarticfibres.errors import UnsupportedFamily
+from quarticfibres.families import (FamilyTag, build_family, residue_profile,
+                                    singular_point)
 from quarticfibres.finitefield import GF
 from quarticfibres.insep import (InsepElem, fourth_root, is_fourth_power,
                                  sqrt_in_quarter, subalgebra_dimension)
+from quarticfibres.sampling import random_params, random_scalar, rng_for
 from quarticfibres.scalars import ScalarK
 from quarticfibres.upoly import UPoly
 
@@ -71,3 +76,215 @@ def test_subalgebra_dimension():
     assert subalgebra_dimension([one, sqrt_in_quarter(t)]) == 2
     assert subalgebra_dimension([one, fourth_root(t)]) == 4
     assert subalgebra_dimension([one, one + one]) == 1
+
+
+# ----- reference: K(t^(1/4)) as coordinate vectors over K -------------------
+#
+# The package's earlier representation, kept as the oracle: an element is
+# (c0, c1, c2, c3) with value c0 + c1 s + c2 s^2 + c3 s^3, s = t^(1/4), and
+# products wrap s^4 = t; the subfield dimension is the K-rank of the
+# multiplicative closure, found by echelon insertion.
+
+
+class CoordElem:
+    POWERS = ("", "t^(1/4)", "t^(1/2)", "t^(3/4)")
+
+    def __init__(self, coords):
+        self.coords = tuple(coords)
+        assert len(self.coords) == 4
+
+    @classmethod
+    def from_scalar(cls, a):
+        z = ScalarK.zero(a.gf)
+        return cls((a, z, z, z))
+
+    @classmethod
+    def one(cls, gf):
+        return cls.from_scalar(ScalarK.one(gf))
+
+    @property
+    def gf(self):
+        return self.coords[0].gf
+
+    def __bool__(self):
+        return any(self.coords)
+
+    def in_base_field(self):
+        return not any(self.coords[1:])
+
+    def as_scalar(self):
+        if not self.in_base_field():
+            raise ValueError("element has nontrivial inseparable part")
+        return self.coords[0]
+
+    def __add__(self, other):
+        return CoordElem(a + b for a, b in zip(self.coords, other.coords))
+
+    def __mul__(self, other):
+        t = ScalarK.t(self.gf)
+        out = [ScalarK.zero(self.gf)] * 4
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(other.coords):
+                p = a * b
+                if i + j >= 4:
+                    p = p * t
+                out[(i + j) % 4] = out[(i + j) % 4] + p
+        return CoordElem(out)
+
+    def scalar_mul(self, a):
+        return CoordElem(c * a for c in self.coords)
+
+    def square(self):
+        t = ScalarK.t(self.gf)
+        z = ScalarK.zero(self.gf)
+        c0, c1, c2, c3 = self.coords
+        return CoordElem((c0.square() + c2.square() * t, z,
+                          c1.square() + c3.square() * t, z))
+
+    def pow(self, n):
+        r = CoordElem.one(self.gf)
+        for _ in range(n):
+            r = r * self
+        return r
+
+    def __eq__(self, other):
+        return isinstance(other, CoordElem) and self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.coords):
+            if not c:
+                continue
+            cs = str(c)
+            if i == 0:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(self.POWERS[i])
+            else:
+                depth, bare = 0, False
+                for ch in cs:
+                    depth += (ch == "(") - (ch == ")")
+                    bare |= ch in "+/" and depth == 0
+                parts.append(f"({cs})*{self.POWERS[i]}" if bare
+                             else f"{cs}*{self.POWERS[i]}")
+        return "+".join(parts) if parts else "0"
+
+
+def coord_fourth_root(x):
+    gf = x.gf
+    e = (x.num * x.den.pow(3)).to_coeffs()
+    return CoordElem(
+        ScalarK(UPoly.from_coeffs(gf, [gf.fourth_root(c) for c in e[i::4]]),
+                x.den)
+        for i in range(4))
+
+
+def coord_sqrt_in_quarter(x):
+    return coord_fourth_root(x.square())
+
+
+def coord_subalgebra_dimension(gens):
+    gens = list(gens)
+    if not gens:
+        return 1
+    basis = []  # echelon rows (pivot, coordinates)
+
+    def insert(vec):
+        vec = list(vec)
+        for piv, row in basis:
+            if vec[piv]:
+                f = vec[piv] / row[piv]
+                vec = [v + r * f for v, r in zip(vec, row)]
+        for i in range(4):
+            if vec[i]:
+                basis.append((i, tuple(vec)))
+                return True
+        return False
+
+    frontier = [CoordElem.one(gens[0].gf)]
+    insert(frontier[0].coords)
+    while frontier and len(basis) < 4:
+        nxt = []
+        for r in frontier:
+            for g in gens:
+                p = r * g
+                if insert(p.coords):
+                    nxt.append(p)
+        frontier = nxt
+    return len(basis)
+
+
+# ----- differential checks against the reference ----------------------------
+
+
+def _pool(rng, gf):
+    """Pairs (InsepElem, CoordElem) of equal values: roots and lifts of
+    random scalars, then their sums, products, squares, powers and
+    scalar multiples."""
+    pool = []
+    for _ in range(6):
+        x = random_scalar(rng, gf)
+        pool.append((fourth_root(x), coord_fourth_root(x)))
+        pool.append((sqrt_in_quarter(x), coord_sqrt_in_quarter(x)))
+        pool.append((InsepElem.from_scalar(x), CoordElem.from_scalar(x)))
+    base = list(pool)
+    for _ in range(12):
+        (a, ca), (b, cb) = rng.choice(base), rng.choice(base)
+        pool.append((a + b, ca + cb))
+        pool.append((a * b, ca * cb))
+        pool.append((a.square(), ca.square()))
+        k = rng.randrange(6)
+        pool.append((a.pow(k), ca.pow(k)))
+        y = random_scalar(rng, gf, 1)
+        pool.append((a.scalar_mul(y), ca.scalar_mul(y)))
+    return pool
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_matches_coordinate_reference(m):
+    gf = GF.get(m)
+    rng = rng_for(71004, f"insep-{m}")
+    pool = _pool(rng, gf)
+    for a, ca in pool:
+        assert str(a) == str(ca)
+        assert a.in_base_field() == ca.in_base_field()
+        if ca.in_base_field():
+            assert a.as_scalar() == ca.as_scalar()
+        else:
+            with pytest.raises(ValueError):
+                a.as_scalar()
+    for _ in range(40):
+        (a, ca), (b, cb) = rng.choice(pool), rng.choice(pool)
+        assert (a == b) == (ca == cb)
+        gens = rng.sample(pool, rng.randrange(1, 4))
+        assert (subalgebra_dimension(g for g, _ in gens)
+                == coord_subalgebra_dimension(c for _, c in gens))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_family_points_match_coordinate_reference(m, monkeypatch):
+    gf = GF.get(m)
+    rng = rng_for(71004, f"insep-families-{m}")
+    models = [build_family(random_params(rng, tag, gf))
+              for tag in FamilyTag for _ in range(4)]
+
+    def answers():
+        out = []
+        for model in models:
+            try:
+                profile = residue_profile(model)
+            except UnsupportedFamily:
+                profile = None
+            out.append((str(singular_point(model)), profile))
+        return out
+
+    got = answers()
+    for name, ref in (("InsepElem", CoordElem),
+                      ("fourth_root", coord_fourth_root),
+                      ("sqrt_in_quarter", coord_sqrt_in_quarter),
+                      ("subalgebra_dimension", coord_subalgebra_dimension)):
+        monkeypatch.setattr(families, name, ref)
+    assert got == answers()
