@@ -9,13 +9,15 @@ shows up here even when the answers stay right.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from time import perf_counter
 
 from .errors import Hyperelliptic, IdentityFailed
 from .families import (FamilyTag, build_family, invariant, is_strange)
 from .fibres import (PlaneCurveFq, classify_fibre, delta_invariant,
-                     predicted_singular_point, singular_locus,
-                     smooth_points, specialize_fibre, tangent_contact_type)
+                     multiplicity_at, predicted_singular_point,
+                     singular_locus, smooth_points, specialize_fibre,
+                     tangent_contact_type)
 from .finitefield import GF, FieldSpec
 from .isomorphisms import apply_iso, identity_witness, verify_iso
 from .mpoly import MPoly, FORM_VARS
@@ -237,41 +239,42 @@ def check_degenerate_fibres() -> CheckResult:
 # --- 8 -----------------------------------------------------------------
 
 
+def _want_mult(gf, fibration, point) -> int:
+    """The singular multiplicity of an integral pi3 or pi5 fibre: 3 where
+    the family invariant (b c^3, resp. a b^2 d^2) is 1, otherwise 2."""
+    a, b, c, d = point
+    if fibration == "pi3":
+        inv = gf.mul(b, gf.pow(c, 3))
+    else:
+        inv = gf.mul(gf.mul(a, gf.pow(b, 2)), gf.pow(d, 2))
+    return 3 if inv == 1 else 2
+
+
 def _integral_fibre_cases(seed):
     # exhaustive over F4, seeded sample over F16
     spec4 = FieldSpec(2)
     gf4 = spec4.field()
-    for a in range(4):
-        for b in range(1, 4):
-            for c in range(1, 4):
-                for d in range(4):
-                    mult3 = gf4.mul(b, gf4.pow(c, 3)) == 1
-                    yield "pi3", (a, b, c, d), spec4, 3 if mult3 else 2
-    for a in range(4):
-        for b in range(1, 4):
-            for c in range(4):
-                yield "pi4", (a, b, c), spec4, 2
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(1, 4):
-                    k = gf4.mul(gf4.mul(a, gf4.pow(b, 2)), gf4.pow(d, 2))
-                    yield "pi5", (a, b, c, d), spec4, 3 if k == 1 else 2
+    for point in product(range(4), range(1, 4), range(1, 4), range(4)):
+        yield "pi3", point, spec4, _want_mult(gf4, "pi3", point)
+    for point in product(range(4), range(1, 4), range(4)):
+        yield "pi4", point, spec4, 2
+    for point in product(range(4), range(4), range(4), range(1, 4)):
+        yield "pi5", point, spec4, _want_mult(gf4, "pi5", point)
     spec16 = FieldSpec(4)
     gf = spec16.field()
     rng = rng_for(seed, "integral-f16")
     for _ in range(25):
         a = rng.randrange(16)
         if rng.randrange(2):
+            fibration = "pi3"
             b, c, d = (rng.randrange(1, 16), rng.randrange(1, 16),
                        rng.randrange(16))
-            mult3 = gf.mul(b, gf.pow(c, 3)) == 1
-            yield "pi3", (a, b, c, d), spec16, 3 if mult3 else 2
         else:
+            fibration = "pi5"
             b, c, d = (rng.randrange(16), rng.randrange(16),
                        rng.randrange(1, 16))
-            k = gf.mul(gf.mul(a, gf.pow(b, 2)), gf.pow(d, 2))
-            yield "pi5", (a, b, c, d), spec16, 3 if k == 1 else 2
+        point = (a, b, c, d)
+        yield fibration, point, spec16, _want_mult(gf, fibration, point)
     for _ in range(10):
         a, c = rng.randrange(16), rng.randrange(16)
         b = rng.randrange(1, 16)
@@ -308,6 +311,11 @@ def check_integral_fibres(seed: int = 0) -> CheckResult:
             return _fail(name, anchor,
                          f"{label}: multiplicity {cls.multiplicity}"
                          f" != {want_mult}")
+        # the chart multiplicity against the head of delta's sequence
+        chart_mult = multiplicity_at(curve, sing)
+        if chart_mult != cls.multiplicity:
+            return _fail(name, anchor, f"{label}: chart multiplicity"
+                         f" {chart_mult} != {cls.multiplicity}")
         if cls.delta != 3:
             return _fail(name, anchor, f"{label}: delta {cls.delta}")
         for pt in smooth_points(curve, limit=3):

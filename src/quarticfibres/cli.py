@@ -36,12 +36,12 @@ from .tower import (CONST_NAMES, TowerKind, is_nonhyperelliptic, make_tower,
 # ----- input parsing --------------------------------------------------------
 
 
-_MODULUS_TERM = re.compile(r"1|u(?:\^([0-9]+))?")
+_MODULUS_TERM = re.compile(r"1|u(?:\^0*([0-9]+))?")
 
 
-def _parse_modulus(text: str) -> int:
-    """Modulus polynomial over F2, either bit-packed ("19") or written
-    out ("u^4+u+1")."""
+def _parse_modulus(text: str, m: int) -> int:
+    """Modulus polynomial over F2 of degree m, either bit-packed ("19") or
+    written out ("u^4+u+1")."""
     try:
         return int(text, 0)
     except ValueError:
@@ -51,12 +51,18 @@ def _parse_modulus(text: str) -> int:
         term = _MODULUS_TERM.fullmatch(part)
         if term is None:
             raise QuarticError(f"cannot read modulus term {part!r}")
-        bits |= 1 if part == "1" else 1 << int(term[1] or 1)
+        k = "0" if part == "1" else term[1] or "1"
+        # k has no leading zeros, so a longer string than m's is larger;
+        # testing that first keeps int() off exponents of any length
+        if len(k) > len(str(m)) or int(k) > m:
+            raise QuarticError(f"modulus term {part!r} is above degree {m}")
+        bits |= 1 << int(k)
     return bits
 
 
 def _field(args) -> FieldSpec:
-    modulus = _parse_modulus(args.field_poly) if args.field_poly else None
+    modulus = (_parse_modulus(args.field_poly, args.field_m)
+               if args.field_poly else None)
     return FieldSpec(args.field_m, modulus)
 
 
@@ -190,10 +196,10 @@ def _cmd_tower(args) -> int:
                    f"model {params.tag} a={params.a} b={params.b}"
                    f" c={params.c} d={params.d}")
     if args.breve:
-        rep.result("breve_relation", str(printed_breve_relation(p)),
-                   f"breve relation {printed_breve_relation(p)}")
+        printed = printed_breve_relation(p)
+        rep.result("breve_relation", str(printed), f"breve relation {printed}")
         rep.check("breve relation agrees with elimination",
-                  "breve-relation", verify_breve_relation(p))
+                  "breve-relation", verify_breve_relation(p, printed=printed))
     return _emit(rep, args)
 
 

@@ -84,10 +84,6 @@ class InternalCheckFailed(QuarticError):
     point) did not come out zero; indicates a bug, not bad input."""
 
 
-class NoSuchRow(QuarticError):
-    """The property triple matches none of the five classification rows."""
-
-
 class SearchCapped(QuarticError):
     """A search the answer needs lies beyond an enumeration cap."""
 

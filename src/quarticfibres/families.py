@@ -8,11 +8,8 @@ non-square/non-zero constraint list.  The table is written once, here:
 the parameter rules (`FAMILY_PARAMS`), the forms (`family_terms`) and the
 singular points (`singular_radicands`); the last two are ring-generic, so
 ``fibres`` reads them over GF(2^m).  This module builds the forms,
-validates the constraints, locates the singular point in K(t^(1/4)) (the
-`insep` field, where every coordinate of it lives), and computes the
-residue-degree profile of the chain of primes sitting over the
-singularity from the subfields K, K(t^(1/2)), K(t^(1/4)) that the
-point's coordinates generate.
+validates the constraints and locates the singular point in K(t^(1/4))
+(the `insep` field, where every coordinate of it lives).
 """
 
 from __future__ import annotations
@@ -20,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (ConstraintViolation, InternalCheckFailed, NoSuchRow,
-                     NotHomogeneous, UnsupportedFamily)
-from .insep import InsepElem, fourth_root, sqrt_in_quarter, subalgebra_dimension
+from .errors import ConstraintViolation, InternalCheckFailed, NotHomogeneous
+from .insep import InsepElem, fourth_root, sqrt_in_quarter
 from .mpoly import MPoly, triform
 from .scalars import KDomain, ScalarK
 
@@ -75,16 +71,6 @@ class SingularPointSpec:
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class ResidueProfile:
-    deg_p: int
-    deg_p1: int
-    deg_p2: int
-    deg_p3: int | None
-    e: int
-    e1: int
 
 
 # The rule each listed parameter obeys ("nonsquare": not in K^2); a
@@ -178,36 +164,6 @@ def singular_point(m: QuarticModel) -> SingularPointSpec:
     return SingularPointSpec(coords)
 
 
-def residue_profile(m: QuarticModel) -> ResidueProfile:
-    """Residue degrees of the singular prime and its Frobenius pushdowns."""
-    p = m.params
-    a, b = p.a, p.b
-    # the singular point is (1 : u^(1/4) : b^(1/2)) for IV and V
-    _, u, _ = singular_radicands(p.tag, ScalarK.zero(p.gf), ScalarK.one(p.gf),
-                                 a, b, p.c)
-    if p.tag is FamilyTag.III:
-        deg_p = subalgebra_dimension([fourth_root(a)])
-        deg_p1 = subalgebra_dimension([sqrt_in_quarter(a)])
-        return ResidueProfile(deg_p, deg_p1, 1, None, 1, 1)
-    if p.tag is FamilyTag.IV:
-        rb = sqrt_in_quarter(b)
-        deg_p = subalgebra_dimension([rb, fourth_root(u)])
-        deg_p1 = subalgebra_dimension([rb, sqrt_in_quarter(u)])
-        deg_p2 = subalgebra_dimension([rb])
-    elif p.tag is FamilyTag.V:
-        ra = sqrt_in_quarter(a)
-        rb = sqrt_in_quarter(b)
-        deg_p = subalgebra_dimension([ra, rb, fourth_root(u)])
-        deg_p1 = subalgebra_dimension([ra, rb])
-        deg_p2 = subalgebra_dimension([ra])
-    else:
-        raise UnsupportedFamily(
-            f"no residue profile for family {p.tag} (singular prime is canonical)")
-    e1 = 4 // deg_p1
-    e = 8 // (deg_p * e1)
-    return ResidueProfile(deg_p, deg_p1, deg_p2, 1, e, e1)
-
-
 def invariant(m: QuarticModel) -> ScalarK | None:
     """Isomorphism invariant of the family, where one exists."""
     p = m.params
@@ -219,25 +175,6 @@ def invariant(m: QuarticModel) -> ScalarK | None:
     if p.tag is FamilyTag.V:
         return a * b.square() * d.square()
     return None
-
-
-_TABLE = {
-    (True, True, True): FamilyTag.I,
-    (False, True, False): FamilyTag.II,
-    (True, False, False): FamilyTag.III,
-    (False, False, True): FamilyTag.IV,
-    (False, False, False): FamilyTag.V,
-}
-
-
-def classify_by_table(p2_rational: bool, p_canonical: bool,
-                      E_equals_F2: bool) -> FamilyTag:
-    """Recover the family from the three intrinsic yes/no properties."""
-    key = (bool(p2_rational), bool(p_canonical), bool(E_equals_F2))
-    tag = _TABLE.get(key)
-    if tag is None:
-        raise NoSuchRow(f"no family with (p2 rational, p canonical, E=F2) = {key}")
-    return tag
 
 
 def is_strange(f: MPoly) -> bool:

@@ -31,7 +31,8 @@ class GF:
         if modulus is None:
             modulus = gf2x.first_irreducible(m)
         if gf2x.deg(modulus) != m or not gf2x.is_irreducible(modulus):
-            raise FieldError(f"modulus {bin(modulus)} is not irreducible of degree {m}")
+            raise FieldError(f"modulus of degree {gf2x.deg(modulus)} is not"
+                             f" irreducible of degree {m}")
         self.m = m
         self.q = 1 << m
         self.slot = 2 * m - 1   # bits per coefficient of a packed UPoly

@@ -55,17 +55,6 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def pow_mod(a: int, e: int, m: int) -> int:
-    r = 1
-    a = mod(a, m)
-    while e:
-        if e & 1:
-            r = mod(mul(r, a), m)
-        a = mod(mul(a, a), m)
-        e >>= 1
-    return r
-
-
 def is_irreducible(f: int) -> bool:
     """Trial division by every polynomial of degree 1..deg(f)/2."""
     d = deg(f)

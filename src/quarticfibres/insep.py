@@ -60,15 +60,6 @@ class InsepElem:
     def __bool__(self):
         return bool(self.x)
 
-    def in_base_field(self) -> bool:
-        """Whether the element lies in K, the fourth powers of F_q(s)."""
-        return self.x.is_square() and self.x.sqrt().is_square()
-
-    def as_scalar(self) -> ScalarK:
-        if not self.in_base_field():
-            raise ValueError("element has nontrivial inseparable part")
-        return ScalarK(_shrink(self.x.num), _shrink(self.x.den), _canonical=True)
-
     # ----- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "InsepElem") -> "InsepElem":
@@ -147,21 +138,3 @@ def fourth_root(x: ScalarK) -> InsepElem:
 def sqrt_in_quarter(x: ScalarK) -> InsepElem:
     """The square root of an element of K, as an element of K(t^(1/4))."""
     return fourth_root(x.square())
-
-
-def is_fourth_power(x: ScalarK) -> bool:
-    return fourth_root(x).in_base_field()
-
-
-def subalgebra_dimension(gens) -> int:
-    """Dimension over K of the subfield K(g1,...,gn) of K(t^(1/4)).
-
-    K has the single p-basis element t, so the only fields between K and
-    K(t^(1/4)) are K, K(t^(1/2)) = the squares of F_q(s), and K(t^(1/4)).
-    """
-    gens = list(gens)
-    if any(not g.x.is_square() for g in gens):
-        return 4
-    if any(not g.in_base_field() for g in gens):
-        return 2
-    return 1

@@ -3,15 +3,15 @@
 Two models of a family (III, IV or V) are isomorphic over K exactly when
 a witness tuple of constants transforms one parameter vector into the
 other; the same witness determines a fractional-linear substitution in
-the curve generators.  `apply_iso` computes the target parameters,
-`iso_maps` the substitution, and `verify_iso` replays the substitution
-inside the target quartic and checks that the source quartic is
-reproduced up to a nonzero scalar.  All three read one computation, in
-which the witness constants and the parameters are fractions
-n * prod f_i^e_i over a shared list of factors f_i in GF(q)[t] (the input
-denominators and the inverted sums, eps among them): products add
-exponents and sums factor out the common denominator, so no gcd is taken,
-and each target parameter is reduced once, when it becomes a ScalarK.
+the curve generators.  `apply_iso` computes the target parameters, and
+`verify_iso` replays the substitution inside the target quartic and
+checks that the source quartic is reproduced up to a nonzero scalar.
+Both read one computation, in which the witness constants and the
+parameters are fractions n * prod f_i^e_i over a shared list of factors
+f_i in GF(q)[t] (the input denominators and the inverted sums, eps among
+them): products add exponents and sums factor out the common denominator,
+so no gcd is taken, and each target parameter is reduced once, when it
+becomes a ScalarK.
 `verify_iso` is the sole correctness oracle and is fully symbolic; it
 takes the maps over their common denominator, clears the denominators of
 both quartics once and then runs in GF(q)[t], so no fraction is reduced
@@ -27,7 +27,7 @@ from .errors import (ConstraintViolation, DivisionByZero, EpsilonZero,
 from .families import (FamilyParams, FamilyTag, QuarticModel, build_family,
                        make_params)
 from .mpoly import FORM_VARS, MPoly
-from .scalars import KDomain, ScalarK
+from .scalars import ScalarK
 from .upoly import UPoly, UPolyDomain
 
 MU_NAMES = {
@@ -198,16 +198,6 @@ def _eps_gamma(w: IsoWitness, params: FamilyParams):
     return mus, lever, eps, gamma
 
 
-def epsilon_gamma(w: IsoWitness, params: FamilyParams) -> tuple[ScalarK, ScalarK]:
-    """The two derived constants; EpsilonZero iff mu4 = mu5 = 0.
-
-    (For valid parameters the other root of epsilon would force a or b
-    into K-squares, so the degenerate witness is the only zero locus.)
-    """
-    _, _, eps, gamma = _eps_gamma(w, params)
-    return eps.scalar(), gamma.scalar()
-
-
 def apply_iso(m: QuarticModel, w: IsoWitness) -> QuarticModel:
     """Transform the model parameters by the witness; validates the target."""
     p = m.params
@@ -250,30 +240,6 @@ def apply_iso(m: QuarticModel, w: IsoWitness) -> QuarticModel:
         w.tag, p.gf, **{n: v.scalar() for n, v in target.items()}))
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    """num/den with num, den polynomials in the curve generators y, z."""
-    num: MPoly
-    den: MPoly
-
-    def equals_poly(self, p: MPoly) -> bool:
-        return self.num == p * self.den
-
-    def __str__(self):
-        return f"({self.num})/({self.den})"
-
-
-@dataclass(frozen=True)
-class IsoMaps:
-    zmap: RationalMap
-    ymap: RationalMap
-
-    def is_identity(self) -> bool:
-        dom = self.zmap.num.domain
-        return (self.zmap.equals_poly(MPoly.var(FORM_VARS, dom, "z"))
-                and self.ymap.equals_poly(MPoly.var(FORM_VARS, dom, "y")))
-
-
 # denominator bookkeeping per family: z' = zn/(eps^ez dd) and
 # y' = yn/(eps^ey dd), so the homogeneous replay x -> eps^a dd,
 # y -> eps^(a-ey) yn, z -> eps^(a-ez) zn with a = max(ez, ey) is the
@@ -295,20 +261,6 @@ def _map_forms(tag: FamilyTag, mus, lever, eps, gamma):
     yn = {e: mus[0] * dd[e] + mus[1] * pp[e] for e in dd}
     yn[0, 1, 0] = eps
     return dd, yn, zn
-
-
-def iso_maps(w: IsoWitness, source: FamilyParams) -> IsoMaps:
-    """The fractional-linear substitution (z', y') -> expressions in (z, y)."""
-    mus, lever, eps, gamma = _eps_gamma(w, source)
-    dd, yn, zn = _map_forms(w.tag, mus, lever, eps, gamma)
-    ez, ey = _EPS_POWERS[w.tag]
-    dom = KDomain.get(source.gf)
-
-    def form(f, s=None):
-        return MPoly.from_terms(FORM_VARS, dom, (
-            (e, (c if s is None else c * s).scalar()) for e, c in f.items()))
-    return IsoMaps(RationalMap(form(zn), form(dd, eps ** ez)),
-                   RationalMap(form(yn), form(dd, eps ** ey)))
 
 
 def _lcm_den(coeffs) -> UPoly:
@@ -377,20 +329,3 @@ def verify_iso(source: QuarticModel, target: QuarticModel, w: IsoWitness) -> Sca
             f"substituted target quartic is not a scalar multiple of the source "
             f"(family {w.tag})", residual=str(lifted + src.scale(s)))
     return ScalarK(p4 * s_den, s4 * scale_den)
-
-
-def search_automorphisms(m: QuarticModel, sample, n: int) -> list[IsoWitness]:
-    """Hunt for nontrivial self-maps: witnesses fixing the parameters whose
-    substitution is not the identity.  Expected empty (the automorphism
-    group of a non-hyperelliptic model is trivial)."""
-    violations = []
-    for _ in range(n):
-        w = sample()
-        try:
-            target = apply_iso(m, w)
-        except (EpsilonZero, ConstraintViolation):
-            continue
-        if target.params == m.params:
-            if not iso_maps(w, m.params).is_identity():
-                violations.append(w)
-    return violations

@@ -123,10 +123,6 @@ class ExcCurve:
     fib0: int               # multiplicity in the (1:0) fibre divisor
     fib1: int
 
-    @property
-    def horizontal(self) -> bool:
-        return self.fib0 == 0 and self.fib1 == 0
-
 
 @dataclass(frozen=True)
 class StrictCurve:

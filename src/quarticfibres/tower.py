@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (ConstraintViolation, Hyperelliptic, InternalCheckFailed,
-                     UnsupportedFamily, UnsupportedKind)
+from .errors import (ConstraintViolation, Hyperelliptic, UnsupportedFamily,
+                     UnsupportedKind)
 from .families import FamilyParams, FamilyTag, build_family, make_params
 from .mpoly import MPoly
 from .scalars import KDomain, ScalarK
@@ -79,12 +79,6 @@ def make_tower(kind: TowerKind, gf, **by_name) -> TowerPresentation:
 class TowerRelations:
     kind: TowerKind
     relations: tuple[MPoly, ...]  # each must vanish on the tower generators
-
-
-@dataclass
-class TowerAut:
-    subs: dict[str, MPoly]
-    text: str
 
 
 def _dom(gf):
@@ -314,61 +308,3 @@ def verify_breve_relation(p: TowerPresentation,
         c1, B1 = q.const("c1"), q.const("B1")
         rhs = rhs.scale((c1 * B1).square())
     return lhs == rhs
-
-
-# --- invariants, automorphisms, pseudo-canonical field ---------------------
-
-
-def tower_invariant_and_aut(p: TowerPresentation):
-    """The isomorphism invariant and, when it vanishes, the involution.
-
-    Kinds A and C carry the invariant c1*B1^2 resp. c4^4/a2^3; a zero
-    invariant is exactly the hyperelliptic locus, where the automorphism
-    group becomes Z/2 generated by a shift of x.  Kind B has no invariant
-    and trivial automorphism group: returns (None, None).
-    """
-    gf = p.gf
-    if p.kind is TowerKind.B:
-        return (None, None)
-    if p.kind is TowerKind.D:
-        raise UnsupportedKind("kind D carries no stated invariant")
-    if p.kind is TowerKind.A:
-        c1, B1 = p.const("c1"), p.const("B1")
-        iota = c1 * B1.square()
-        shift = c1
-        text = "x -> x + c1"
-    else:
-        a2, c4 = p.const("a2"), p.const("c4")
-        iota = c4 ** 4 / a2 ** 3
-        shift = a2.inverse()
-        text = "x -> x + 1/a2"
-    if iota:
-        return (iota, None)
-    subs = {"x": _tvar(gf, "x") + _tconst(gf, shift)}
-    rels = validate_presentation(p).relations
-    for r in rels:
-        if r.substitute(subs) != r:
-            raise InternalCheckFailed(
-                f"automorphism {text} does not preserve the kind-{p.kind} relations")
-    return (iota, TowerAut(subs, text))
-
-
-def pseudocanonical_E_equals_F2(p: TowerPresentation) -> bool:
-    """Whether the pseudo-canonical field coincides with the second
-    Frobenius pullback — true exactly for kind B."""
-    if p.kind is TowerKind.D:
-        raise UnsupportedKind("pseudo-canonical comparison undefined for kind D")
-    return p.kind is TowerKind.B
-
-
-def in_k2_span(b2: ScalarK, a2: ScalarK) -> bool:
-    """Membership of b2 in the K²-span of {1, a2} (i.e. b2 = r0² + r1²·a2).
-
-    Over K = F_q(t) the square subfield K² has index 2, with odd/even
-    t-support splitting the two components; when a2 is a non-square the
-    pair {1, a2} is a K²-basis of K and the span is everything, so the
-    predicate only bites when a2 is itself a square.
-    """
-    if not a2.is_square():
-        return True
-    return b2.is_square()

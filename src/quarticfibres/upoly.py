@@ -196,14 +196,6 @@ class UPoly:
                 b = b.square()
         return UPoly.one(self.gf) if r is None else r
 
-    def eval(self, x: int) -> int:
-        """Horner evaluation at a field element."""
-        gf = self.gf
-        acc = 0
-        for c in reversed(self.to_coeffs()):
-            acc = gf.mul(acc, x) ^ c
-        return acc
-
     # ----- char-2 squares -----------------------------------------------
 
     def is_square(self) -> bool:

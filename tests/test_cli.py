@@ -175,6 +175,17 @@ def test_exit_codes_and_error_record():
         rec = json.loads(run("family", "--tag", "III", "--a", "t", "--b", "1",
                              "--c", "1", *field, "--json").stdout)
         assert rec["error"]["type"] == "QuarticError"
+    # a term above --field-m is refused before the polynomial is built
+    huge = ["family", "--tag", "IV", "--b", "t", "--field-m", "4",
+            "--field-poly", "u^100000000+u+1"]
+    r = run(*huge)
+    assert r.returncode == 1
+    assert r.stdout.startswith("error: QuarticError: ")
+    assert r.stdout.count("\n") == 1 and len(r.stdout) < 200
+    r = run(*huge, "--json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["type"] == "QuarticError"
+    assert len(r.stdout) < 200
 
 
 def test_output_files(tmp_path):

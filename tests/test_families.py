@@ -4,13 +4,10 @@ from itertools import product
 
 import pytest
 
-from quarticfibres.errors import (ConstraintViolation, NoSuchRow,
-                                  NotHomogeneous, UnsupportedFamily)
-from quarticfibres.families import (FamilyTag, build_family,
-                                    classify_by_table, family_terms,
+from quarticfibres.errors import ConstraintViolation, NotHomogeneous
+from quarticfibres.families import (FamilyTag, build_family, family_terms,
                                     invariant, is_strange, make_params,
-                                    residue_profile, singular_point,
-                                    singular_radicands)
+                                    singular_point, singular_radicands)
 from quarticfibres.finitefield import GF, FieldSpec
 from quarticfibres.mpoly import triform
 from quarticfibres.parser import parse_element, parse_form
@@ -122,39 +119,6 @@ def test_singular_point_locations():
     m3 = build_family(make_params(FamilyTag.III, F2, a=t, b=_p("1"),
                                   c=_p("1")))
     assert str(singular_point(m3)) == "(1 : t^(1/4) : t^(1/2))"
-
-
-def test_residue_profiles():
-    t = _p("t")
-    m3 = build_family(make_params(FamilyTag.III, F2, a=t, b=_p("1"),
-                                  c=_p("1")))
-    r = residue_profile(m3)
-    assert (r.deg_p, r.deg_p1, r.deg_p2) == (4, 2, 1)
-    assert (r.e, r.e1) == (1, 1)
-    m4 = build_family(make_params(FamilyTag.IV, F2, b=t, c=_p("1")))
-    r4 = residue_profile(m4)
-    # u = ab^2 + c = 1 is a fourth power: only sqrt(b) extends the residue
-    assert (r4.deg_p, r4.deg_p1, r4.deg_p2) == (2, 2, 2)
-    assert (r4.e, r4.e1) == (2, 2)
-    m5 = build_family(make_params(FamilyTag.V, F2, a=t, b=t, d=_p("1")))
-    r5 = residue_profile(m5)
-    # u = ab^2 + b = t(t+1)^2: its fourth root needs all of K(t^(1/4))
-    assert (r5.deg_p, r5.deg_p1, r5.deg_p2) == (4, 2, 2)
-    assert (r5.e, r5.e1) == (1, 2)
-    with pytest.raises(UnsupportedFamily):
-        residue_profile(build_family(make_params(FamilyTag.I, F2, c=t)))
-
-
-def test_classification_table():
-    assert classify_by_table(True, True, True) is FamilyTag.I
-    assert classify_by_table(False, True, False) is FamilyTag.II
-    assert classify_by_table(True, False, False) is FamilyTag.III
-    assert classify_by_table(False, False, True) is FamilyTag.IV
-    assert classify_by_table(False, False, False) is FamilyTag.V
-    with pytest.raises(NoSuchRow):
-        classify_by_table(True, True, False)
-    with pytest.raises(NoSuchRow):
-        classify_by_table(True, False, True)
 
 
 def test_is_strange_detects_odd_terms():

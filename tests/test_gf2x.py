@@ -73,10 +73,3 @@ def test_square_is_mul_self():
     for _ in range(100):
         a = random.getrandbits(16)
         assert gf2x.square(a) == gf2x.mul(a, a)
-
-
-def test_pow_mod():
-    m = 0b1011
-    # Fermat: a^(2^3) = a mod m for the field F8
-    for a in range(1, 8):
-        assert gf2x.pow_mod(a, 8, m) == a

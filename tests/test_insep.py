@@ -3,12 +3,9 @@ import random
 import pytest
 
 from quarticfibres import families
-from quarticfibres.errors import UnsupportedFamily
-from quarticfibres.families import (FamilyTag, build_family, residue_profile,
-                                    singular_point)
+from quarticfibres.families import FamilyTag, build_family, singular_point
 from quarticfibres.finitefield import GF
-from quarticfibres.insep import (InsepElem, fourth_root, is_fourth_power,
-                                 sqrt_in_quarter, subalgebra_dimension)
+from quarticfibres.insep import InsepElem, fourth_root, sqrt_in_quarter
 from quarticfibres.sampling import random_params, random_scalar, rng_for
 from quarticfibres.scalars import ScalarK
 from quarticfibres.upoly import UPoly
@@ -34,7 +31,6 @@ def test_fourth_root_of_t():
     assert r.pow(4) == InsepElem.from_scalar(t)
     assert str(r) == "t^(1/4)"
     assert str(r.square()) == "t^(1/2)"
-    assert not r.in_base_field()
 
 
 def test_fourth_root_generic():
@@ -44,18 +40,6 @@ def test_fourth_root_generic():
         assert r.pow(4) == InsepElem.from_scalar(x)
         y = sqrt_in_quarter(x)
         assert y.square() == InsepElem.from_scalar(x)
-
-
-def test_base_field_detection():
-    x = _scalar()
-    e = InsepElem.from_scalar(x)
-    assert e.in_base_field()
-    assert e.as_scalar() == x
-    t = ScalarK.t(F2)
-    assert is_fourth_power(t ** 4)
-    assert not is_fourth_power(t)
-    with pytest.raises(ValueError):
-        fourth_root(t).as_scalar()
 
 
 def test_arithmetic():
@@ -68,22 +52,11 @@ def test_arithmetic():
     assert a.scalar_mul(t).pow(4) == InsepElem.from_scalar(t ** 5)
 
 
-def test_subalgebra_dimension():
-    # the subfield lattice of K(t^(1/4))/K only has steps 1, 2, 4
-    t = ScalarK.t(F2)
-    one = InsepElem.one(F2)
-    assert subalgebra_dimension([one]) == 1
-    assert subalgebra_dimension([one, sqrt_in_quarter(t)]) == 2
-    assert subalgebra_dimension([one, fourth_root(t)]) == 4
-    assert subalgebra_dimension([one, one + one]) == 1
-
-
 # ----- reference: K(t^(1/4)) as coordinate vectors over K -------------------
 #
 # The package's earlier representation, kept as the oracle: an element is
 # (c0, c1, c2, c3) with value c0 + c1 s + c2 s^2 + c3 s^3, s = t^(1/4), and
-# products wrap s^4 = t; the subfield dimension is the K-rank of the
-# multiplicative closure, found by echelon insertion.
+# products wrap s^4 = t.
 
 
 class CoordElem:
@@ -108,14 +81,6 @@ class CoordElem:
 
     def __bool__(self):
         return any(self.coords)
-
-    def in_base_field(self):
-        return not any(self.coords[1:])
-
-    def as_scalar(self):
-        if not self.in_base_field():
-            raise ValueError("element has nontrivial inseparable part")
-        return self.coords[0]
 
     def __add__(self, other):
         return CoordElem(a + b for a, b in zip(self.coords, other.coords))
@@ -186,37 +151,6 @@ def coord_sqrt_in_quarter(x):
     return coord_fourth_root(x.square())
 
 
-def coord_subalgebra_dimension(gens):
-    gens = list(gens)
-    if not gens:
-        return 1
-    basis = []  # echelon rows (pivot, coordinates)
-
-    def insert(vec):
-        vec = list(vec)
-        for piv, row in basis:
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                vec = [v + r * f for v, r in zip(vec, row)]
-        for i in range(4):
-            if vec[i]:
-                basis.append((i, tuple(vec)))
-                return True
-        return False
-
-    frontier = [CoordElem.one(gens[0].gf)]
-    insert(frontier[0].coords)
-    while frontier and len(basis) < 4:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                p = r * g
-                if insert(p.coords):
-                    nxt.append(p)
-        frontier = nxt
-    return len(basis)
-
-
 # ----- differential checks against the reference ----------------------------
 
 
@@ -250,18 +184,9 @@ def test_matches_coordinate_reference(m):
     pool = _pool(rng, gf)
     for a, ca in pool:
         assert str(a) == str(ca)
-        assert a.in_base_field() == ca.in_base_field()
-        if ca.in_base_field():
-            assert a.as_scalar() == ca.as_scalar()
-        else:
-            with pytest.raises(ValueError):
-                a.as_scalar()
     for _ in range(40):
         (a, ca), (b, cb) = rng.choice(pool), rng.choice(pool)
         assert (a == b) == (ca == cb)
-        gens = rng.sample(pool, rng.randrange(1, 4))
-        assert (subalgebra_dimension(g for g, _ in gens)
-                == coord_subalgebra_dimension(c for _, c in gens))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -272,19 +197,11 @@ def test_family_points_match_coordinate_reference(m, monkeypatch):
               for tag in FamilyTag for _ in range(4)]
 
     def answers():
-        out = []
-        for model in models:
-            try:
-                profile = residue_profile(model)
-            except UnsupportedFamily:
-                profile = None
-            out.append((str(singular_point(model)), profile))
-        return out
+        return [str(singular_point(model)) for model in models]
 
     got = answers()
     for name, ref in (("InsepElem", CoordElem),
                       ("fourth_root", coord_fourth_root),
-                      ("sqrt_in_quarter", coord_sqrt_in_quarter),
-                      ("subalgebra_dimension", coord_subalgebra_dimension)):
+                      ("sqrt_in_quarter", coord_sqrt_in_quarter)):
         monkeypatch.setattr(families, name, ref)
     assert got == answers()

@@ -2,20 +2,16 @@
 
 import pytest
 
-from quarticfibres.errors import (ConstraintViolation, Hyperelliptic,
-                                  UnsupportedKind)
+from quarticfibres.errors import ConstraintViolation, Hyperelliptic
 from quarticfibres.families import FamilyTag
 from quarticfibres.finitefield import GF, FieldSpec
 from quarticfibres.mpoly import MPoly
 from quarticfibres.parser import parse_element
 from quarticfibres.scalars import ScalarK
 from quarticfibres.tower import (CONST_NAMES, TowerKind, eliminate_to_breve,
-                                 in_k2_span, invert_model_map,
-                                 is_nonhyperelliptic, make_tower,
-                                 normalize_presentation,
-                                 printed_breve_relation,
-                                 pseudocanonical_E_equals_F2,
-                                 to_quartic_model, tower_invariant_and_aut,
+                                 invert_model_map, is_nonhyperelliptic,
+                                 make_tower, normalize_presentation,
+                                 printed_breve_relation, to_quartic_model,
                                  validate_presentation,
                                  verify_breve_relation)
 
@@ -152,45 +148,6 @@ def test_breve_relation():
     c = make_tower(TowerKind.C, F2, a0=_p("1"), a2=_p("t"), b1=_p("t"),
                    c3=_p("t"), c4=_p("1"))
     assert verify_breve_relation(c)
-
-
-def test_invariant_and_automorphism():
-    iota, aut = tower_invariant_and_aut(_tower_a(c1="t", B1="t"))
-    assert iota == _p("t^3")
-    assert aut is None
-    iota0, aut0 = tower_invariant_and_aut(_tower_a(B1="0"))
-    assert not iota0
-    assert aut0 is not None and "x" in aut0.subs
-    b = make_tower(TowerKind.B, F2, a2=_p("t"), b0=_p("0"), b2=_p("0"))
-    assert tower_invariant_and_aut(b) == (None, None)
-    c = make_tower(TowerKind.C, F2, a0=_p("0"), a2=_p("t"), b1=_p("t"),
-                   c3=_p("0"), c4=_p("1"))
-    iota_c, _ = tower_invariant_and_aut(c)
-    assert iota_c == _p("1/t^3")
-    with pytest.raises(UnsupportedKind):
-        tower_invariant_and_aut(
-            make_tower(TowerKind.D, F2, a0=_p("0"), a2=_p("t"),
-                       c0=_p("0"), c2=_p("t^3")))
-
-
-def test_pseudocanonical_flag():
-    assert not pseudocanonical_E_equals_F2(_tower_a())
-    b = make_tower(TowerKind.B, F2, a2=_p("t"), b0=_p("0"), b2=_p("0"))
-    assert pseudocanonical_E_equals_F2(b)
-    with pytest.raises(UnsupportedKind):
-        pseudocanonical_E_equals_F2(
-            make_tower(TowerKind.D, F2, a0=_p("0"), a2=_p("t"),
-                       c0=_p("0"), c2=_p("t^3")))
-
-
-def test_k2_span():
-    t = _p("t")
-    assert in_k2_span(t, t)            # nonsquare a2 spans everything
-    assert in_k2_span(_p("t^2"), _p("t^2"))
-    assert not in_k2_span(t, _p("t^2"))
-    assert not in_k2_span(_p("t^3"), _p("t^2"))
-    assert in_k2_span(_p("t^2+t^4"), _p("t^2"))
-    assert in_k2_span(_p("t^3"), _p("t"))  # t^3 = 0 + (t)^2 * t
 
 
 def test_const_names_cover_all_kinds():
