@@ -8,7 +8,8 @@ are pencils of plane curves.  A fibre is a ternary form over GF(2^m),
 wrapped in `PlaneCurveFq`, and the routines here measure it:
 
 * ``singular_locus`` brute-forces the projective plane over GF(q) and
-  GF(q^2) (the scans run through ``kernels``);
+  GF(q^2), and ``smooth_points`` over GF(q), with the bit-sliced scans
+  of ``kernels``;
 * ``multiplicity_at`` translates the point into an affine chart and
   reads off the lowest total degree;
 * ``delta_invariant`` iterates ``plane.blow_up`` at the directions of
@@ -213,13 +214,9 @@ def singular_locus(curve: PlaneCurveFq) -> list:
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
     """Points of the curve with multiplicity 1, rational over the base
     field, in scan order."""
-    gf, f = curve.gf, curve.form
-    pts = kernels.plane_points(gf.q)
-    vals = kernels.evaluate_forms(pts, [f] + [f.partial(v) for v in f.vars],
-                                  gf)
-    smooth = (vals[0] == 0) & vals[1:].any(axis=0)
-    return [tuple(GFElem(gf, int(v)) for v in raw)
-            for raw in pts[smooth][:limit]]
+    gf = curve.gf
+    return [tuple(GFElem(gf, v) for v in raw)
+            for raw in kernels.scan_smooth_points(curve.form, gf)[:limit]]
 
 
 # ----- tangent contact ----------------------------------------------------

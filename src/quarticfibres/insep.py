@@ -51,10 +51,6 @@ class InsepElem:
         # t -> s^4 is an injective ring map, so a reduced a stays reduced
         return cls(ScalarK(_stretch(a.num), _stretch(a.den), _canonical=True))
 
-    @classmethod
-    def one(cls, gf) -> "InsepElem":
-        return cls(ScalarK.one(gf))
-
     # ----- predicates -------------------------------------------------------
 
     def __bool__(self):
@@ -67,15 +63,6 @@ class InsepElem:
 
     def __mul__(self, other: "InsepElem") -> "InsepElem":
         return InsepElem(self.x * other.x)
-
-    def scalar_mul(self, a: ScalarK) -> "InsepElem":
-        return self * InsepElem.from_scalar(a)
-
-    def square(self) -> "InsepElem":
-        return InsepElem(self.x.square())
-
-    def pow(self, n: int) -> "InsepElem":
-        return InsepElem(self.x ** n)
 
     def __eq__(self, other):
         return isinstance(other, InsepElem) and self.x == other.x

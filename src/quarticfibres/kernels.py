@@ -1,102 +1,128 @@
-"""Array kernels for point scans over the projective plane of GF(2^m).
+"""Bit-sliced point scans over the projective plane of GF(2^m).
 
 The singular-locus search, the smooth points, the zero set that line
 peeling reads its candidate lines from and the pencil base points all
-scan P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow with
-boxed field elements.  In the power basis, field addition is XOR and
-multiplication goes through the discrete-log tables, so evaluating a
-ternary form at every plane point reduces to integer table lookups.
+scan P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow one
+point at a time.  Here a form is evaluated at every point at once, with
+bit slicing (Biham, "A fast new DES implementation in software", 1997):
+a value plane is m Python ints, and bit i of int k is bit k of the value
+at point i, the points taken in ``plane_points`` order.  A sum of planes
+is m XORs; a product is m^2 ANDs and XORs followed by reduction by the
+modulus; a constant factor is a GF(2)-linear map on the m ints.  The
+zeros of a form are the complement of the OR of its m ints.
 
-There is one evaluator, vectorised with numpy over the points;
-``tests/test_kernels.py`` checks it against `MPoly.eval_point` at every
-point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the scans in
-context.
+``tests/test_kernels.py`` checks every scan against `MPoly.eval_point`
+at every point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the
+scans in context.
 """
 
-from functools import cache
-
-import numpy as np
+import re
+from functools import cache, reduce
+from operator import or_
 
 # Always False: there is no compiled path; kept because perfbench records it.
 USING_NUMBA = False
 
 
 @cache
-def plane_points(q: int) -> np.ndarray:
+def plane_points(q: int) -> tuple:
     """Canonical representatives of P^2(F_q): (1:y:z), (0:1:z), (0:0:1).
 
-    Built once per q and shared, so the array is read-only."""
-    ys, zs = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-    affine = np.column_stack(
-        [np.ones(q * q, dtype=np.int64), ys.ravel(), zs.ravel()])
-    line = np.column_stack(
-        [np.zeros(q, dtype=np.int64), np.ones(q, dtype=np.int64),
-         np.arange(q)])
-    far = np.array([[0, 0, 1]], dtype=np.int64)
-    pts = np.concatenate([affine, line, far]).astype(np.int64)
-    pts.setflags(write=False)
-    return pts
+    Point i of the affine part is (1 : i // q : i % q).  Built once per q
+    and shared, so it is a tuple."""
+    return tuple([(1, y, z) for y in range(q) for z in range(q)]
+                 + [(0, 1, z) for z in range(q)] + [(0, 0, 1)])
 
 
-def _eval_numpy(pts, exps, coeffs, logt, expt, qm1):
-    n = pts.shape[0]
-    values = np.zeros(n, dtype=np.int64)
-    for t in range(exps.shape[0]):
-        c = int(coeffs[t])
-        if c == 0:
-            continue
-        lacc = np.full(n, int(logt[c]), dtype=np.int64)
-        dead = np.zeros(n, dtype=bool)
-        for j in range(3):
-            e = int(exps[t, j])
-            if e == 0:
-                continue
-            col = pts[:, j]
-            dead |= col == 0
-            lacc += e * logt[col]
-        term = expt[lacc % qm1]
-        term[dead] = 0
-        values ^= term
-    return values
+def _stripes(width: int, length: int) -> int:
+    """The bits i < length with i & width set (width a power of two
+    whose double divides length)."""
+    period = 2 * width
+    repeat = ((1 << length) - 1) // ((1 << period) - 1)
+    return (((1 << width) - 1) << width) * repeat
 
 
-def _tables(gf):
-    logt = np.array(gf.log, dtype=np.int64)
-    expt = np.array(gf.exp[: gf.q - 1] if gf.q > 2 else [1], dtype=np.int64)
-    return logt, expt, max(gf.q - 1, 1)
+@cache
+def _coordinates(m: int) -> tuple:
+    """The x, y and z planes of P^2(GF(2^m)).  On the affine part the
+    point index is y q + z, so bit k of z is bit k of the index and bit
+    k of y is bit m + k."""
+    q = 1 << m
+    qq = q * q
+    x = [(1 << qq) - 1] + [0] * (m - 1)
+    y = [_stripes(q << k, qq) for k in range(m)]
+    z = [_stripes(1 << k, qq + q) for k in range(m)]
+    y[0] |= ((1 << q) - 1) << qq
+    z[0] |= 1 << (qq + q)
+    return x, y, z
 
 
-def _form_arrays(form):
-    items = sorted(form.terms.items())
-    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 3)
-    coeffs = np.array([c.v for _, c in items], dtype=np.int64)
-    return exps, coeffs
+def _mul(a: list, b: list, gf) -> list:
+    """The product of two planes, reduced by the field's modulus."""
+    m = gf.m
+    c = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    c[i + j] ^= ai & bj
+    taps = [j for j in range(m) if gf.modulus >> j & 1]
+    for d in range(2 * m - 2, m - 1, -1):
+        if c[d]:
+            for j in taps:
+                c[d - m + j] ^= c[d]
+    return c[:m]
 
 
-def evaluate_forms(points: np.ndarray, forms, gf) -> np.ndarray:
-    """Values of each ternary form at each point, as an (F, N) array."""
-    logt, expt, qm1 = _tables(gf)
-    rows = []
+def _zero_masks(forms, gf) -> list:
+    """The zero set of each form as a mask over ``plane_points(gf.q)``;
+    the forms share their monomial planes."""
+    m, q = gf.m, gf.q
+    full = (1 << (q * q + q + 1)) - 1
+    coords = _coordinates(m)
+    monomials = {(0, 0, 0): [full] + [0] * (m - 1)}
+
+    def monomial(e):
+        mono = monomials.get(e)
+        if mono is None:    # one coordinate times a monomial of lower degree
+            k = next(k for k in range(3) if e[k])
+            lower = e[:k] + (e[k] - 1,) + e[k + 1:]
+            mono = monomials[e] = _mul(monomial(lower), coords[k], gf)
+        return mono
+
+    masks = []
     for f in forms:
-        if not f.terms:
-            rows.append(np.zeros(points.shape[0], dtype=np.int64))
-            continue
-        exps, coeffs = _form_arrays(f)
-        rows.append(_eval_numpy(points, exps, coeffs, logt, expt, qm1))
-    return np.stack(rows)
+        acc = [0] * m
+        for e, c in f.terms.items():
+            for i, plane in enumerate(monomial(e)):
+                if plane:
+                    col = gf.mul(c.v, 1 << i)    # c u^i: where plane i goes
+                    for k in range(m):
+                        if col >> k & 1:
+                            acc[k] ^= plane
+        masks.append(full ^ reduce(or_, acc))
+    return masks
+
+
+def _points(mask: int, q: int) -> list:
+    pts = plane_points(q)
+    # bin() reversed, without its "0b": bit i at position i
+    return [pts[one.start()] for one in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def scan_zero_points(form, gf) -> list:
     """Points of P^2(GF) where the form vanishes, as raw int triples."""
-    pts = plane_points(gf.q)
-    vals = evaluate_forms(pts, [form], gf)[0]
-    return [tuple(int(v) for v in p) for p in pts[vals == 0]]
+    return _points(_zero_masks([form], gf)[0], gf.q)
 
 
 def scan_singular_points(form, gf) -> list:
     """Points where the form and all three partials vanish (raw triples)."""
-    pts = plane_points(gf.q)
-    forms = [form] + [form.partial(v) for v in form.vars]
-    vals = evaluate_forms(pts, forms, gf)
-    mask = np.all(vals == 0, axis=0)
-    return [tuple(int(v) for v in p) for p in pts[mask]]
+    f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
+    return _points(f & fx & fy & fz, gf.q)
+
+
+def scan_smooth_points(form, gf) -> list:
+    """Points where the form vanishes and some partial does not (raw
+    triples)."""
+    f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
+    return _points(f & ~(fx & fy & fz), gf.q)

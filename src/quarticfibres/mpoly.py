@@ -2,7 +2,7 @@
 
 Coefficients are either `GFElem` or `ScalarK`; both expose the same ring
 dunders, so one engine serves ternary forms over finite fields, quartic
-models over K = F_q(t), and the four-variable tower relations alike.  Term
+models over K = F_q(t), and the tower's breve relations alike.  Term
 order is graded reverse lexicographic with earlier entries of `vars`
 taking precedence (x > y > z for ternary forms).
 """

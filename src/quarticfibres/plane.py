@@ -4,9 +4,9 @@ Both the fibre classification and the resolution of pencils work with
 ternary forms in (x, y, z) and the same few local constructions:
 
 * ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
-  are read off the zero set (one ``kernels`` scan): a line divides a form
-  only if all its rational points are zeros.  Each candidate is then
-  confirmed by division;
+  are read off the zero set (one bit-sliced ``kernels`` scan): a line
+  divides a form only if all its rational points are zeros.  Each
+  candidate is then confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the affine chart at a point, translated to the origin;
   ``mult_origin`` reads the multiplicity there;

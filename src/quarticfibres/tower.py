@@ -22,7 +22,6 @@ from .families import FamilyParams, FamilyTag, build_family, make_params
 from .mpoly import MPoly
 from .scalars import KDomain, ScalarK
 
-TOWER_VARS = ("x", "w", "z", "y")
 BREVE_VARS = ("zb", "yb")
 
 
@@ -75,22 +74,8 @@ def make_tower(kind: TowerKind, gf, **by_name) -> TowerPresentation:
         kind, tuple(by_name.get(n, z) for n in CONST_NAMES[kind]))
 
 
-@dataclass(frozen=True)
-class TowerRelations:
-    kind: TowerKind
-    relations: tuple[MPoly, ...]  # each must vanish on the tower generators
-
-
 def _dom(gf):
     return KDomain.get(gf)
-
-
-def _tvar(gf, name: str) -> MPoly:
-    return MPoly.var(TOWER_VARS, _dom(gf), name)
-
-
-def _tconst(gf, c: ScalarK) -> MPoly:
-    return MPoly.const(TOWER_VARS, _dom(gf), c)
 
 
 def _require(cond: bool, message: str):
@@ -98,41 +83,23 @@ def _require(cond: bool, message: str):
         raise ConstraintViolation(message)
 
 
-def validate_presentation(p: TowerPresentation) -> TowerRelations:
-    """Check the constraint clauses and emit the defining relations."""
-    gf = p.gf
-    x, w, z, y = (_tvar(gf, v) for v in TOWER_VARS)
-    k = lambda c: _tconst(gf, c)
+def validate_presentation(p: TowerPresentation) -> None:
+    """Check the constraint clauses of the presentation's kind; raise
+    `ConstraintViolation` at the first that fails."""
+    c = p.const
     if p.kind is TowerKind.A:
-        c0, c1, A2, B0, B1 = p.consts
-        _require(bool(c1), "c1 = 0 for kind A")
-        _require(not A2.is_square(), "A2 ∈ K² for kind A")
-        cx = k(c0) + k(c1) * x + x * x
-        ax = k(c0 * A2 + c1.inverse()) + k(c1 * A2) * x + k(A2) * x * x
-        rels = (z * z + cx * ax,
-                y * y + cx * (k(B0) + k(B1) * x + z))
+        _require(bool(c("c1")), "c1 = 0 for kind A")
+        _require(not c("A2").is_square(), "A2 ∈ K² for kind A")
     elif p.kind is TowerKind.B:
-        a2, b0, b2 = p.consts
-        _require(not a2.is_square(), "a2 ∈ K² for kind B")
-        rels = (w * w + x + k(a2) * x * x,
-                z * z + k(b0) + k(b2) * x * x + w,
-                y * y + x * z)
+        _require(not c("a2").is_square(), "a2 ∈ K² for kind B")
     elif p.kind is TowerKind.C:
-        a0, a2, b1, c3, c4 = p.consts
-        _require(not a2.is_square(), "a2 ∈ K² for kind C")
-        _require(not b1.is_square(), "b1 ∈ K² for kind C")
-        rels = (w * w + k(a0) + x + k(a2) * x * x,
-                z * z + k(b1) * w * w + w,
-                y * y + (k(c3) + k(c4) * x + z) * w)
+        _require(not c("a2").is_square(), "a2 ∈ K² for kind C")
+        _require(not c("b1").is_square(), "b1 ∈ K² for kind C")
     elif p.kind is TowerKind.D:
-        a0, a2, c0, c2 = p.consts
-        _require(not a2.is_square(), "a2 ∈ K² for kind D")
-        _require((c2 / a2).is_square(), "c2 ∉ K²·a2 for kind D")
-        rels = (z.pow(4) + k(a0) + x + k(a2) * x * x,
-                y * y + k(c0) + z + k(c2) * z * z)
+        _require(not c("a2").is_square(), "a2 ∈ K² for kind D")
+        _require((c("c2") / c("a2")).is_square(), "c2 ∉ K²·a2 for kind D")
     else:  # pragma: no cover
         raise UnsupportedKind(f"unknown kind {p.kind}")
-    return TowerRelations(p.kind, rels)
 
 
 def is_nonhyperelliptic(p: TowerPresentation) -> bool:

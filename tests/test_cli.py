@@ -13,11 +13,11 @@ CMD = [sys.executable, "-m", "quarticfibres.cli"]
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run(*args):
+def run(*args, cmd=CMD):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+    return subprocess.run(cmd + list(args), capture_output=True, text=True,
                           env=env)
 
 
@@ -186,6 +186,34 @@ def test_exit_codes_and_error_record():
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"]["type"] == "QuarticError"
     assert len(r.stdout) < 200
+
+
+def test_field_degree_above_16_is_an_error_record():
+    # refused before an exp/log table of 2^m entries is built
+    r = run("family", "--tag", "IV", "--b", "t", "--field-m", "24")
+    assert r.returncode == 1
+    assert r.stdout.startswith("error: FieldError: ")
+    r = run("family", "--tag", "IV", "--b", "t", "--field-m", "24", "--json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"]["type"] == "FieldError"
+    r = run("family", "--tag", "IV", "--b", "t", "--field-m", "16")
+    assert r.returncode == 0
+    assert "PASS strange quartic" in r.stdout
+
+
+def test_runs_without_numpy():
+    # the package imports only the standard library: with numpy made
+    # unimportable, the reports are the same
+    no_numpy = [sys.executable, "-c",
+                "import sys; sys.modules['numpy'] = None;"
+                " from quarticfibres.cli import main; sys.exit(main())"]
+    for args in (["fibre", "classify", "--fibration", "pi4",
+                  "--params", "3,5,7", "--field-m", "6"],
+                 ["scan", "--fibration", "pi3", "--field-m", "2"]):
+        want = run(*args)
+        got = run(*args, cmd=no_numpy)
+        assert want.returncode == got.returncode == 0, got.stderr
+        assert got.stdout == want.stdout
 
 
 def test_output_files(tmp_path):

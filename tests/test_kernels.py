@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quarticfibres import kernels
+from quarticfibres import gf2x, kernels
 from quarticfibres.finitefield import GF, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 
@@ -22,44 +22,58 @@ def test_plane_points_count_and_normalization():
         pts = kernels.plane_points(q)
         assert len(pts) == q * q + q + 1
         # one representative per line: first nonzero coordinate is 1
-        seen = set()
-        for p in pts:
-            tup = tuple(int(v) for v in p)
-            assert tup not in seen
-            seen.add(tup)
-            first = next(v for v in tup if v)
-            assert first == 1
-        # built once per q and shared, so no caller may write to it
+        assert len(set(pts)) == len(pts)
+        assert all(next(v for v in p if v) == 1 for p in pts)
+        # built once per q and shared, so no caller may change it
         assert kernels.plane_points(q) is pts
-        with pytest.raises(ValueError):
-            pts[0, 0] = 0
+        assert isinstance(pts, tuple)
+        assert all(isinstance(p, tuple) for p in pts)
+        with pytest.raises(TypeError):
+            pts[0] = (0, 0, 1)
+
+
+def _fields():
+    # every field with m <= 4, and GF(16) under its other modulus x^4+x^3+1
+    yield from (GF.get(m) for m in (1, 2, 3, 4))
+    other = 0b11001
+    assert gf2x.is_irreducible(other) and other != GF.get(4).modulus
+    yield GF.get(4, other)
 
 
 def test_evaluate_matches_eval_point():
-    # the numpy evaluator against the exact one at every point of
-    # P^2(GF(2^m)), m <= 4, the zero form included
-    for m in (1, 2, 3, 4):
-        gf = GF.get(m)
+    # the three scans against the exact evaluator at every point of
+    # P^2(GF(2^m)), m <= 4; the zero form and a constant form included
+    for gf in _fields():
         pts = kernels.plane_points(gf.q)
         forms = [_rand_form(gf) for _ in range(3)]
         forms.append(MPoly.zero(FORM_VARS, gf))
-        vals = kernels.evaluate_forms(pts, forms, gf)
-        for pi, p in enumerate(pts):
-            point = {n: GFElem(gf, int(v)) for n, v in zip(FORM_VARS, p)}
-            for fi, f in enumerate(forms):
-                assert int(vals[fi, pi]) == f.eval_point(point).v
+        forms.append(MPoly.const(FORM_VARS, gf, GFElem(gf, gf.q - 1)))
+        for f in forms:
+            partials = [f.partial(v) for v in f.vars]
+            zero, singular, smooth = [], [], []
+            for p in pts:
+                point = {n: GFElem(gf, v) for n, v in zip(FORM_VARS, p)}
+                if f.eval_point(point):
+                    continue
+                zero.append(p)
+                if any(d.eval_point(point) for d in partials):
+                    smooth.append(p)
+                else:
+                    singular.append(p)
+            assert kernels.scan_zero_points(f, gf) == zero
+            assert kernels.scan_singular_points(f, gf) == singular
+            assert kernels.scan_smooth_points(f, gf) == smooth
 
 
 def test_scan_zero_points_brute_force():
     gf = GF.get(2)
     f = _rand_form(gf)
     got = set(kernels.scan_zero_points(f, gf))
-    pts = kernels.plane_points(gf.q)
     want = set()
-    for p in pts:
-        point = {n: GFElem(gf, int(v)) for n, v in zip(FORM_VARS, p)}
+    for p in kernels.plane_points(gf.q):
+        point = {n: GFElem(gf, v) for n, v in zip(FORM_VARS, p)}
         if not f.eval_point(point):
-            want.add(tuple(int(v) for v in p))
+            want.add(p)
     assert got == want
 
 

@@ -17,7 +17,7 @@ random.seed(30931)
 def _trial_division_peel(rem, gf, found):
     """The reference: divide by each line of P^2(gf) in turn."""
     deg = rem.total_degree()
-    for t in map(tuple, kernels.plane_points(gf.q).tolist()):
+    for t in kernels.plane_points(gf.q):
         line = line_form(gf, t)
         while deg and (q := rem.divide(line)) is not None:
             found[t] = found.get(t, 0) + 1
@@ -55,7 +55,7 @@ def _random_form(gf, deg):
 def _random_case(gf):
     """A product of random lines with multiplicities 1..4 and a random
     cofactor, of total degree 4."""
-    pts = [tuple(map(int, p)) for p in kernels.plane_points(gf.q)]
+    pts = kernels.plane_points(gf.q)
     factors, deg = [], 0
     while deg < 4 and random.random() < 0.75:
         mult = random.randint(1, 4 - deg)

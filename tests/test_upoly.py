@@ -9,8 +9,8 @@ random.seed(71002)
 
 F4 = GF.get(2)
 F2 = GF.get(1)
-# packed slot widths 2m - 1 from 1 to 33 bits
-MS = (1, 2, 3, 4, 5, 8, 9, 16, 17)
+# packed slot widths 2m - 1 from 1 to 31 bits (GF refuses m > 16)
+MS = (1, 2, 3, 4, 5, 8, 9, 16)
 
 
 def _rand(gf, max_deg=6):
