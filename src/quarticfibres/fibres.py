@@ -7,9 +7,9 @@ singular points (``singular_radicands``) are read from ``families``.  Two
 are pencils of plane curves.  A fibre is a ternary form over GF(2^m),
 wrapped in `PlaneCurveFq`, and the routines here measure it:
 
-* ``singular_locus`` brute-forces the projective plane over GF(q) and
-  GF(q^2), and ``smooth_points`` over GF(q), with the bit-sliced scans
-  of ``kernels``;
+* ``singular_locus`` and ``smooth_points`` read the curve's one
+  bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which line
+  peeling reads too); only the singular locus over GF(q^2) scans again;
 * ``multiplicity_at`` translates the point into an affine chart and
   reads off the lowest total degree;
 * ``delta_invariant`` iterates ``plane.blow_up`` at the directions of
@@ -28,7 +28,7 @@ searches GF(q) and GF(q^2) only.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import kernels
 from .errors import (ConstraintViolation, NotSingular, NotSmoothPoint,
@@ -67,6 +67,11 @@ class PlaneCurveFq:
 
     def degree(self) -> int:
         return self.form.total_degree()
+
+    @cached_property
+    def scan(self) -> tuple:
+        """Zero set, singular and smooth points over GF(q): one pass."""
+        return kernels.scan_curve(self.form, self.gf)
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,7 @@ def singular_locus(curve: PlaneCurveFq) -> list:
     """
     base = curve.gf
     check_cap(base.m, "the singular locus")
-    out = [(tuple(GFElem(base, v) for v in raw), 1)
-           for raw in kernels.scan_singular_points(curve.form, base)]
+    out = [(tuple(map(base.elem, raw)), 1) for raw in curve.scan[1]]
     if 2 * base.m <= LOCUS_CAP:
         big = GF.get(2 * base.m)
         f = embed_form(curve.form, base, big)
@@ -214,9 +218,7 @@ def singular_locus(curve: PlaneCurveFq) -> list:
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
     """Points of the curve with multiplicity 1, rational over the base
     field, in scan order."""
-    gf = curve.gf
-    return [tuple(GFElem(gf, v) for v in raw)
-            for raw in kernels.scan_smooth_points(curve.form, gf)[:limit]]
+    return [tuple(map(curve.gf.elem, raw)) for raw in curve.scan[2][:limit]]
 
 
 # ----- tangent contact ----------------------------------------------------
@@ -419,7 +421,9 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     # with only even powers of y and a y^4 term, every linear factor is
     # rational over the base field, so line peeling need not extend
     even_y = _even_y_monic(curve.form)
-    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else 2)
+    check_cap(gf.m, "line peeling")     # before the scan line peeling reads
+    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else 2,
+                                   curve.scan[0])
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)

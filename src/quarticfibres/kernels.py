@@ -1,9 +1,10 @@
 """Bit-sliced point scans over the projective plane of GF(2^m).
 
-The singular-locus search, the smooth points, the zero set that line
-peeling reads its candidate lines from and the pencil base points all
-scan P^2(GF(2^n)); for n = 8 that is 65793 points, far too slow one
-point at a time.  Here a form is evaluated at every point at once, with
+``scan_curve`` evaluates a fibre and its partials over P^2(GF(q)) in one
+pass, for its zero set (line peeling's candidates), singular and smooth
+points, which `fibres.PlaneCurveFq.scan` keeps for every reader; only the
+GF(q^2) locus, extension line peeling and pencil base points scan alone.
+P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at once with
 bit slicing (Biham, "A fast new DES implementation in software", 1997):
 a value plane is m Python ints, and bit i of int k is bit k of the value
 at point i, the points taken in ``plane_points`` order.  A sum of planes
@@ -121,8 +122,9 @@ def scan_singular_points(form, gf) -> list:
     return _points(f & fx & fy & fz, gf.q)
 
 
-def scan_smooth_points(form, gf) -> list:
-    """Points where the form vanishes and some partial does not (raw
-    triples)."""
+def scan_curve(form, gf) -> tuple:
+    """The zero set, the singular points and the smooth points of a form
+    (raw triples), from one evaluation of the form and its partials."""
     f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
-    return _points(f & ~(fx & fy & fz), gf.q)
+    singular = f & fx & fy & fz
+    return tuple(_points(mask, gf.q) for mask in (f, singular, f ^ singular))

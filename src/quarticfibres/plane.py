@@ -4,9 +4,11 @@ Both the fibre classification and the resolution of pencils work with
 ternary forms in (x, y, z) and the same few local constructions:
 
 * ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
-  are read off the zero set (one bit-sliced ``kernels`` scan): a line
-  divides a form only if all its rational points are zeros.  Each
-  candidate is then confirmed by division;
+  are read off the zero set: a line divides a form only if all its
+  rational points are zeros.  A fibre hands in its base-field zero set
+  from its one ``kernels.scan_curve`` pass; pencils and extensions scan
+  it with ``kernels.scan_zero_points``.  Each candidate is then
+  confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the affine chart at a point, translated to the origin;
   ``mult_origin`` reads the multiplicity there;
@@ -239,11 +241,12 @@ def _full_lines(zeros: list, gf: GF) -> list:
     return found
 
 
-def _peel(rem: MPoly, gf: GF, found: dict):
+def _peel(rem: MPoly, gf: GF, found: dict, zeros=None):
     # a line that does not divide rem divides none of its quotients, so
     # each full line of the zero set is tried once, to its multiplicity
     deg = rem.total_degree()
-    for t in _full_lines(kernels.scan_zero_points(rem, gf), gf):
+    zeros = kernels.scan_zero_points(rem, gf) if zeros is None else zeros
+    for t in _full_lines(zeros, gf):
         if deg == 0:
             break
         line = line_form(gf, t)
@@ -253,7 +256,7 @@ def _peel(rem: MPoly, gf: GF, found: dict):
     return found, rem
 
 
-def peel_lines(form: MPoly, gf: GF, max_ext: int = 1):
+def peel_lines(form: MPoly, gf: GF, max_ext: int = 1, zeros=None):
     """Linear factors of a form, with multiplicities.
 
     The candidates are the lines whose rational points are all zeros of
@@ -263,11 +266,12 @@ def peel_lines(form: MPoly, gf: GF, max_ext: int = 1):
     tried first.  A cofactor of positive degree that is not a smooth
     conic (which has no linear factor over any extension) is then tried
     over GF(2^{m max_ext}) within ``LOCUS_CAP``; the factors move to that
-    field only when a new line splits off there.  Returns ({line triple:
-    multiplicity}, cofactor, the field of both).
+    field only when a new line splits off there.  `zeros`, the zero set
+    over gf if the caller has it, spares the base-field scan.  Returns
+    ({line triple: multiplicity}, cofactor, the field of both).
     """
     check_cap(gf.m, "line peeling")
-    factors, rem = _peel(form, gf, {})
+    factors, rem = _peel(form, gf, {}, zeros)
     if (max_ext <= 1 or gf.m * max_ext > LOCUS_CAP
             or rem.total_degree() == 0 or is_smooth_conic(rem)):
         return factors, rem, gf

@@ -118,6 +118,32 @@ def test_scan_tables():
     assert json.loads(r6.stdout)["error"]["type"] == "ConstraintViolation"
 
 
+def test_scan_tables_over_gf4_and_gf8():
+    # whole grids over m = 2 and 3, pinned: every cascade branch shows up
+    want = {
+        ("pi3", "2"): ("scanned 256 fibres\n"
+                       "   64  ConicPlusDoubleLine\n"
+                       "   96  IntegralQuartic mult 2\n"
+                       "   48  IntegralQuartic mult 3\n"
+                       "   48  Other\n"),
+        ("pi4", "2"): ("scanned 64 fibres\n"
+                       "   48  IntegralQuartic mult 2\n"
+                       "   16  IntegralQuartic mult 3\n"),
+        ("pi5", "2"): ("scanned 256 fibres\n"
+                       "   64  DoubleConic\n"
+                       "   72  IntegralQuartic mult 2\n"
+                       "   36  IntegralQuartic mult 3\n"
+                       "   84  Other\n"),
+        ("pi4", "3"): ("scanned 512 fibres\n"
+                       "  448  IntegralQuartic mult 2\n"
+                       "   64  IntegralQuartic mult 3\n"),
+    }
+    for (fibration, m), table in want.items():
+        r = run("scan", "--fibration", fibration, "--field-m", m)
+        assert r.returncode == 0
+        assert r.stdout == table
+
+
 def test_tower_breve():
     r = run("tower", "--kind", "A",
             "--consts", "c0=1,c1=1,A2=t,B0=0,B1=1", "--model", "--breve")

@@ -246,6 +246,21 @@ def test_classify_divides_only_by_candidate_lines(monkeypatch):
     assert sum(point == cls.sing_point for _, point in charts) == 1
 
 
+def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
+    # a machine-independent work count: F and its partials are evaluated
+    # over P^2(GF(16)) once, for the zero set that line peeling reads,
+    # the singular points and the smooth sample, and once over GF(256)
+    calls = _count_calls(monkeypatch, kernels, "_zero_masks")
+    curve = specialize_fibre("pi4", (3, 5, 7), FieldSpec(4))
+    assert classify_fibre(curve).kind == "IntegralQuartic"
+    rounds = [(len(forms), gf.m) for forms, gf in calls]
+    assert rounds == [(4, 4), (4, 8)]
+    # later readers of the same curve rescan only the GF(q^2) round
+    singular_locus(curve)
+    smooth_points(curve)
+    assert [(len(forms), gf.m) for forms, gf in calls] == rounds + [(4, 8)]
+
+
 def test_classify_double_conic(monkeypatch):
     scans = _count_calls(monkeypatch, kernels, "scan_singular_points")
     cls = classify_fibre(specialize_fibre("pi5", (1, 1, 1, 0), SPEC4))

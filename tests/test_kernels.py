@@ -41,8 +41,9 @@ def _fields():
 
 
 def test_evaluate_matches_eval_point():
-    # the three scans against the exact evaluator at every point of
-    # P^2(GF(2^m)), m <= 4; the zero form and a constant form included
+    # the scans, the one-pass zero/singular/smooth lists included,
+    # against the exact evaluator at every point of P^2(GF(2^m)), m <= 4;
+    # the zero form and a constant form included
     for gf in _fields():
         pts = kernels.plane_points(gf.q)
         forms = [_rand_form(gf) for _ in range(3)]
@@ -62,7 +63,7 @@ def test_evaluate_matches_eval_point():
                     singular.append(p)
             assert kernels.scan_zero_points(f, gf) == zero
             assert kernels.scan_singular_points(f, gf) == singular
-            assert kernels.scan_smooth_points(f, gf) == smooth
+            assert kernels.scan_curve(f, gf) == (zero, singular, smooth)
 
 
 def test_scan_zero_points_brute_force():

@@ -14,8 +14,9 @@ from quarticfibres.plane import is_smooth_conic, line_form, peel_lines
 random.seed(30931)
 
 
-def _trial_division_peel(rem, gf, found):
-    """The reference: divide by each line of P^2(gf) in turn."""
+def _trial_division_peel(rem, gf, found, zeros=None):
+    """The reference: divide by each line of P^2(gf) in turn, reading no
+    zero set."""
     deg = rem.total_degree()
     for t in kernels.plane_points(gf.q):
         line = line_form(gf, t)
