@@ -12,9 +12,9 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
   peeling reads too); only the singular locus over GF(q^2) scans again;
 * ``multiplicity_at`` translates the point into an affine chart and
   reads off the lowest total degree;
-* ``delta_invariant`` iterates ``plane.blow_up`` at the directions of
-  ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
-  points;
+* ``delta_invariant`` iterates ``plane.blow_up`` (no substitution) at
+  the directions of ``plane.tangent_cone``, summing m(m-1)/2 over the
+  infinitely near points;
 * ``tangent_contact_type`` restricts the quartic to the tangent line at
   a smooth point and factors the resulting binary quartic;
 * ``classify_fibre`` runs the cascade square-root / linear-split /

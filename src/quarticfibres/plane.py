@@ -10,14 +10,15 @@ ternary forms in (x, y, z) and the same few local constructions:
   it with ``kernels.scan_zero_points``.  Each candidate is then
   confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
-* ``chart_at``: the affine chart at a point, translated to the origin;
-  ``mult_origin`` reads the multiplicity there;
+* ``chart_at``: the affine chart at a point, moved to the origin by
+  ``_translate``, which expands (x + s)^n by Lucas' theorem, term by
+  term and with no substitution; ``mult_origin`` reads the multiplicity;
 * ``tangent_cone`` and ``blow_up``: the one blow-up step, which
   ``fibres.delta_invariant`` and ``resolution.resolve_pencil`` iterate.
   The degree-k part of a local equation, read as a `UPoly` in the
   direction, has the centres on the exceptional curve as its roots; the
-  strict transform at one centre is one substitution and a division by
-  the k-th power of the exceptional coordinate;
+  strict transform at one centre is an exponent map, which divides by
+  u^k, and a ``_translate`` by the centre;
 * ``roots``: the rational roots of a univariate `UPoly`, which is how
   blow-up directions, tangent contacts and base points on exceptional
   curves are found.  It is a brute-force scan over the field, the one
@@ -26,6 +27,9 @@ ternary forms in (x, y, z) and the same few local constructions:
 The search limits ``LOCUS_CAP`` and ``ROOT_CAP`` live here, with
 ``check_cap``, which raises `SearchCapped` for a search beyond its cap.
 """
+
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import kernels
 from .errors import ConstraintViolation, SearchCapped
@@ -76,21 +80,14 @@ def line_form(gf: GF, triple) -> MPoly:
 
 
 def chart_at(form: MPoly, point) -> tuple[MPoly, int]:
-    """Dehomogenize at the point's pivot and translate it to the origin.
+    """Dehomogenize at the point's pivot, then ``_translate`` the point
+    to the origin.
 
     The chart lives over the field of the point's coordinates (GFElem
     values); returns the local equation and the pivot index."""
     p, i = normalize_point(point)
-    gf = p[0].gf
-    f = embed_form(form, form.domain, gf).dehomogenize(form.vars[i])
-    mapping = {}
-    for j, name in enumerate(form.vars):
-        if j != i and p[j]:
-            mapping[name] = (MPoly.var(form.vars, gf, name)
-                             + MPoly.const(form.vars, gf, p[j]))
-    if mapping:
-        f = f.substitute(mapping)
-    return f, i
+    f = embed_form(form, form.domain, p[0].gf).dehomogenize(form.vars[i])
+    return _translate(f, {j: c for j, c in enumerate(p) if j != i}), i
 
 
 def mult_origin(f: MPoly) -> int:
@@ -98,15 +95,30 @@ def mult_origin(f: MPoly) -> int:
     return min(sum(e) for e in f.terms)
 
 
-def _shift_out(f: MPoly, idx: int, k: int) -> MPoly:
-    """Divide by the k-th power of variable `idx`, which the caller knows
-    divides f (the exceptional coordinate of a blow-up chart)."""
-    terms = {}
+def _translate(f: MPoly, shift: dict) -> MPoly:
+    """f with the variable of each index i in `shift` replaced by itself
+    plus shift[i].  By Lucas' theorem C(n, k) is odd iff the bits of k
+    are a subset of n's, so in char 2 (x + s)^n is the sum of s^(n-k) x^k
+    over those k.  Terms expand one by one with only the coefficients'
+    *, + and truth value, so one path serves every char-2 domain."""
+    top = max((max(e) for e in f.terms), default=0)
+    pows = [(i, [None, *accumulate(repeat(s, top), mul)])    # p[j] = s^j
+            for i, s in shift.items() if s]
+    if not pows:
+        return f
+    out = {}
     for e, c in f.terms.items():
-        e2 = list(e)
-        e2[idx] -= k
-        terms[tuple(e2)] = c
-    return MPoly(f.vars, f.domain, terms)
+        part = [(e, c)]
+        for i, p in pows:
+            if n := e[i]:
+                part = [(e1[:i] + (k,) + e1[i + 1:],
+                         c1 if k == n else c1 * p[n - k])
+                        for e1, c1 in part
+                        for k in range(n, -1, -1) if k & n == k]
+        for e1, c1 in part:
+            old = out.get(e1)
+            out[e1] = c1 if old is None else old + c1
+    return MPoly(f.vars, f.domain, {e: c for e, c in out.items() if c})
 
 
 # ----- blow-ups -----------------------------------------------------------
@@ -127,22 +139,29 @@ def tangent_cone(f: MPoly, k: int, iu: int) -> tuple[UPoly, int]:
 
 def blow_up(f: MPoly, iu: int, iv: int, k: int, eta) -> MPoly:
     """Strict transform of a local equation at the infinitely near point
-    of direction eta (a GFElem, over whose field the transform lives), or
-    of the direction u = 0 when eta is None.
+    of direction eta (a coefficient; a GFElem moves the transform to its
+    field), or of the direction u = 0 when eta is None.
 
-    One substitution moves that point to the origin: v -> u (eta + v),
-    with exceptional curve u = 0, or u -> u v, with exceptional curve
-    v = 0.  The transform is then divided by the k-th power of the
-    exceptional coordinate, so k must not exceed the multiplicity of f."""
-    gf = f.domain if eta is None else eta.gf
-    f = embed_form(f, f.domain, gf)
-    nu, nv = f.vars[iu], f.vars[iv]
-    u_var = MPoly.var(f.vars, gf, nu)
-    v_var = MPoly.var(f.vars, gf, nv)
-    if eta is None:
-        return _shift_out(f.substitute({nu: u_var * v_var}), iv, k)
-    eta = MPoly.const(f.vars, gf, eta)
-    return _shift_out(f.substitute({nv: u_var * (eta + v_var)}), iu, k)
+    The substitution v -> u (eta + v), with exceptional curve u = 0, and
+    division by u^k map a term u^a v^b to u^(a+b-k) (v + eta)^b: an
+    exponent map, then ``_translate`` by eta.  For u = 0, u -> u v and
+    division by v^k map it to u^a v^(a+b-k), an exponent map alone.
+    Raises `ConstraintViolation` when k exceeds the multiplicity of f,
+    where an exponent would turn negative."""
+    if isinstance(eta, GFElem):
+        f = embed_form(f, f.domain, eta.gf)
+    ie = iv if eta is None else iu          # the exceptional coordinate
+    terms = {}
+    for e, c in f.terms.items():
+        e2 = list(e)
+        e2[ie] = e[iu] + e[iv] - k
+        if e2[ie] < 0:
+            raise ConstraintViolation(
+                f"a blow-up divides by the {k}-th power of the exceptional"
+                f" coordinate, above the multiplicity")
+        terms[tuple(e2)] = c
+    f = MPoly(f.vars, f.domain, terms)
+    return f if eta is None else _translate(f, {iv: eta})
 
 
 # ----- univariate roots ---------------------------------------------------

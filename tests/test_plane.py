@@ -1,5 +1,6 @@
-"""Line peeling against trial division by every line of the plane, and
-the closed-form smooth-conic test against a plane scan."""
+"""Line peeling against trial division by every line of the plane, the
+closed-form smooth-conic test against a plane scan, and charts and
+blow-ups against polynomial substitution."""
 
 import random
 from itertools import product
@@ -7,9 +8,17 @@ from itertools import product
 import pytest
 
 from quarticfibres import kernels, plane
-from quarticfibres.finitefield import GF, GFElem
+from quarticfibres.errors import ConstraintViolation
+from quarticfibres.fibres import (classify_fibre, delta_invariant,
+                                  specialize_fibre)
+from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
-from quarticfibres.plane import is_smooth_conic, line_form, peel_lines
+from quarticfibres.plane import (blow_up, chart_at, embed_form,
+                                 is_smooth_conic, line_form,
+                                 normalize_point, peel_lines)
+from quarticfibres.resolution import PENCILS, resolve_pencil
+from quarticfibres.sampling import random_scalar
+from quarticfibres.scalars import KDomain
 
 random.seed(30931)
 
@@ -42,13 +51,13 @@ def _prod(gf, *factors):
     return out
 
 
-def _random_form(gf, deg):
+def _random_form(gf, deg, rng=random):
     monos = [(i, j, deg - i - j) for i in range(deg + 1)
              for j in range(deg + 1 - i)]
     while True:
         f = MPoly.from_terms(FORM_VARS, gf, [
-            (e, GFElem(gf, random.randrange(gf.q)))
-            for e in monos if random.random() < 0.6])
+            (e, GFElem(gf, rng.randrange(gf.q)))
+            for e in monos if rng.random() < 0.6])
         if not f.is_zero():
             return f
 
@@ -162,3 +171,147 @@ def test_extension_round_splits_a_conjugate_pair(monkeypatch):
     factors, rem, field = _check(form, gf, 2, monkeypatch)
     assert field is GF.get(2) and rem.total_degree() == 0
     assert sorted(factors.values()) == [1, 1, 2]
+
+
+# ----- charts and blow-ups ------------------------------------------------
+
+
+def _chart_by_substitution(form, point):
+    """The reference chart: dehomogenize, then substitute x + p_x for x
+    (and so on) as polynomials."""
+    p, i = normalize_point(point)
+    gf = p[0].gf
+    f = embed_form(form, form.domain, gf).dehomogenize(form.vars[i])
+    mapping = {name: (MPoly.var(form.vars, gf, name)
+                      + MPoly.const(form.vars, gf, p[j]))
+               for j, name in enumerate(form.vars) if j != i and p[j]}
+    return (f.substitute(mapping) if mapping else f), i
+
+
+def _blow_up_by_substitution(f, iu, iv, k, eta):
+    """The reference strict transform: substitute v -> u (eta + v) or
+    u -> u v as polynomials, then lower the exceptional exponent by k."""
+    dom = eta.gf if isinstance(eta, GFElem) else f.domain
+    f = embed_form(f, f.domain, dom)
+    nu, nv = f.vars[iu], f.vars[iv]
+    u, v = MPoly.var(f.vars, dom, nu), MPoly.var(f.vars, dom, nv)
+    if eta is None:
+        g, ie = f.substitute({nu: u * v}), iv
+    else:
+        g = f.substitute({nv: u * (MPoly.const(f.vars, dom, eta) + v)})
+        ie = iu
+    terms = {}
+    for e, c in g.terms.items():
+        e2 = list(e)
+        e2[ie] -= k
+        terms[tuple(e2)] = c
+    return MPoly(g.vars, g.domain, terms)
+
+
+def _random_coeff(dom, rng):
+    if isinstance(dom, KDomain):
+        return random_scalar(rng, dom.gf, 1)
+    return GFElem(dom, rng.randrange(dom.q))
+
+
+def _random_local(dom, rng, lowest, top=12, pivot=0):
+    """A local equation in the two variables other than `pivot`, with
+    terms of total degree lowest..top."""
+    iu, iv = [i for i in range(3) if i != pivot]
+    items = []
+    for _ in range(rng.randint(1, 10)):
+        d = rng.randint(lowest, top)
+        a = rng.randint(0, d)
+        e = [0, 0, 0]
+        e[iu], e[iv] = a, d - a
+        items.append((e, _random_coeff(dom, rng)))
+    f = MPoly.from_terms(FORM_VARS, dom, items)
+    return f if f else _random_local(dom, rng, lowest, top, pivot)
+
+
+# base field m, extension degrees of the shifts
+_ORACLE_FIELDS = [(1, (1, 2, 3)), (2, (1, 2)), (4, (1, 2)), (8, (1,))]
+
+
+@pytest.mark.parametrize("m, exts", _ORACLE_FIELDS)
+def test_chart_matches_substitution(m, exts):
+    rng = random.Random(4100 + m)
+    gf = GF.get(m)
+    for _ in range(40):
+        form = _random_form(gf, rng.randint(1, 12), rng)
+        big = GF.get(m * rng.choice(exts))
+        point = [GFElem(big, rng.randrange(big.q)) for _ in range(3)]
+        for j in rng.sample(range(3), rng.randint(0, 2)):
+            point[j] = big.zero_elem()      # zero shifts, (0:0:1) among them
+        if not any(point):
+            continue
+        assert chart_at(form, tuple(point)) == _chart_by_substitution(
+            form, tuple(point))
+
+
+@pytest.mark.parametrize("m, exts", _ORACLE_FIELDS)
+def test_blow_up_matches_substitution(m, exts):
+    rng = random.Random(4200 + m)
+    gf = GF.get(m)
+    for _ in range(60):
+        pivot = rng.randrange(3)
+        iu, iv = [i for i in range(3) if i != pivot]
+        lowest = rng.randint(1, 6)
+        f = _random_local(gf, rng, lowest, pivot=pivot)
+        k = rng.randint(0, lowest)
+        big = GF.get(m * rng.choice(exts))
+        for eta in (None, big.zero_elem(), GFElem(big, rng.randrange(big.q))):
+            assert blow_up(f, iu, iv, k, eta) == _blow_up_by_substitution(
+                f, iu, iv, k, eta)
+
+
+def test_charts_and_blow_ups_over_k():
+    """The same code path over K = F_4(t): the shifts are fractions."""
+    rng = random.Random(4300)
+    dom = KDomain.get(GF.get(2))
+    for _ in range(15):
+        lowest = rng.randint(1, 4)
+        f = _random_local(dom, rng, lowest, top=6)
+        k = rng.randint(0, lowest)
+        eta = random_scalar(rng, dom.gf, 1, nonzero=True)
+        for e in (None, eta):
+            assert blow_up(f, 1, 2, k, e) == _blow_up_by_substitution(
+                f, 1, 2, k, e)
+        form = _random_local(dom, rng, 0, top=6, pivot=0)
+        shift = {1: eta, 2: random_scalar(rng, dom.gf, 1)}
+        sub = {FORM_VARS[i]: (MPoly.var(FORM_VARS, dom, FORM_VARS[i])
+                              + MPoly.const(FORM_VARS, dom, s))
+               for i, s in shift.items()}
+        assert plane._translate(form, shift) == form.substitute(sub)
+
+
+def test_blow_up_refuses_k_above_the_multiplicity():
+    gf = GF.get(2)
+    one = gf.one_elem()
+    f = MPoly.from_terms(FORM_VARS, gf, [((0, 2, 0), one),
+                                         ((0, 0, 3), one)])   # y^2+z^3
+    for eta in (one, None):
+        with pytest.raises(ConstraintViolation):
+            blow_up(f, 1, 2, 3, eta)
+        assert blow_up(f, 1, 2, 2, eta)         # the multiplicity is 2
+
+
+def test_charts_and_blow_ups_make_no_substitution(monkeypatch):
+    # a machine-independent work count: the only substitution left on the
+    # fibre path restricts the quartic to a tangent line
+    calls = []
+    substitute = MPoly.substitute
+
+    def counted(self, mapping):
+        calls.append(mapping)
+        return substitute(self, mapping)
+    monkeypatch.setattr(MPoly, "substitute", counted)
+    curve = specialize_fibre("pi4", (3, 5, 7), FieldSpec(6))
+    cls = classify_fibre(curve)
+    assert cls.kind == "IntegralQuartic" and len(calls) == 1
+    del calls[:]
+    assert delta_invariant(curve, cls.sing_point)[0] == 3
+    assert calls == []
+    for pencil in PENCILS.values():
+        resolve_pencil(pencil())
+    assert calls == []
