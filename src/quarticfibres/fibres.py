@@ -10,19 +10,19 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
 * ``singular_locus`` and ``smooth_points`` read the curve's one
   bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which line
   peeling reads too); only the singular locus over GF(q^2) scans again;
-* ``multiplicity_at`` translates the point into an affine chart and
-  reads off the lowest total degree;
-* ``delta_invariant`` iterates ``plane.blow_up`` (no substitution) at
-  the directions of ``plane.tangent_cone``, summing m(m-1)/2 over the
-  infinitely near points;
-* ``tangent_contact_type`` restricts the quartic to the tangent line at
-  a smooth point and factors the resulting binary quartic;
+* ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
+  check and coerce the point, then work in its ``plane.chart_at``: the
+  first reads off the lowest total degree; the second iterates
+  ``plane.blow_up`` at the directions of ``plane.tangent_cone``, summing
+  m(m-1)/2 over the infinitely near points; the third restricts the chart
+  to the tangent line, its linear part, by a coefficient map;
 * ``classify_fibre`` runs the cascade square-root / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
   its candidate lines off the zero set and confirms each by division.
 
 Charts, blow-ups, line peeling, root finding and the search caps come
-from ``plane``.  The fibres are strange quartics, whose lines and singular point
+from ``plane``; none of the above makes a polynomial substitution.  The
+fibres are strange quartics, whose lines and singular point
 are rational and whose conic pairs split over GF(q^2), so the cascade
 searches GF(q) and GF(q^2) only.
 """
@@ -40,7 +40,7 @@ from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import FORM_VARS, MPoly, triform
 from .plane import (LOCUS_CAP, ROOT_CAP, blow_up, chart_at, check_cap,
                     embed_form, is_smooth_conic, line_form, mult_origin,
-                    normalize_point, peel_lines, roots, tangent_cone)
+                    peel_lines, roots, tangent_cone)
 from .upoly import UPoly
 
 
@@ -180,9 +180,21 @@ def predicted_singular_point(fibration: str, point, spec: FieldSpec):
 
 
 def _coerce_point(curve: "PlaneCurveFq", point):
-    """Raw-int coordinates are read in the curve's base field."""
-    return tuple(c if isinstance(c, GFElem) else GFElem(curve.gf, c)
-                 for c in point)
+    """Three coordinates in one field, each a GFElem or a raw int in
+    range(q), which is read in the curve's base field; anything else
+    raises ConstraintViolation."""
+    q = 1 << curve.field.m
+    if len(point) != 3 or not all(
+            isinstance(c, GFElem) or (isinstance(c, int) and 0 <= c < q)
+            for c in point):
+        raise ConstraintViolation(
+            f"{point!r} is not a point of the plane over GF({q}): three"
+            f" coordinates, raw ints in range({q})")
+    p = tuple(c if isinstance(c, GFElem) else GFElem(curve.gf, c)
+              for c in point)
+    if len({c.gf for c in p}) > 1:
+        raise ConstraintViolation("the coordinates lie in different fields")
+    return p
 
 
 def multiplicity_at(curve: PlaneCurveFq, point) -> int:
@@ -224,66 +236,39 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
 # ----- tangent contact ----------------------------------------------------
 
 
-def _binary_profile(g: MPoly) -> tuple:
-    """Contact profile of a nonzero binary quartic in (x, y): root
-    multiplicities over the algebraic closure, conjugates counted
-    separately."""
-    h, k0 = tangent_cone(g, g.total_degree(), 1)   # k0: the root (1:0)
-    found, rest = roots(h)
-    profile = ([k0] if k0 else []) + [n for _, n in found]
-    # The root-free rest has degree 0, 2, 3 or 4.  Over a perfect field
-    # its only repeated factor can be a quadratic squared, which is an
-    # even-support quartic; otherwise its roots are simple.
-    if rest.deg() == 4 and rest.is_square():
-        profile += [2, 2]
-    else:
-        profile += [1] * rest.deg()
-    return tuple(sorted(profile, reverse=True))
-
-
 def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
-    """Factor the restriction of the curve to its tangent line at a
-    smooth point."""
-    p, _ = normalize_point(_coerce_point(curve, point))
-    gf = p[0].gf
-    f = embed_form(curve.form, curve.gf, gf)
-    vals = {name: c for name, c in zip(f.vars, p)}
-    if f.eval_point(vals):
+    """Restrict the curve to its tangent line at a smooth point and read
+    off the contact profile.
+
+    In the chart at the point, the constant term is the value there and
+    the linear part a u + b v is the tangent line (zero at a singular
+    point).  Along the line (u, v) = (b s, a s) a term c u^i v^j becomes
+    c b^i a^j s^(i+j); the point is the root s = 0 of this restriction
+    h, and d - deg h is the contact at the line's point at infinity."""
+    local, pivot = chart_at(curve.form, _coerce_point(curve, point))
+    if local.coeff((0, 0, 0)):
         raise PointNotOnCurve("the point does not lie on the curve")
-    # on the curve, Euler's relation makes the chart's partials vanish
-    # iff all three of the form's do: smooth iff the gradient is nonzero
-    grad = [f.partial(name).eval_point(vals) for name in f.vars]
-    if not any(grad):
+    iu, iv = [i for i in range(3) if i != pivot]
+    a, b = (local.coeff(tuple(int(k == i) for k in range(3))).v
+            for i in (iu, iv))
+    if not (a or b):
         raise NotSmoothPoint("tangent contact is measured at smooth points")
-    j = next(i for i, c in enumerate(grad) if c)
-    # two independent points spanning the tangent line
-    spans = []
-    for i in range(3):
-        if i == j:
-            continue
-        v = [gf.zero_elem()] * 3
-        v[i] = gf.one_elem()
-        v[j] = grad[i] / grad[j]
-        spans.append(v)
-    s1, s2 = spans
-    mapping = {
-        name: MPoly.from_terms(f.vars, gf,
-                               [((1, 0, 0), s1[i]), ((0, 1, 0), s2[i])])
-        for i, name in enumerate(f.vars)
-    }
-    g = f.substitute(mapping)
-    if g.is_zero():
+    gf, d = local.domain, curve.degree()
+    pa, pb = ([gf.pow(c, k) for k in range(d + 1)] for c in (a, b))
+    cs = [0] * (d + 1)
+    for e, c in local.terms.items():
+        cs[e[iu] + e[iv]] ^= gf.mul(c.v, gf.mul(pb[e[iu]], pa[e[iv]]))
+    h = UPoly.from_coeffs(gf, cs)
+    if not h:
         raise ConstraintViolation("the tangent line is a component")
-    if g.total_degree() != curve.degree():
-        raise ConstraintViolation(
-            "tangent restriction degenerated")  # pragma: no cover
-    profile = _binary_profile(g)
-    if profile == (4,):
-        kind = "Hyperflex4"
-    elif profile == (2, 2):
-        kind = "Bitangent22"
-    else:
-        kind = "Other"
+    found, rest = roots(h)
+    # s^2 divides h and d <= 4, so the root-free rest is 1 or an irreducible
+    # quadratic, whose two conjugate roots are simple
+    profile = [n for _, n in found] + [1] * rest.deg()
+    if h.deg() < d:
+        profile.append(d - h.deg())
+    profile = tuple(sorted(profile, reverse=True))
+    kind = {(4,): "Hyperflex4", (2, 2): "Bitangent22"}.get(profile, "Other")
     return TangentType(kind, profile)
 
 

@@ -24,6 +24,11 @@ ternary forms in (x, y, z) and the same few local constructions:
   curves are found.  It is a brute-force scan over the field, the one
   place to swap in an algebraic root finder.
 
+None of these makes a polynomial substitution, and neither does the
+tangent restriction in ``fibres``, which starts from ``chart_at``;
+``MPoly.substitute`` is left to the identity replays
+``isomorphisms.verify_iso`` and ``resolution.covering_check``.
+
 The search limits ``LOCUS_CAP`` and ``ROOT_CAP`` live here, with
 ``check_cap``, which raises `SearchCapped` for a search beyond its cap.
 """
@@ -57,7 +62,7 @@ def embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
                  {e: GFElem(big, table[c.v]) for e, c in f.terms.items()})
 
 
-def normalize_point(point):
+def _normalize_point(point):
     """Scale a projective point so that its first nonzero coordinate is
     1; returns the scaled point and that coordinate's index."""
     gf = point[0].gf
@@ -85,7 +90,7 @@ def chart_at(form: MPoly, point) -> tuple[MPoly, int]:
 
     The chart lives over the field of the point's coordinates (GFElem
     values); returns the local equation and the pivot index."""
-    p, i = normalize_point(point)
+    p, i = _normalize_point(point)
     f = embed_form(form, form.domain, p[0].gf).dehomogenize(form.vars[i])
     return _translate(f, {j: c for j, c in enumerate(p) if j != i}), i
 

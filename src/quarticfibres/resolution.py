@@ -423,7 +423,7 @@ def _arm_length(adj, hub, first) -> int:
 # ----- the inseparable covering --------------------------------------------
 
 
-def _pair_sub(f: MPoly, comps, gf) -> MPoly:
+def _pair_sub(f: MPoly, comps) -> MPoly:
     return f.substitute(dict(zip(FORM_VARS, comps)))
 
 
@@ -444,7 +444,7 @@ def covering_check(use_identity: bool = False) -> dict:
     out = {}
     for name, up, down in (("member-0", cp.f0, qp.f0),
                            ("member-1", cp.f1, qp.f1)):
-        lhs = _pair_sub(up, psi, gf)
+        lhs = _pair_sub(up, psi)
         rhs = x2 * down
         if lhs != rhs:
             raise IdentityFailed(
@@ -464,7 +464,7 @@ def covering_check(use_identity: bool = False) -> dict:
     for name, curve, p in (("W", qp.f0, par_w), ("W'", cp.f0, par_wp),
                            ("Z", qp.f1.divide(x.pow(3)), par_line),
                            ("Z'", cp.f1.divide(x.pow(2)), par_line)):
-        if not _pair_sub(curve, p, gf).is_zero():
+        if not _pair_sub(curve, p).is_zero():
             raise IdentityFailed(f"parametrization of {name} misses "
                                  f"the curve")  # pragma: no cover
     frob = {"x": x * x, "y": y * y}
@@ -473,7 +473,7 @@ def covering_check(use_identity: bool = False) -> dict:
             ("Z->Z'", par_line, par_line, (0, 0))):
         mono = MPoly.from_terms(FORM_VARS, gf, [(extra + (0,), one)])
         for i in range(3):
-            lhs = _pair_sub(psi[i], p_up, gf)
+            lhs = _pair_sub(psi[i], p_up)
             rhs = mono * p_down[i].substitute(frob)
             if lhs != rhs:
                 raise IdentityFailed(

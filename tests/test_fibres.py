@@ -1,24 +1,29 @@
 """Fibre specialization, singularity analysis and the classification."""
 
+import functools
+import random
 import signal
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from quarticfibres import fibres, kernels
+from quarticfibres import fibres, kernels, plane
 from quarticfibres.errors import (ConstraintViolation, NotSingular,
                                   NotSmoothPoint, PointNotOnCurve,
-                                  SearchCapped, UnsupportedFamily)
+                                  QuarticError, SearchCapped,
+                                  UnsupportedFamily, ZeroForm)
 from quarticfibres.families import is_strange
-from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, classify_fibre,
-                                  delta_invariant, multiplicity_at,
-                                  predicted_singular_point, singular_locus,
-                                  smooth_points, specialize_fibre,
-                                  tangent_contact_type)
+from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, TangentType,
+                                  classify_fibre, delta_invariant,
+                                  multiplicity_at, predicted_singular_point,
+                                  singular_locus, smooth_points,
+                                  specialize_fibre, tangent_contact_type)
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
-from quarticfibres.mpoly import MPoly
+from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
-from quarticfibres.plane import chart_at, embed_form
+from quarticfibres.plane import chart_at, embed_form, roots, tangent_cone
+from quarticfibres.upoly import UPoly
 
 SPEC2 = FieldSpec(1)
 SPEC4 = FieldSpec(2)
@@ -207,6 +212,134 @@ def test_tangent_types():
         tangent_contact_type(c4, (0, 0, 0))
 
 
+# ----- tangent contact against substitution -------------------------------
+
+
+def _binary_profile(g: MPoly) -> tuple:
+    """Root multiplicities of a nonzero binary quartic in (x, y) over the
+    algebraic closure, conjugates counted separately."""
+    h, k0 = tangent_cone(g, g.total_degree(), 1)   # k0: the root (1:0)
+    found, rest = roots(h)
+    profile = ([k0] if k0 else []) + [n for _, n in found]
+    if rest.deg() == 4 and rest.is_square():
+        profile += [2, 2]
+    else:
+        profile += [1] * rest.deg()
+    return tuple(sorted(profile, reverse=True))
+
+
+def _tangent_by_substitution(curve, point) -> TangentType:
+    """The reference restriction: two points span the tangent line, and
+    the form is substituted along them as a binary quartic."""
+    p, _ = plane._normalize_point(fibres._coerce_point(curve, point))
+    gf = p[0].gf
+    f = embed_form(curve.form, curve.gf, gf)
+    vals = dict(zip(f.vars, p))
+    if f.eval_point(vals):
+        raise PointNotOnCurve("the point does not lie on the curve")
+    grad = [f.partial(name).eval_point(vals) for name in f.vars]
+    if not any(grad):
+        raise NotSmoothPoint("tangent contact is measured at smooth points")
+    j = next(i for i, c in enumerate(grad) if c)
+    spans = []
+    for i in range(3):
+        if i != j:
+            v = [gf.zero_elem()] * 3
+            v[i], v[j] = gf.one_elem(), grad[i] / grad[j]
+            spans.append(v)
+    s1, s2 = spans
+    g = f.substitute({
+        name: MPoly.from_terms(f.vars, gf,
+                               [((1, 0, 0), s1[i]), ((0, 1, 0), s2[i])])
+        for i, name in enumerate(f.vars)})
+    if g.is_zero():
+        raise ConstraintViolation("the tangent line is a component")
+    profile = _binary_profile(g)
+    kind = {(4,): "Hyperflex4", (2, 2): "Bitangent22"}.get(profile, "Other")
+    return TangentType(kind, profile)
+
+
+def _outcome(fn, curve, point):
+    try:
+        tangent = fn(curve, point)
+    except QuarticError as exc:
+        return type(exc)
+    return tangent.kind, tangent.profile
+
+
+def _oracle_curves(gf, rng):
+    """Seeded fibres of pi3, pi4, pi5 and pencil-quartic, and dense random
+    quartics, which are not strange."""
+    spec = FieldSpec(gf.m)
+    for name in ("pi3", "pi4", "pi5", "pencil-quartic"):
+        for _ in range(3):
+            point = [rng.randrange(gf.q) for _ in FIBRATIONS[name][0]]
+            try:
+                yield specialize_fibre(name, point, spec)
+            except ZeroForm:
+                pass
+    for _ in range(3):
+        form = MPoly.from_terms(FORM_VARS, gf, [
+            ((i, j, 4 - i - j), GFElem(gf, rng.randrange(gf.q)))
+            for i in range(5) for j in range(5 - i)])
+        if form and not is_strange(form):
+            yield PlaneCurveFq(form, spec)
+
+
+def _points_over_the_square(curve, rng):
+    """Points of the curve over GF(q^2) on random lines x = x0 z, and one
+    random point of P^2(GF(q^2)), which is mostly off the curve."""
+    big = GF.get(2 * curve.gf.m)
+    f = embed_form(curve.form, curve.gf, big)
+    out = [tuple(GFElem(big, rng.randrange(big.q)) for _ in range(3))]
+    for _ in range(2):
+        x0 = GFElem(big, rng.randrange(big.q))
+        cs = [big.zero_elem()] * 5
+        for e, c in f.terms.items():
+            cs[e[1]] = cs[e[1]] + c * x0 ** e[0]
+        h = UPoly.from_coeffs(big, [c.v for c in cs])
+        if h:
+            out += [(x0, GFElem(big, y), big.one_elem())
+                    for y, _ in roots(h)[0][:2]]
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_tangent_contact_matches_substitution(m):
+    rng = random.Random(1700 + m)
+    gf = GF.get(m)
+    checked = 0
+    for curve in _oracle_curves(gf, rng):
+        zeros, singular, smooth = curve.scan
+        points = rng.sample(smooth, min(4, len(smooth))) + list(singular)
+        zero_set = set(zeros)
+        points += [p for p in (tuple(rng.randrange(gf.q) for _ in range(3))
+                               for _ in range(4))
+                   if any(p) and p not in zero_set][:2]
+        points += [(0, 1, z) for z in rng.sample(range(gf.q), min(3, gf.q))]
+        points += [(0, 0, 1)] + _points_over_the_square(curve, rng)
+        for point in points:
+            assert (_outcome(tangent_contact_type, curve, point)
+                    == _outcome(_tangent_by_substitution, curve, point)), (
+                        str(curve.form), point)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("fn", [multiplicity_at, delta_invariant,
+                                tangent_contact_type])
+@pytest.mark.parametrize("point", [
+    (1, 0), (1, 0, 1, 0), (1, 0, 5), (1, 0, 4), (1, 0, -1), (1, 0.0, 1),
+    (GFElem(GF.get(4), 5), 0, 1), (1, GF.get(2).one_elem(),
+                                   GF.get(4).one_elem())])
+def test_malformed_points_are_refused(fn, point):
+    # over GF(4) a raw coordinate is an int in range(4), and all three
+    # coordinates lie in one field; nothing is padded, cut or wrapped
+    curve = specialize_fibre("pi4", (0, 1, 0), SPEC4)
+    with pytest.raises(ConstraintViolation):
+        fn(curve, point)
+
+
 def test_smooth_points_extension():
     c = specialize_fibre("pi4", (0, 1, 0), SPEC2)
     base = smooth_points(c)
@@ -303,17 +436,25 @@ def test_classify_rejects_non_quartic():
         classify_fibre(specialize_fibre("pencil-cubic", (1, 0), SPEC2))
 
 
+@functools.cache
+def _grid(name, m):
+    """Every fibre of a fibration over GF(2^m), with its class."""
+    spec = FieldSpec(m)
+    out = []
+    for point in product(range(spec.field().q),
+                         repeat=len(FIBRATIONS[name][0])):
+        curve = specialize_fibre(name, point, spec)
+        out.append((point, curve, classify_fibre(curve)))
+    return out
+
+
 def test_components_multiply_back_over_reported_field():
     # every reducible fibre of pi3/pi4/pi5 over GF(2) and GF(4): the printed
     # components parse over GF(2^{m ext}) and multiply back to the fibre up
     # to a unit
     for m in (1, 2):
-        spec = FieldSpec(m)
         for name in ("pi3", "pi4", "pi5"):
-            for point in product(range(spec.field().q),
-                                 repeat=len(FIBRATIONS[name][0])):
-                curve = specialize_fibre(name, point, spec)
-                cls = classify_fibre(curve)
+            for point, curve, cls in _grid(name, m):
                 if not cls.components:
                     continue
                 big = FieldSpec(m * cls.ext)
@@ -324,3 +465,59 @@ def test_components_multiply_back_over_reported_field():
                 target = embed_form(curve.form, curve.gf, big.field())
                 unit = target.lead()[1] / prod.lead()[1]
                 assert prod.scale(unit) == target, (name, point, m)
+
+
+# The class counts of the full grids, as polynomials in q, each derived.
+# Moving the singular point (1 : r : s) of a fibre to (1 : 0 : 0) by
+# y -> y + r x, z -> z + s x gives a form from which every count is read:
+#
+# * pi3 becomes b y^4 + d z^4 + y^2 z^2 + x z^3 + e x^2 z^2 with
+#   e = b (1 + b c^3); a drops out.  b = 0 gives L^2 (y^2 + d L^2 + x z),
+#   L = z + a^(1/2) x before the move: q^3 conics plus double lines.  For
+#   b != 0 the partials z^3 and x z^2 vanish on the curve only at the
+#   point, so the form is reduced.  Each factor of a reduced strange form
+#   is strange, of even y-degree, so a split is two conics y^2 + v and
+#   y^2 + w with v + w = z^2 / b and v w = z^2 (d z^2 + x z + e x^2) / b.
+#   Then z divides v, and v = z (x + t z) with c = 0 and
+#   (b t)^2 + b t = b d: the pair is rational iff the absolute trace
+#   Tr(b d) is 0, q^2 (q-1)/2 fibres each way.  The q^2 (q-1)^2 fibres
+#   with b c != 0 are integral, of multiplicity 3 iff e = 0, that is
+#   b c^3 = 1: q^2 (q-1) of them.
+# * pi4 becomes y^4 + a z^4 + x z^3 + b^(1/2) x^2 z^2: reduced as pi3, and
+#   a split would have v + w = 0, a square.  Every fibre is integral, of
+#   multiplicity 3 iff b = 0: q^2 of them.
+# * pi5 becomes y^4 + d y^2 z^2 + g z^4 + d x z^3 + e x^2 z^2 with g = a + c
+#   and e = 1 + b d a^(1/2).  d = 0 gives the square of the smooth conic
+#   y^2 + g^(1/2) z^2 + x z: q^3 double conics.  For d != 0 a split has
+#   v + w = d z^2 and, as for pi3, v = z (x + t z) with e = 1, that is
+#   a b = 0 (2q - 1 pairs (a, b)), and (t/d)^2 + t/d = g/d^2: rational iff
+#   Tr(g/d^2) = 0, q (q-1)(2q-1)/2 fibres each way.  The q (q-1)^3 with
+#   a b d != 0 are integral, of multiplicity 3 iff e = 0, that is
+#   a b^2 d^2 = 1: q (q-1)^2 of them.
+# The singular point of an integral fibre is rational: ext 1.
+_CENSUS = {
+    "pi3": lambda q: {
+        ("ConicPlusDoubleLine", 1, None): q**3,
+        ("Other", 1, None): q**2 * (q - 1) // 2,
+        ("Other", 2, None): q**2 * (q - 1) // 2,
+        ("IntegralQuartic", 1, 3): q**2 * (q - 1),
+        ("IntegralQuartic", 1, 2): q**2 * (q - 1) * (q - 2)},
+    "pi4": lambda q: {
+        ("IntegralQuartic", 1, 3): q**2,
+        ("IntegralQuartic", 1, 2): q**3 - q**2},
+    "pi5": lambda q: {
+        ("DoubleConic", 1, None): q**3,
+        ("Other", 1, None): q * (q - 1) * (2 * q - 1) // 2,
+        ("Other", 2, None): q * (q - 1) * (2 * q - 1) // 2,
+        ("IntegralQuartic", 1, 3): q * (q - 1)**2,
+        ("IntegralQuartic", 1, 2): q * (q - 1)**2 * (q - 2)},
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", sorted(_CENSUS))
+def test_class_counts_are_polynomials_in_q(name, m):
+    counts = Counter((cls.kind, cls.ext, cls.multiplicity)
+                     for _, _, cls in _grid(name, m))
+    want = {k: n for k, n in _CENSUS[name](2**m).items() if n}
+    assert dict(counts) == want
