@@ -22,18 +22,19 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
 
 Charts, blow-ups, line peeling, root finding and the search caps come
 from ``plane``; none of the above makes a polynomial substitution.  The
-fibres are strange quartics, whose lines and singular point
-are rational and whose conic pairs split over GF(q^2), so the cascade
-searches GF(q) and GF(q^2) only.
+fibres are strange quartics, whose lines and singular point are rational;
+a conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w) splits over GF(q) or
+GF(q^2), which is a question about T^2 + A T + B over GF(q), so the
+biconic split searches GF(q) alone for every m.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import kernels
-from .errors import (ConstraintViolation, NotSingular, NotSmoothPoint,
-                     NotHomogeneous, PointNotOnCurve, UnsupportedFamily,
-                     ZeroForm)
+from .errors import (ConstraintViolation, InternalCheckFailed, NotSingular,
+                     NotSmoothPoint, NotHomogeneous, PointNotOnCurve,
+                     UnsupportedFamily, ZeroForm)
 from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec
@@ -346,44 +347,48 @@ def _biconic_split(form: MPoly, gf):
     its quadratic extension (conjugate pairs).  For such quartics this
     is the only factorization shape left once squares and rational
     linear factors are ruled out: an odd-y conic factor would force its
-    cofactor to share the odd part, making the product a square."""
+    cofactor to share the odd part, making the product a square.
+
+    For f = y^4 + A y^2 + B the pair has v + w = A and v w = B, so v is a
+    root of T^2 + A T + B, and A = 0 leaves only squares.  A conjugate
+    pair over GF(q^2) = GF(q)(theta), theta^2 + theta = tau with
+    Tr(tau) = 1, is v = v0 + theta A, w = v + A, where v0 over GF(q) is a
+    root of T^2 + A T + B + tau A^2: both rounds search GF(q) alone."""
     lead = form.coeff((0, 4, 0))
     f = form if lead.v == 1 else form.scale(lead.gf.one_elem() / lead)
-    acs = [f.coeff((2, 2, 0)).v, f.coeff((1, 2, 1)).v, f.coeff((0, 2, 2)).v]
-    bcs = [f.coeff((4, 0, 0)).v, f.coeff((3, 0, 1)).v, f.coeff((2, 0, 2)).v,
-           f.coeff((1, 0, 3)).v, f.coeff((0, 0, 4)).v]
+    a2, a1, a0 = acs = [f.coeff((2 - i, 2, i)).v for i in range(3)]
+    if not any(acs):
+        return None
+    b4, b3, b2, b1, b0 = (f.coeff((4 - i, 0, i)).v for i in range(5))
+    mul = gf.mul
+
+    def quad_roots(c0, c1):
+        """Roots of X^2 + c1 X + c0 in gf."""
+        return [x for x, _ in roots(UPoly.from_coeffs(gf, (c0, c1, 1)))[0]]
+
     for r in (1, 2):
-        if gf.m * r > LOCUS_CAP:
-            break
-        gfr = gf if r == 1 else GF.get(gf.m * r)
-        table = gf.embedding_into(gfr)
-        a2, a1, a0 = (table[v] for v in acs)
-        b4, b3, b2, b1, b0 = (table[v] for v in bcs)
-        mul = gfr.mul
-
-        def quad_roots(c0, c1):
-            """Roots of X^2 + c1 X + c0 in gfr."""
-            found, _ = roots(UPoly.from_coeffs(gfr, (c0, c1, 1)))
-            return [x for x, _ in found]
-
-        for p in quad_roots(b4, a2):
-            for s in quad_roots(b0, a0):
-                for q in quad_roots(b2 ^ mul(p, a0) ^ mul(s, a2), a1):
-                    if (mul(p, a1) ^ mul(q, a2)) != b3:
+        # round 2 takes a tau of trace 1: X^2 + X + tau has no root in gf
+        tau = 0 if r == 1 else next(
+            t for t in range(1, gf.q) if not quad_roots(t, 1))
+        c4, c2, c0 = (b ^ mul(tau, mul(a, a))
+                      for b, a in ((b4, a2), (b2, a1), (b0, a0)))
+        for p in quad_roots(c4, a2):
+            for s in quad_roots(c0, a0):
+                for q in quad_roots(c2 ^ mul(p, a0) ^ mul(s, a2), a1):
+                    if ((mul(p, a1) ^ mul(q, a2)) != b3
+                            or (mul(q, a0) ^ mul(s, a1)) != b1):
                         continue
-                    if (mul(q, a0) ^ mul(s, a1)) != b1:
-                        continue
-                    v = (p, q, s)
-                    w = (a2 ^ p, a1 ^ q, a0 ^ s)
-                    if v == w:
-                        continue  # a perfect square, handled earlier
-                    one = gfr.one_elem()
-                    pair = tuple(MPoly.from_terms(FORM_VARS, gfr, [
-                        ((0, 2, 0), one),
-                        ((2, 0, 0), GFElem(gfr, t[0])),
-                        ((1, 0, 1), GFElem(gfr, t[1])),
-                        ((0, 0, 2), GFElem(gfr, t[2]))]) for t in (v, w))
-                    return pair[0], pair[1], gfr
+                    big = gf if r == 1 else GF.get(2 * gf.m)
+                    table = gf.embedding_into(big)
+                    theta = roots(UPoly.from_coeffs(big, (table[tau], 1, 1)))
+                    v = [table[c] ^ big.mul(theta[0][0][0], table[a])
+                         for c, a in zip((p, q, s), acs)]
+                    w = [c ^ table[a] for c, a in zip(v, acs)]
+                    pair = [MPoly.from_terms(FORM_VARS, big, [
+                        ((0, 2, 0), big.one_elem()),
+                        *(((2 - i, 0, i), GFElem(big, c))
+                          for i, c in enumerate(t))]) for t in (v, w)]
+                    return pair[0], pair[1], big
     return None
 
 
@@ -392,9 +397,10 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
 
     The cascade tries the square of a smooth conic, linear factors (over
     GF(q^2) too unless the form is even in y), a pair of strange conics
-    over GF(q) or GF(q^2), and otherwise measures an integral quartic at
-    the first point of its singular locus.  A search it needs beyond
-    ``LOCUS_CAP`` raises `SearchCapped`.
+    over GF(q) or GF(q^2), found by two searches of GF(q), and otherwise
+    measures an integral quartic at the first point of its singular
+    locus.  A scan it needs beyond ``LOCUS_CAP`` raises `SearchCapped`,
+    and a delta above 3 there raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -435,6 +441,8 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
         return FibreClass(kind="IntegralQuartic")  # smooth: nothing to report
     point, ext = sing[0]
     delta, seq = delta_invariant(curve, point)
+    if delta > 3:       # an integral quartic has arithmetic genus 3
+        raise InternalCheckFailed(f"an integral quartic with delta {delta}")
     tangent = None
     sample = smooth_points(curve, limit=1)
     if sample:

@@ -14,6 +14,7 @@ K-coordinates in the basis 1, s, s^2, s^3.
 
 from __future__ import annotations
 
+from .mpoly import needs_parens
 from .scalars import ScalarK
 from .upoly import UPoly
 
@@ -91,25 +92,13 @@ class InsepElem:
             elif cs == "1":
                 parts.append(self._POWERS[i])
             else:
-                if _needs_parens(cs):
+                if needs_parens(cs):
                     cs = f"({cs})"
                 parts.append(f"{cs}*{self._POWERS[i]}")
         return "+".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"InsepElem({self})"
-
-
-def _needs_parens(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+/" and depth == 0:
-            return True
-    return False
 
 
 def fourth_root(x: ScalarK) -> InsepElem:

@@ -272,11 +272,11 @@ class MPoly:
                 for name, k in zip(self.vars, e) if k)
             cs = str(c)
             if not mono:
-                parts.append(f"({cs})" if _top_level_plus(cs) else cs)
+                parts.append(f"({cs})" if needs_parens(cs, "+") else cs)
             elif cs == "1":
                 parts.append(mono)
             else:
-                if _top_level_plus(cs) or "/" in cs:
+                if needs_parens(cs):
                     cs = f"({cs})"
                 parts.append(f"{cs}*{mono}")
         return "+".join(parts)
@@ -285,14 +285,17 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _top_level_plus(s: str) -> bool:
+def needs_parens(s: str, ops: str = "+/") -> bool:
+    """Whether a coefficient string needs parentheses as a factor of a
+    product: it has one of `ops` outside parentheses.  Every "/" of a
+    `ScalarK` string is outside them."""
     depth = 0
     for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "+" and depth == 0:
+        elif ch in ops and depth == 0:
             return True
     return False
 

@@ -29,8 +29,9 @@ tangent restriction in ``fibres``, which starts from ``chart_at``;
 ``MPoly.substitute`` is left to the identity replays
 ``isomorphisms.verify_iso`` and ``resolution.covering_check``.
 
-The search limits ``LOCUS_CAP`` and ``ROOT_CAP`` live here, with
-``check_cap``, which raises `SearchCapped` for a search beyond its cap.
+The search limits ``LOCUS_CAP`` (plane scans) and ``ROOT_CAP`` (blow-up
+directions) live here, with ``check_cap``, which raises `SearchCapped`
+for a search beyond its cap.
 """
 
 from itertools import accumulate, repeat
@@ -289,16 +290,17 @@ def peel_lines(form: MPoly, gf: GF, max_ext: int = 1, zeros=None):
     quartic can vanish on a line it does not contain.  Lines over gf are
     tried first.  A cofactor of positive degree that is not a smooth
     conic (which has no linear factor over any extension) is then tried
-    over GF(2^{m max_ext}) within ``LOCUS_CAP``; the factors move to that
-    field only when a new line splits off there.  `zeros`, the zero set
-    over gf if the caller has it, spares the base-field scan.  Returns
-    ({line triple: multiplicity}, cofactor, the field of both).
+    over GF(2^{m max_ext}), or raises `SearchCapped` beyond ``LOCUS_CAP``;
+    the factors move to that field only when a new line splits off there.
+    `zeros`, the zero set over gf if the caller has it, spares the
+    base-field scan.  Returns ({line triple: multiplicity}, cofactor, the
+    field of both).
     """
     check_cap(gf.m, "line peeling")
     factors, rem = _peel(form, gf, {}, zeros)
-    if (max_ext <= 1 or gf.m * max_ext > LOCUS_CAP
-            or rem.total_degree() == 0 or is_smooth_conic(rem)):
+    if max_ext <= 1 or rem.total_degree() == 0 or is_smooth_conic(rem):
         return factors, rem, gf
+    check_cap(gf.m * max_ext, "line peeling")
     big = GF.get(gf.m * max_ext)
     table = gf.embedding_into(big)
     lifted = {tuple(table[v] for v in t): n for t, n in factors.items()}

@@ -10,8 +10,8 @@ import pytest
 
 from quarticfibres import fibres, kernels, plane
 from quarticfibres.errors import (ConstraintViolation, NotSingular,
-                                  NotSmoothPoint, PointNotOnCurve,
-                                  QuarticError, SearchCapped,
+                                  InternalCheckFailed, NotSmoothPoint,
+                                  PointNotOnCurve, QuarticError, SearchCapped,
                                   UnsupportedFamily, ZeroForm)
 from quarticfibres.families import is_strange
 from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, TangentType,
@@ -169,6 +169,9 @@ def test_search_beyond_the_cap_raises():
             classify_fibre(specialize_fibre(name, point, spec))
     with pytest.raises(SearchCapped):
         singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
+    # a line pair over GF(2^10) and a conic: line peeling needs GF(2^10)
+    with pytest.raises(SearchCapped):
+        classify_fibre(_curve("(x^2+x*z+z^2)*(y^2+x*z)", FieldSpec(5)))
     # the Klein quartic is smooth: over GF(32) no rational singular point
     # is found and GF(2^10) is not scanned, so "smooth" is not known
     klein = "x^3*y + y^3*z + z^3*x"
@@ -429,6 +432,63 @@ def test_classify_biconic_splits():
     cls2 = classify_fibre(specialize_fibre("pi5", (0, 0, 1, 2), SPEC4))
     assert cls2.kind == "Other" and cls2.ext == 2
     assert len(cls2.components) == 2
+
+
+def _multiplies_back(curve, cls) -> bool:
+    """Whether the printed components, read over GF(q^ext), multiply back
+    to the fibre up to a unit."""
+    big = FieldSpec(curve.field.m * cls.ext)
+    prod = None
+    for text, mult in cls.components:
+        part = parse_form(text, big, over="GF").pow(mult)
+        prod = part if prod is None else prod * part
+    target = embed_form(curve.form, curve.gf, big.field())
+    return prod.scale(target.lead()[1] / prod.lead()[1]) == target
+
+
+@pytest.mark.parametrize("name, point, m", [
+    ("pi5", (0, 23, 24, 15), 5), ("pi3", (23, 11, 0, 22), 5),
+    ("pi5", (8, 0, 24, 11), 5), ("pi3", (54, 37, 0, 23), 6),
+    ("pi5", (0, 36, 24, 26), 6)])
+def test_conjugate_conic_pairs_beyond_gf256(name, point, m):
+    # the pairs split over GF(2^10) and GF(2^12), beyond the GF(2^8) cap
+    # of the plane scans; both rounds of the biconic split search GF(q)
+    curve = specialize_fibre(name, point, FieldSpec(m))
+    cls = classify_fibre(curve)
+    assert (cls.kind, cls.ext, len(cls.components)) == ("Other", 2, 2)
+    assert _multiplies_back(curve, cls)
+
+
+def test_conic_pair_strata_split_for_every_m():
+    # pi3 with b != 0 = c and pi5 with d != 0 = a are pairs of strange
+    # conics (the census derivation below), over GF(q) or GF(q^2)
+    rng = random.Random(18)
+    exts = Counter()
+    for m, (name, zero) in product((5, 6), (("pi3", 2), ("pi5", 0))):
+        for _ in range(20):
+            point = [rng.randrange(1, 1 << m) for _ in range(4)]
+            point[zero] = 0
+            cls = classify_fibre(specialize_fibre(name, point, FieldSpec(m)))
+            assert cls.kind == "Other", (name, point, m, cls)
+            exts[cls.ext] += 1
+    assert set(exts) == {1, 2}
+
+
+def test_biconic_split_searches_the_base_field(monkeypatch):
+    # a machine-independent work count: the conjugate round solves over
+    # GF(8), so an integral fibre makes no root search over GF(64)
+    calls = _count_calls(monkeypatch, fibres, "roots")
+    cls = classify_fibre(specialize_fibre("pi3", (1, 2, 3, 4), FieldSpec(3)))
+    assert cls.kind == "IntegralQuartic"
+    assert calls and {h.gf.m for h, in calls} == {3}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_integral_answer_beyond_delta_3_raises(m):
+    # four conjugate concurrent lines: delta 6 at (0:1:0), more than the
+    # arithmetic genus 3 of an integral quartic
+    with pytest.raises(InternalCheckFailed):
+        classify_fibre(_curve("x^4 + x*z^3 + z^4", FieldSpec(m)))
 
 
 def test_classify_rejects_non_quartic():

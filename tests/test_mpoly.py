@@ -1,7 +1,8 @@
 import random
 
 from quarticfibres.finitefield import GF, GFElem
-from quarticfibres.mpoly import FORM_VARS, MPoly, grevlex_key, triform
+from quarticfibres.mpoly import (FORM_VARS, MPoly, grevlex_key, needs_parens,
+                               triform)
 from quarticfibres.scalars import KDomain, ScalarK
 from quarticfibres.upoly import UPoly, UPolyDomain
 
@@ -169,3 +170,18 @@ def test_square_root():
 def test_str_ordering_is_stable():
     p = _rand(F4, 3, 6)
     assert str(p) == str(MPoly(FORM_VARS, F4, dict(p.terms)))
+
+
+def test_coefficients_are_parenthesized_by_one_rule():
+    # a factor of a product is parenthesized at a top-level "+" or "/";
+    # a constant term, a summand, only at a top-level "+"
+    assert needs_parens("t+1") and needs_parens("t/(t+1)")
+    assert not needs_parens("(t+1)*t^(1/4)")
+    assert not needs_parens("t/(t+1)", "+")
+    gf = GF.get(1)
+    t, one = UPoly.from_coeffs(gf, [0, 1]), UPoly.from_coeffs(gf, [1])
+    cs = [ScalarK(t + one, one), ScalarK(one, t), ScalarK(t, t + one)]
+    p = MPoly.from_terms(FORM_VARS, KDomain.get(gf), [
+        ((1, 0, 0), cs[0]), ((0, 1, 0), cs[1]), ((0, 0, 1), cs[2]),
+        ((0, 0, 0), cs[2])])
+    assert str(p) == "(t+1)*x+(1/t)*y+(t/(t+1))*z+t/(t+1)"
