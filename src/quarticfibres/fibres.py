@@ -9,7 +9,8 @@ wrapped in `PlaneCurveFq`, and the routines here measure it:
 
 * ``singular_locus`` and ``smooth_points`` read the curve's one
   bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which line
-  peeling reads too); only the singular locus over GF(q^2) scans again;
+  peeling reads too); only the singular locus over GF(q^2) scans again,
+  and classification calls it only when the pass has no singular point;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
   check and coerce the point, then work in its ``plane.chart_at``: the
   first reads off the lowest total degree; the second iterates
@@ -39,9 +40,9 @@ from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import FORM_VARS, MPoly, triform
-from .plane import (LOCUS_CAP, ROOT_CAP, blow_up, chart_at, check_cap,
-                    embed_form, is_smooth_conic, line_form, mult_origin,
-                    peel_lines, roots, tangent_cone)
+from .plane import (ROOT_CAP, blow_up, chart_at, check_cap, embed_form,
+                    is_smooth_conic, line_form, mult_origin, peel_lines,
+                    roots, tangent_cone)
 from .upoly import UPoly
 
 
@@ -212,20 +213,19 @@ def multiplicity_at(curve: PlaneCurveFq, point) -> int:
 def singular_locus(curve: PlaneCurveFq) -> list:
     """Points where the form and its three partials vanish.
 
-    Scans P^2 over the base field GF(q) and, within ``LOCUS_CAP``, over
-    GF(q^2), keeping there the points not rational over GF(q).  Returns a
-    list of (point, r), each point a GFElem triple over GF(q^r).
+    Reads the pass over GF(q) and scans P^2 over GF(q^2), which raises
+    `SearchCapped` beyond ``plane.LOCUS_CAP``, for the points not rational
+    over GF(q).  Returns a list of (point, r), rational points first,
+    each point a GFElem triple over GF(q^r).
     """
     base = curve.gf
-    check_cap(base.m, "the singular locus")
-    out = [(tuple(map(base.elem, raw)), 1) for raw in curve.scan[1]]
-    if 2 * base.m <= LOCUS_CAP:
-        big = GF.get(2 * base.m)
-        f = embed_form(curve.form, base, big)
-        out += [(tuple(GFElem(big, v) for v in raw), 2)
-                for raw in kernels.scan_singular_points(f, big)
-                if not all(big.in_subfield(v, base.m) for v in raw)]
-    return out
+    check_cap(2 * base.m, "the singular locus")
+    big = GF.get(2 * base.m)
+    f = embed_form(curve.form, base, big)
+    return [(tuple(map(base.elem, raw)), 1) for raw in curve.scan[1]] + [
+        (tuple(GFElem(big, v) for v in raw), 2)
+        for raw in kernels.scan_singular_points(f, big)
+        if not all(big.in_subfield(v, base.m) for v in raw)]
 
 
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
@@ -399,8 +399,9 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     GF(q^2) too unless the form is even in y), a pair of strange conics
     over GF(q) or GF(q^2), found by two searches of GF(q), and otherwise
     measures an integral quartic at the first point of its singular
-    locus.  A scan it needs beyond ``LOCUS_CAP`` raises `SearchCapped`,
-    and a delta above 3 there raises `InternalCheckFailed`.
+    locus, the pass's first singular point when it has one.  A scan it
+    needs beyond ``plane.LOCUS_CAP`` raises `SearchCapped`, and a delta
+    above 3 there raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -435,9 +436,9 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
                               components=tuple(sorted(
                                   ((str(c0), 1), (str(c1), 1)))))
-    sing = singular_locus(curve)
+    sing = ([(tuple(map(gf.elem, raw)), 1) for raw in curve.scan[1][:1]]
+            or singular_locus(curve))
     if not sing:
-        check_cap(2 * gf.m, "the singular locus")
         return FibreClass(kind="IntegralQuartic")  # smooth: nothing to report
     point, ext = sing[0]
     delta, seq = delta_invariant(curve, point)

@@ -169,6 +169,10 @@ def test_search_beyond_the_cap_raises():
             classify_fibre(specialize_fibre(name, point, spec))
     with pytest.raises(SearchCapped):
         singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
+    # singular along y = 0 over GF(32): its GF(2^10) points are not
+    # searched, so the 34 rational points alone are not the locus
+    with pytest.raises(SearchCapped):
+        singular_locus(_curve("y^2*x^2 + y^2*x*z + y^2*z^2", FieldSpec(5)))
     # a line pair over GF(2^10) and a conic: line peeling needs GF(2^10)
     with pytest.raises(SearchCapped):
         classify_fibre(_curve("(x^2+x*z+z^2)*(y^2+x*z)", FieldSpec(5)))
@@ -385,16 +389,43 @@ def test_classify_divides_only_by_candidate_lines(monkeypatch):
 def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
     # a machine-independent work count: F and its partials are evaluated
     # over P^2(GF(16)) once, for the zero set that line peeling reads,
-    # the singular points and the smooth sample, and once over GF(256)
+    # the singular point and the smooth sample, and never over GF(256)
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
     curve = specialize_fibre("pi4", (3, 5, 7), FieldSpec(4))
     assert classify_fibre(curve).kind == "IntegralQuartic"
     rounds = [(len(forms), gf.m) for forms, gf in calls]
-    assert rounds == [(4, 4), (4, 8)]
-    # later readers of the same curve rescan only the GF(q^2) round
+    assert rounds == [(4, 4)]
+    # later readers of the same curve scan only the GF(q^2) round
     singular_locus(curve)
     smooth_points(curve)
     assert [(len(forms), gf.m) for forms, gf in calls] == rounds + [(4, 8)]
+
+
+def test_integral_fibres_make_no_extension_scan(monkeypatch):
+    # a machine-independent work count: the singular point of an integral
+    # fibre of pi3, pi4 or pi5 is rational, so the one pass over GF(8)
+    # holds it and nothing is evaluated over GF(64)
+    calls = _count_calls(monkeypatch, kernels, "_zero_masks")
+    for name, point in (("pi3", (1, 2, 3, 4)), ("pi4", (3, 5, 7)),
+                        ("pi5", (1, 2, 3, 4))):
+        cls = classify_fibre(specialize_fibre(name, point, FieldSpec(3)))
+        assert (cls.kind, cls.ext, cls.delta) == ("IntegralQuartic", 1, 3)
+    assert calls and {gf.m for _, gf in calls} == {3}
+
+
+def test_singular_point_over_the_extension(monkeypatch):
+    # no rational singular point: the locus's GF(4) round, one evaluation
+    # of F and its partials over P^2(GF(4)), finds the conjugate pair
+    # (1:0:g), (1:0:g+1); the form is odd in y, so line peeling also
+    # evaluates F alone over GF(4)
+    calls = _count_calls(monkeypatch, kernels, "_zero_masks")
+    cls = classify_fibre(_curve("x^4 + x*y^3 + x^2*z^2 + z^4"))
+    assert [(len(forms), gf.m) for forms, gf in calls] == [
+        (4, 1), (1, 2), (4, 2)]
+    assert (cls.kind, cls.ext, cls.multiplicity, cls.delta) == (
+        "IntegralQuartic", 2, 2, 1)
+    assert cls.sing_point == tuple(GF.get(2).elem(v) for v in (1, 0, 2))
+    assert cls.tangent.kind == "Bitangent22"
 
 
 def test_classify_double_conic(monkeypatch):
@@ -574,10 +605,46 @@ _CENSUS = {
 }
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_CENSUS))
 def test_class_counts_are_polynomials_in_q(name, m):
     counts = Counter((cls.kind, cls.ext, cls.multiplicity)
                      for _, _, cls in _grid(name, m))
     want = {k: n for k, n in _CENSUS[name](2**m).items() if n}
     assert dict(counts) == want
+
+
+def _first_singular_point(curve):
+    """The oracle: the first point of the whole locus, GF(q^2) included."""
+    locus = singular_locus(curve)
+    return locus[0] if locus else (None, 1)
+
+
+def test_singular_point_is_the_locus_head():
+    # the classification's singular point, read off the pass unless the
+    # pass found none, against the head of the full singular locus: every
+    # integral fibre of the m <= 2 grids and seeded random quartics, about
+    # 1 in 20 of which over GF(2) has only conjugate singular points
+    checked = exts = 0
+    for m, name in product((1, 2), ("pi3", "pi4", "pi5")):
+        for point, curve, cls in _grid(name, m):
+            if cls.kind == "IntegralQuartic":
+                assert (cls.sing_point, cls.ext) == _first_singular_point(
+                    curve), (name, point, m)
+                checked += 1
+    for m in (1, 2):
+        gf, rng = GF.get(m), random.Random(1900 + m)
+        for _ in range(100):
+            curve = PlaneCurveFq(MPoly.from_terms(FORM_VARS, gf, [
+                ((i, j, 4 - i - j), GFElem(gf, rng.randrange(gf.q)))
+                for i in range(5) for j in range(5 - i)]), FieldSpec(m))
+            try:
+                cls = classify_fibre(curve)
+            except QuarticError:
+                continue
+            if cls.kind == "IntegralQuartic":
+                assert (cls.sing_point, cls.ext) == _first_singular_point(
+                    curve), str(curve.form)
+                checked += 1
+                exts += cls.ext == 2
+    assert checked >= 300 and exts >= 3
