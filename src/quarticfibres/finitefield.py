@@ -21,7 +21,7 @@ class GF:
     """The field GF(2^m) = F2[u]/(modulus), elements encoded as ints < 2^m."""
 
     __slots__ = ("m", "q", "slot", "modulus", "exp", "log", "generator",
-                 "_embeddings")
+                 "_embeddings", "_artin_schreier")
 
     _cache: dict[tuple[int, int | None], "GF"] = {}
 
@@ -42,6 +42,7 @@ class GF:
         self.modulus = modulus
         self._build_tables()
         self._embeddings = {}
+        self._artin_schreier = None
 
     @classmethod
     def get(cls, m: int, modulus: int | None = None) -> "GF":
@@ -119,6 +120,17 @@ class GF:
 
     def fourth_root(self, a: int) -> int:
         return self.sqrt(self.sqrt(a))
+
+    def artin_schreier(self) -> list:
+        """Entry b is the root y of Y^2 + Y = b with bit 0 clear (the
+        other root is y ^ 1), or None when there is none, i.e. when b has
+        trace 1.  Built on first use, once per field."""
+        table = self._artin_schreier
+        if table is None:
+            table = self._artin_schreier = [None] * self.q
+            for y in range(0, self.q, 2):
+                table[self.mul(y, y) ^ y] = y
+        return table
 
     def reduce(self, a: int) -> int:
         return gf2x.mod(a, self.modulus)

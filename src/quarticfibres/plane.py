@@ -7,7 +7,10 @@ ternary forms in (x, y, z) and the same few local constructions:
   are read off the zero set: a line divides a form only if all its
   rational points are zeros.  A fibre hands in its base-field zero set
   from its one ``kernels.scan_curve`` pass; pencils and extensions scan
-  it with ``kernels.scan_zero_points``.  Each candidate is then
+  it with ``kernels.scan_zero_points``.  ``_full_lines`` groups the zeros
+  by their projection from a base point and leaves the point once too
+  many groups are open for one to be full, which for the q+1 zeros of
+  an integral fibre is at the second group.  Each candidate is then
   confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the affine chart at a point, moved to the origin by
@@ -20,9 +23,13 @@ ternary forms in (x, y, z) and the same few local constructions:
   strict transform at one centre is an exponent map, which divides by
   u^k, and a ``_translate`` by the centre;
 * ``roots``: the rational roots of a univariate `UPoly`, which is how
-  blow-up directions, tangent contacts and base points on exceptional
-  curves are found.  It is a brute-force scan over the field, the one
-  place to swap in an algebraic root finder.
+  blow-up directions, tangent contacts, conic pairs and base points on
+  exceptional curves are found.  It splits off X^k, takes square roots
+  while the support is even (in char 2 the tangent cones and tangent
+  restrictions of strange quartics are mostly 2^j-th powers), and solves
+  what is left in closed form up to degree 2, a quadratic by the
+  field's table of Y^2 + Y = b (``GF.artin_schreier``).  Only a
+  remainder of degree 3 or more is scanned over the field.
 
 None of these makes a polynomial substitution, and neither does the
 tangent restriction in ``fibres``, which starts from ``chart_at``;
@@ -31,7 +38,9 @@ tangent restriction in ``fibres``, which starts from ``chart_at``;
 
 The search limits ``LOCUS_CAP`` (plane scans) and ``ROOT_CAP`` (blow-up
 directions) live here, with ``check_cap``, which raises `SearchCapped`
-for a search beyond its cap.
+for a search beyond its cap.  Both keep their meaning although most
+searches no longer walk the field: a root search of degree 3 or more
+still does, and the caps bound the field, not the path taken.
 """
 
 from itertools import accumulate, repeat
@@ -176,12 +185,57 @@ def blow_up(f: MPoly, iu: int, iv: int, k: int, eta) -> MPoly:
 def roots(h: UPoly) -> tuple[list, UPoly]:
     """Roots of h in its coefficient field, ascending, as (root,
     multiplicity) pairs, and the cofactor left once they are divided out.
-    The zero polynomial has no roots listed."""
+    The zero polynomial has no roots listed.
+
+    X^k is split off first.  While what is left has even support it is
+    g^2 for the coordinatewise square root g (Frobenius is onto), whose
+    roots count twice.  A linear or quadratic g is solved in closed form;
+    only a g of degree 3 or more is scanned over the field."""
     gf = h.gf
+    cs = h.to_coeffs()                  # ascending
+    k = 0
+    while k < len(cs) - 1 and not cs[k]:
+        k += 1
+    cs = cs[k:]
+    e = 0
+    while len(cs) > 1 and not any(cs[1::2]):
+        cs = [gf.sqrt(c) for c in cs[::2]]
+        e += 1
+    found, cs = (_horner_roots if len(cs) > 3 else _small_roots)(cs, gf)
+    if not (k or found):
+        return found, h
+    rest = UPoly.from_coeffs(gf, cs)
+    for _ in range(e):
+        rest = rest.square()
+    if e:
+        found = [(a, n << e) for a, n in found]
+    return [(0, k), *found] if k else found, rest
+
+
+def _small_roots(cs: list, gf: GF) -> tuple[list, list]:
+    """``roots`` of a polynomial of degree at most 2 with a nonzero
+    constant term and, if quadratic, a nonzero linear term, as (found,
+    cofactor coefficients).  c2 X^2 + c1 X + c0 = 0 is Y^2 + Y = c0 c2 /
+    c1^2 for X = c1 Y / c2 (Berlekamp, 1970)."""
+    if len(cs) == 2:
+        return [(gf.div(cs[0], cs[1]), 1)], cs[1:]
+    if len(cs) < 2:
+        return [], cs
+    c0, c1, c2 = cs
+    y = gf.artin_schreier()[gf.div(gf.mul(c0, c2), gf.mul(c1, c1))]
+    if y is None:
+        return [], cs
+    s = gf.div(c1, c2)
+    return sorted([(gf.mul(s, y), 1), (gf.mul(s, y ^ 1), 1)]), [c2]
+
+
+def _horner_roots(cs: list, gf: GF) -> tuple[list, list]:
+    """``roots`` by a scan over the nonzero field elements, on ascending
+    coefficients with a nonzero constant term."""
     log, exp, n = gf.log, gf.exp, gf.q - 1
-    cs = h.to_coeffs()[::-1]            # descending
+    cs = cs[::-1]                       # descending
     found = []
-    for alpha in range(gf.q):
+    for alpha in range(1, gf.q):
         if len(cs) <= 1:
             break
         k = 0
@@ -190,10 +244,8 @@ def roots(h: UPoly) -> tuple[list, UPoly]:
             # the value at alpha
             sums, acc = [], 0
             for c in cs:
-                if acc and alpha:
+                if acc:
                     acc = exp[(log[acc] + log[alpha]) % n]
-                else:
-                    acc = 0
                 acc ^= c
                 sums.append(acc)
             if acc:
@@ -202,7 +254,7 @@ def roots(h: UPoly) -> tuple[list, UPoly]:
             k += 1
         if k:
             found.append((alpha, k))
-    return found, UPoly.from_coeffs(gf, cs[::-1])
+    return found, cs[::-1]
 
 
 # ----- linear factors -----------------------------------------------------
@@ -235,11 +287,42 @@ def _join(p, r, gf: GF) -> tuple:
     return 0, 0, 1
 
 
-def _full_lines(zeros: list, gf: GF) -> list:
-    """Every line of P^2(gf) all of whose q+1 points lie in `zeros`.
+def _projection_groups(p, zeros, gf: GF, most: int) -> dict:
+    """The zeros other than p grouped by the line through p that holds
+    them, keyed by their projection from p onto P^1.
 
-    The lines through a base point P are told apart by the join P x R of
-    each other zero R; a join shared by q zeros is a full line.  Base
+    p is a ``plane_points`` triple, so p[i] = 1 at its first nonzero
+    coordinate i, and r - r[i] p has coordinates (a, b) off i: the key
+    is b / a, or q for (0 : 1), one division and no line triple.  Stops
+    at the first key that would open group most + 1."""
+    i = next(k for k, c in enumerate(p) if c)
+    j, k = (t for t in range(3) if t != i)
+    pj, pk, mul, div = p[j], p[k], gf.mul, gf.div
+    groups = {}
+    for r in zeros:
+        if r == p:
+            continue
+        ri = r[i]
+        a, b = r[j] ^ mul(ri, pj), r[k] ^ mul(ri, pk)
+        key = div(b, a) if a else gf.q
+        group = groups.get(key)
+        if group is None:
+            if len(groups) == most:
+                break
+            group = groups[key] = []
+        group.append(r)
+    return groups
+
+
+def _full_lines(zeros: list, gf: GF) -> list:
+    """Every line of P^2(gf) all of whose q+1 points lie in `zeros`, a
+    list of ``plane_points`` triples.
+
+    The lines through a base point p are told apart by the projection
+    from p of each other zero; a group of q zeros is a full line, whose
+    triple ``_join`` builds.  Of the N - 1 other zeros a full line
+    through p holds q, so once more than N - q groups are open none can
+    be full and p is left: when N = q + 1, at the second group.  Base
     points are taken until no line can be left: an unfound full line has
     no base point on it, so all its q+1 points are in `todo`, and it
     meets each found line once, so at least q+1 - len(found) of them
@@ -255,13 +338,9 @@ def _full_lines(zeros: list, gf: GF) -> list:
         p = min(free or todo)
         todo.discard(p)
         free.discard(p)
-        groups = {}
-        for r in zeros:
-            if r != p:
-                groups.setdefault(_join(p, r, gf), []).append(r)
-        for line, pts in groups.items():
+        for pts in _projection_groups(p, zeros, gf, len(zeros) - q).values():
             if len(pts) == q:
-                found.append(line)
+                found.append(_join(p, pts[0], gf))
                 free.difference_update(pts)
     return found
 

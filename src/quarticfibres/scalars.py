@@ -87,13 +87,17 @@ class ScalarK:
             d2g = d2.exact_div(g)
             num = n1 * d2g + n2 * d1g
             den = d1 * d2g
-            # only a divisor of g can still be shared
+            # only a divisor of g can still be shared (Henrici), and the
+            # gcd is monic; a zero sum has d1 = d2 = g and ends as 0/1
             h = num.gcd(g)
             if h.deg() > 0:
                 num = num.exact_div(h)
                 den = den.exact_div(h)
-            return ScalarK(num, den)
-        return ScalarK(n1 * d2 + n2 * d1, d1 * d2)
+        else:
+            # coprime monic denominators share no factor with the sum,
+            # which is zero only for d1 = d2 = 1
+            num, den = n1 * d2 + n2 * d1, d1 * d2
+        return ScalarK(num, den, _canonical=True)
 
     __sub__ = __add__  # char 2
 

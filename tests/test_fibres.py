@@ -514,6 +514,25 @@ def test_biconic_split_searches_the_base_field(monkeypatch):
     assert calls and {h.gf.m for h, in calls} == {3}
 
 
+def test_gf64_fibre_searches_do_not_walk_the_field(monkeypatch):
+    # a machine-independent work count: every root found while classifying
+    # is a closed form (the tangent cones and the tangent restriction are
+    # 2^j-th powers of polynomials of degree <= 2), and the q + 1 zeros of
+    # the fibre leave its one base point at the second projection group
+    scans = _count_calls(monkeypatch, plane, "_horner_roots")
+    groups = []
+    project = plane._projection_groups
+
+    def counted(*args):
+        groups.append(project(*args))
+        return groups[-1]
+    monkeypatch.setattr(plane, "_projection_groups", counted)
+    cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
+    assert cls.kind == "IntegralQuartic" and cls.tangent is not None
+    assert scans == []
+    assert sum(map(len, groups)) <= 2
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_integral_answer_beyond_delta_3_raises(m):
     # four conjugate concurrent lines: delta 6 at (0:1:0), more than the

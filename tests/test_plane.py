@@ -1,9 +1,12 @@
 """Line peeling against trial division by every line of the plane, the
-closed-form smooth-conic test against a plane scan, and charts and
-blow-ups against polynomial substitution."""
+line search against grouping by joins, the closed-form smooth-conic test
+against a plane scan, charts and blow-ups against polynomial
+substitution, and univariate roots against evaluation at every element."""
 
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
@@ -13,11 +16,14 @@ from quarticfibres.fibres import (classify_fibre, delta_invariant,
                                   specialize_fibre)
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
+from quarticfibres.parser import parse_form
 from quarticfibres.plane import (blow_up, chart_at, embed_form,
-                                 is_smooth_conic, line_form, peel_lines)
+                                 is_smooth_conic, line_form, peel_lines,
+                                 roots)
 from quarticfibres.resolution import PENCILS, resolve_pencil
 from quarticfibres.sampling import random_scalar
 from quarticfibres.scalars import KDomain
+from quarticfibres.upoly import UPoly
 
 random.seed(30931)
 
@@ -75,12 +81,35 @@ def _random_case(gf):
     return _prod(gf, *factors)
 
 
+def _collinear_cases(gf):
+    """Quartics whose zero set is exactly the q+1 points of the line x = 0:
+    x^2 times a binary quadratic with no rational zero but (0:0:1), and
+    over GF(2) one that vanishes there but does not contain the line."""
+    tau = gf.artin_schreier().index(None)       # trace 1
+    x = line_form(gf, (1, 0, 0))
+    quad = MPoly.from_terms(FORM_VARS, gf, [
+        ((2, 0, 0), gf.one_elem()), ((1, 1, 0), gf.one_elem()),
+        ((0, 2, 0), GFElem(gf, tau))])
+    cases = [_prod(gf, x, x, quad)]
+    if gf.q == 2:
+        # on x = 0 it is y^2 z^2 + y^3 z, zero at all three points
+        cases.append(parse_form("y^2*z^2 + y^3*z + x*y^3 + x^2*z^2 + x*z^3"
+                                " + x^3*y + x^4", FieldSpec(1), over="GF"))
+    for form in cases:
+        zeros = kernels.scan_zero_points(form, gf)
+        assert sorted(zeros) == sorted(p for p in kernels.plane_points(gf.q)
+                                       if p[0] == 0)
+    return cases
+
+
 @pytest.mark.parametrize("m, max_ext, count", [
     (1, 1, 60), (1, 2, 60), (2, 1, 60), (2, 2, 40), (3, 1, 40)])
 def test_peel_lines_matches_trial_division(m, max_ext, count, monkeypatch):
     gf = GF.get(m)
     for _ in range(count):
         _check(_random_case(gf), gf, max_ext, monkeypatch)
+    for form in _collinear_cases(gf):
+        _check(form, gf, max_ext, monkeypatch)
 
 
 def test_four_concurrent_lines(monkeypatch):
@@ -314,3 +343,104 @@ def test_charts_and_blow_ups_make_no_substitution(monkeypatch):
     for pencil in PENCILS.values():
         resolve_pencil(pencil())
     assert calls == []
+
+
+# ----- the line search ----------------------------------------------------
+
+
+def _join_grouping_lines(zeros, gf):
+    """The reference line search: the lines through each base point told
+    apart by the join with every other zero, with no early stop."""
+    q = gf.q
+    todo, free, found = set(zeros), set(zeros), []
+    while len(todo) > q and len(free) >= q + 1 - len(found):
+        p = min(free or todo)
+        todo.discard(p)
+        free.discard(p)
+        groups = {}
+        for r in zeros:
+            if r != p:
+                groups.setdefault(plane._join(p, r, gf), []).append(r)
+        for line, pts in groups.items():
+            if len(pts) == q:
+                found.append(line)
+                free.difference_update(pts)
+    return found
+
+
+def _line_points(gf, t):
+    return [p for p in kernels.plane_points(gf.q)
+            if not gf.mul(t[0], p[0]) ^ gf.mul(t[1], p[1]) ^ gf.mul(t[2], p[2])]
+
+
+def test_line_search_matches_join_grouping():
+    rng = random.Random(4417)
+    for m in (1, 2, 3, 4):
+        gf = GF.get(m)
+        pts = kernels.plane_points(gf.q)
+        x_axis = _line_points(gf, (1, 0, 0))
+        cases = [x_axis, x_axis + [(1, 0, 0)]]      # q+1 collinear zeros
+        for _ in range(60 if m < 4 else 15):
+            zeros = set()
+            for _ in range(rng.randrange(4)):
+                zeros.update(_line_points(gf, rng.choice(pts)))
+            zeros.update(rng.sample(pts, rng.randrange(2 * gf.q + 2)))
+            cases.append(sorted(zeros))
+        for zeros in cases:
+            rng.shuffle(zeros)      # group order follows the zero order
+            assert plane._full_lines(zeros, gf) == _join_grouping_lines(
+                zeros, gf)
+        assert plane._full_lines(x_axis, gf) == [(1, 0, 0)]
+
+
+# ----- univariate roots ---------------------------------------------------
+
+
+def _roots_oracle(h):
+    """The value at every element, and each root's multiplicity by
+    repeated division by X + a."""
+    gf = h.gf
+    found = []
+    for a in range(gf.q) if h else ():
+        if reduce(xor, (gf.mul(c, gf.pow(a, i))
+                        for i, c in enumerate(h.to_coeffs()))):
+            continue
+        lin, k = UPoly.from_coeffs(gf, [a, 1]), 0
+        while not (qr := h.divmod(lin))[1]:
+            h, k = qr[0], k + 1
+        found.append((a, k))
+    return found, h
+
+
+def test_roots_of_every_quadratic_match_the_oracle():
+    for m in (1, 2, 3, 4):
+        gf = GF.get(m)
+        for cs in product(range(gf.q), repeat=3):
+            h = UPoly.from_coeffs(gf, cs)
+            assert roots(h) == _roots_oracle(h), cs
+
+
+def test_roots_of_seeded_polynomials_match_the_oracle():
+    rng = random.Random(8161)
+    for m in range(1, 9):
+        gf = GF.get(m)
+
+        def poly(deg):
+            return UPoly.from_coeffs(gf, [rng.randrange(gf.q)
+                                          for _ in range(deg + 1)])
+
+        def linear():
+            return UPoly.from_coeffs(gf, [rng.randrange(gf.q), 1])
+
+        X = UPoly.t(gf)
+        for _ in range(40):
+            cases = [poly(rng.randrange(7)),
+                     poly(3).square(),                  # even support
+                     poly(1).pow(4), (linear() * poly(0)).pow(4),
+                     X.pow(rng.randrange(1, 4)) * poly(rng.randrange(4)),
+                     X * linear().square() * poly(1),
+                     linear().pow(rng.randrange(1, 4)) * linear().square(),
+                     linear() * linear() * poly(2)]
+            for h in cases:
+                if h.deg() <= 6:
+                    assert roots(h) == _roots_oracle(h), (m, str(h))

@@ -61,6 +61,39 @@ def test_field_axioms_random():
                 assert a * a.inverse() == ScalarK.one(gf)
 
 
+def _rand_poly(gf, max_deg, nonzero=False):
+    while True:
+        p = UPoly.from_coeffs(
+            gf, [random.randrange(gf.q) for _ in range(max_deg + 1)])
+        if p or not nonzero:
+            return p
+
+
+def test_sum_is_the_reduced_cross_product():
+    # the sum skips the second full gcd; it must equal the fraction that
+    # the constructor reduces from n1 d2 + n2 d1 over d1 d2, also when the
+    # denominators share a factor, some of which the sum cancels
+    for gf in (F2, F4):
+        for _ in range(150):
+            shared = _rand_poly(gf, 2, nonzero=True)
+            a, b = (ScalarK(_rand_poly(gf, 3),
+                            shared * _rand_poly(gf, 2, nonzero=True))
+                    for _ in range(2))
+            c = ScalarK(_rand_poly(gf, 1), a.den) + b
+            for x, y in ((a, b), (a, a), (a, c), (c, b), (a, a.square())):
+                got = x + y
+                want = ScalarK(x.num * y.den + y.num * x.den, x.den * y.den)
+                assert (got.num, got.den) == (want.num, want.den)
+                assert got.den.lc() == 1
+                assert got.num.gcd(got.den) == UPoly.one(gf)
+        t = ScalarK.t(gf)
+        one = ScalarK.one(gf)
+        for x in (t, one / (t * t + t), (t + one) / t):
+            assert (x + x).den == UPoly.one(gf) and not x + x
+        # 1/(t(t+1)) + 1/t = t/(t(t+1)) = 1/(t+1): a shared factor cancels
+        assert one / (t * t + t) + one / t == one / (t + one)
+
+
 def test_pow_and_square():
     for _ in range(60):
         a = _rand(F4, 2, nonzero=True)
