@@ -1,32 +1,38 @@
 """Geometric fibres of the quartic fibrations over finite fields of char 2.
 
-Five fibrations are exposed by name.  Three, pi3, pi4 and pi5, are the
+Four fibrations are exposed by name.  Three, pi3, pi4 and pi5, are the
 families III, IV and V with their parameters in GF(2^m): their forms
 (``family_terms``), parameter names (``FAMILY_PARAMS``) and closed-form
-singular points (``singular_radicands``) are read from ``families``.  Two
-are pencils of plane curves.  A fibre is a ternary form over GF(2^m),
-wrapped in `PlaneCurveFq`, and the routines here measure it:
+singular points (``singular_radicands``) are read from ``families``.  The
+fourth is the quartic pencil; the cubic pencil, whose members are not
+quartics, is left to ``resolution``.  A fibre is a ternary form over
+GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
 
 * ``singular_locus`` and ``smooth_points`` read the curve's one
-  bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which line
-  peeling reads too); only the singular locus over GF(q^2) scans again,
-  and classification calls it only when the pass has no singular point;
+  bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which keeps the
+  zero, singular and smooth masks; line peeling decodes the zero set,
+  and the classification only the lowest points it takes of the other
+  two); only the singular locus over GF(q^2) scans again, and
+  classification calls it only when the pass has no singular point;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
-  check and coerce the point, then work in its ``plane.chart_at``: the
-  first reads off the lowest total degree; the second iterates
-  ``plane.blow_up`` at the directions of ``plane.tangent_cone``, summing
-  m(m-1)/2 over the infinitely near points; the third restricts the chart
-  to the tangent line, its linear part, by a coefficient map;
+  check the point and read it as raw ints of its field, then work in its
+  ``plane.chart_at``, a dict of raw ints: the first reads off the lowest
+  total degree; the second iterates ``plane.blow_up`` at the directions
+  of ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
+  points; the third restricts the chart to the tangent line, its linear
+  part, by a coefficient map;
 * ``classify_fibre`` runs the cascade square-root / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
   its candidate lines off the zero set and confirms each by division.
 
 Charts, blow-ups, line peeling, root finding and the search caps come
-from ``plane``; none of the above makes a polynomial substitution.  The
-fibres are strange quartics, whose lines and singular point are rational;
-a conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w) splits over GF(q) or
-GF(q^2), which is a question about T^2 + A T + B over GF(q), so the
-biconic split searches GF(q) alone for every m.
+from ``plane``; none of the above makes a polynomial substitution, and
+`GFElem` values are made only for what is reported: points and
+`FibreClass.sing_point`.  The fibres are strange quartics, whose lines
+and singular point are rational; a conic pair y^4 + A y^2 + B =
+(y^2+v)(y^2+w) splits over GF(q) or GF(q^2), which is a question about
+T^2 + A T + B over GF(q), so the biconic split searches GF(q) alone for
+every m.
 """
 
 from dataclasses import dataclass
@@ -72,8 +78,14 @@ class PlaneCurveFq:
 
     @cached_property
     def scan(self) -> tuple:
-        """Zero set, singular and smooth points over GF(q): one pass."""
+        """Zero, singular and smooth masks over P^2(GF(q)), from one pass;
+        ``points`` decodes them."""
         return kernels.scan_curve(self.form, self.gf)
+
+    def points(self, which: int, limit: int | None = None) -> list:
+        """The first `limit` (default all) points of a mask of ``scan``,
+        0 zero, 1 singular, 2 smooth, as raw triples in scan order."""
+        return kernels.mask_points(self.scan[which], 1 << self.field.m, limit)
 
 
 @dataclass(frozen=True)
@@ -123,17 +135,11 @@ def _pencil_quartic(gf, t0, t1):
     return triform(gf, [((0, 4, 0), t0), ((1, 0, 3), t0), ((3, 0, 1), t1)])
 
 
-def _pencil_cubic(gf, t0, t1):
-    # the cubic pencil's coordinates (u, v, w) are written (x, y, z) here
-    return triform(gf, [((1, 2, 0), t0), ((0, 0, 3), t0), ((2, 0, 1), t1)])
-
-
 # name -> (parameter names, function making the fibre form)
 FIBRATIONS = {
     **{name: (tuple(FAMILY_PARAMS[tag]), partial(_family_form, tag))
        for name, tag in _FAMILY_OF.items()},
     "pencil-quartic": (("t0", "t1"), _pencil_quartic),
-    "pencil-cubic": (("t0", "t1"), _pencil_cubic),
 }
 
 
@@ -181,10 +187,10 @@ def predicted_singular_point(fibration: str, point, spec: FieldSpec):
 # ----- points and charts --------------------------------------------------
 
 
-def _coerce_point(curve: "PlaneCurveFq", point):
+def _coerce_point(curve: "PlaneCurveFq", point) -> tuple[tuple, GF]:
     """Three coordinates in one field, each a GFElem or a raw int in
-    range(q), which is read in the curve's base field; anything else
-    raises ConstraintViolation."""
+    range(q), which is read in the curve's base field, as raw ints and
+    their field; anything else raises ConstraintViolation."""
     q = 1 << curve.field.m
     if len(point) != 3 or not all(
             isinstance(c, GFElem) or (isinstance(c, int) and 0 <= c < q)
@@ -192,17 +198,19 @@ def _coerce_point(curve: "PlaneCurveFq", point):
         raise ConstraintViolation(
             f"{point!r} is not a point of the plane over GF({q}): three"
             f" coordinates, raw ints in range({q})")
-    p = tuple(c if isinstance(c, GFElem) else GFElem(curve.gf, c)
-              for c in point)
-    if len({c.gf for c in p}) > 1:
+    fields = {c.gf for c in point if isinstance(c, GFElem)}
+    if not all(isinstance(c, GFElem) for c in point):
+        fields.add(curve.gf)
+    if len(fields) > 1:
         raise ConstraintViolation("the coordinates lie in different fields")
-    return p
+    return (tuple(c.v if isinstance(c, GFElem) else c for c in point),
+            fields.pop())
 
 
 def multiplicity_at(curve: PlaneCurveFq, point) -> int:
     """Multiplicity of the curve at a projective point (1 = smooth)."""
-    local, _ = chart_at(curve.form, _coerce_point(curve, point))
-    if local.is_zero() or mult_origin(local) == 0:
+    local = chart_at(curve.form, *_coerce_point(curve, point))
+    if mult_origin(local) == 0:
         raise PointNotOnCurve("the point does not lie on the curve")
     return mult_origin(local)
 
@@ -222,8 +230,8 @@ def singular_locus(curve: PlaneCurveFq) -> list:
     check_cap(2 * base.m, "the singular locus")
     big = GF.get(2 * base.m)
     f = embed_form(curve.form, base, big)
-    return [(tuple(map(base.elem, raw)), 1) for raw in curve.scan[1]] + [
-        (tuple(GFElem(big, v) for v in raw), 2)
+    return [(_elems(base, raw), 1) for raw in curve.points(1)] + [
+        (_elems(big, raw), 2)
         for raw in kernels.scan_singular_points(f, big)
         if not all(big.in_subfield(v, base.m) for v in raw)]
 
@@ -231,7 +239,11 @@ def singular_locus(curve: PlaneCurveFq) -> list:
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
     """Points of the curve with multiplicity 1, rational over the base
     field, in scan order."""
-    return [tuple(map(curve.gf.elem, raw)) for raw in curve.scan[2][:limit]]
+    return [_elems(curve.gf, raw) for raw in curve.points(2, limit)]
+
+
+def _elems(gf: GF, raw) -> tuple:
+    return tuple(GFElem(gf, v) for v in raw)
 
 
 # ----- tangent contact ----------------------------------------------------
@@ -246,26 +258,28 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
     point).  Along the line (u, v) = (b s, a s) a term c u^i v^j becomes
     c b^i a^j s^(i+j); the point is the root s = 0 of this restriction
     h, and d - deg h is the contact at the line's point at infinity."""
-    local, pivot = chart_at(curve.form, _coerce_point(curve, point))
-    if local.coeff((0, 0, 0)):
+    raw, gf = _coerce_point(curve, point)
+    local = chart_at(curve.form, raw, gf)
+    if (0, 0) in local:
         raise PointNotOnCurve("the point does not lie on the curve")
-    iu, iv = [i for i in range(3) if i != pivot]
-    a, b = (local.coeff(tuple(int(k == i) for k in range(3))).v
-            for i in (iu, iv))
+    a, b = local.get((1, 0), 0), local.get((0, 1), 0)
     if not (a or b):
         raise NotSmoothPoint("tangent contact is measured at smooth points")
-    gf, d = local.domain, curve.degree()
-    pa, pb = ([gf.pow(c, k) for k in range(d + 1)] for c in (a, b))
+    d = curve.degree()
+    log, exp, n = gf.log, gf.exp, gf.q - 1
+    la, lb = log[a], log[b]
     cs = [0] * (d + 1)
-    for e, c in local.terms.items():
-        cs[e[iu] + e[iv]] ^= gf.mul(c.v, gf.mul(pb[e[iu]], pa[e[iv]]))
+    for (i, j), c in local.items():
+        if (i and not b) or (j and not a):
+            continue        # a zero factor b^i a^j
+        cs[i + j] ^= exp[(log[c] + i * lb + j * la) % n]
     h = UPoly.from_coeffs(gf, cs)
     if not h:
         raise ConstraintViolation("the tangent line is a component")
     found, rest = roots(h)
     # s^2 divides h and d <= 4, so the root-free rest is 1 or an irreducible
     # quadratic, whose two conjugate roots are simple
-    profile = [n for _, n in found] + [1] * rest.deg()
+    profile = [k for _, k in found] + [1] * rest.deg()
     if h.deg() < d:
         profile.append(d - h.deg())
     profile = tuple(sorted(profile, reverse=True))
@@ -276,17 +290,17 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 # ----- delta invariant ----------------------------------------------------
 
 
-def _directions(f: MPoly, m: int, iu: int):
-    """The finite blow-up directions of a point of multiplicity m, each a
-    GFElem over the smallest GF(q^r) that holds it, in ascending (r, eta)
-    order, and the multiplicity of the direction u = 0.
+def _directions(f: dict, gf: GF, m: int):
+    """The finite blow-up directions of a point of multiplicity m on a
+    local equation over gf, each a (field, raw int) pair over the smallest
+    GF(q^r) that holds it, in ascending (r, eta) order, and the
+    multiplicity of the direction u = 0.
 
     The roots over GF(q) are divided out first.  The cofactor left has
     degree at most 4 and no root, so its factors have degree 2 to 4 and
     all of them split over the first GF(q^r) where it has a root: no
     root is found twice."""
-    h, vertical = tangent_cone(f, m, iu)
-    gf = f.domain
+    h, vertical = tangent_cone(f, gf, m)
     if h.deg() > 0:
         check_cap(gf.m, "the blow-up direction search", ROOT_CAP)
     found, rest = roots(h)
@@ -297,8 +311,8 @@ def _directions(f: MPoly, m: int, iu: int):
         gfr = GF.get(gf.m * r)
         table = gf.embedding_into(gfr)
         lifted = UPoly.from_coeffs(gfr, [table[c] for c in rest.to_coeffs()])
-        split = [GFElem(gfr, alpha) for alpha, _ in roots(lifted)[0]]
-    return [GFElem(gf, alpha) for alpha, _ in found] + split, vertical
+        split = [(gfr, alpha) for alpha, _ in roots(lifted)[0]]
+    return [(gf, alpha) for alpha, _ in found] + split, vertical
 
 
 def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
@@ -309,16 +323,16 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     point (d concurrent lines); along a multiple component the blow-ups
     never end, so a running delta beyond that raises ConstraintViolation.
     """
-    d = curve.form.total_degree()
-    local, pivot = chart_at(curve.form, _coerce_point(curve, point))
+    d = curve.degree()
+    raw, gf = _coerce_point(curve, point)
+    local = chart_at(curve.form, raw, gf)
     if mult_origin(local) < 2:
         raise NotSingular("the delta invariant needs a singular point")
-    iu, iv = [i for i in range(3) if i != pivot]
     delta = 0
     seq = []
-    stack = [local]
+    stack = [(local, gf)]
     while stack:
-        f = stack.pop()
+        f, gf = stack.pop()
         m = mult_origin(f)
         seq.append(m)
         if m < 2:
@@ -326,9 +340,9 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
         delta += m * (m - 1) // 2
         if delta > d * (d - 1) // 2:
             raise ConstraintViolation("curve is not reduced at this point")
-        etas, vertical = _directions(f, m, iu)
-        nxt = [blow_up(f, iu, iv, m, None)] if vertical else []
-        nxt += [blow_up(f, iu, iv, m, eta) for eta in etas]
+        etas, vertical = _directions(f, gf, m)
+        nxt = [(blow_up(f, gf, m, None), gf)] if vertical else []
+        nxt += [(blow_up(f, gf, m, eta, big), big) for big, eta in etas]
         stack.extend(reversed(nxt))
     return delta, tuple(seq)
 
@@ -415,7 +429,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     even_y = _even_y_monic(curve.form)
     check_cap(gf.m, "line peeling")     # before the scan line peeling reads
     factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else 2,
-                                   curve.scan[0])
+                                   curve.points(0))
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)
@@ -436,7 +450,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
                               components=tuple(sorted(
                                   ((str(c0), 1), (str(c1), 1)))))
-    sing = ([(tuple(map(gf.elem, raw)), 1) for raw in curve.scan[1][:1]]
+    sing = ([(_elems(gf, raw), 1) for raw in curve.points(1, limit=1)]
             or singular_locus(curve))
     if not sing:
         return FibreClass(kind="IntegralQuartic")  # smooth: nothing to report

@@ -2,9 +2,14 @@
 
 Field elements travel as plain ints (the coordinate vector of the residue
 class in the power basis of the modulus); `GF` owns the arithmetic.  The
-`GFElem` wrapper exists so that sparse forms can treat finite-field
-coefficients and rational-function coefficients uniformly through operator
-overloading; hot loops never touch it.
+`GFElem` wrapper exists so that sparse forms (`MPoly`) can treat
+finite-field coefficients and rational-function coefficients uniformly
+through operator overloading.  The plane scans, the local equations of
+`plane` (charts, blow-ups, tangent cones), the root searches and the
+delta invariant and tangent contact of `fibres` run on raw ints and the
+tables; `GFElem` is left to forms (`MPoly`, whose divisions confirm the
+lines of line peeling) and to the points and components that are
+reported.
 """
 
 from __future__ import annotations

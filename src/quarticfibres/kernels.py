@@ -1,16 +1,19 @@
 """Bit-sliced point scans over the projective plane of GF(2^m).
 
 ``scan_curve`` evaluates a fibre and its partials over P^2(GF(q)) in one
-pass, for its zero set (line peeling's candidates), singular and smooth
-points, which `fibres.PlaneCurveFq.scan` keeps for every reader; only the
-GF(q^2) locus, extension line peeling and pencil base points scan alone.
-P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at once with
-bit slicing (Biham, "A fast new DES implementation in software", 1997):
-a value plane is m Python ints, and bit i of int k is bit k of the value
-at point i, the points taken in ``plane_points`` order.  A sum of planes
-is m XORs; a product is m^2 ANDs and XORs followed by reduction by the
-modulus; a constant factor is a GF(2)-linear map on the m ints.  The
-zeros of a form are the complement of the OR of its m ints.
+pass and returns its zero, singular and smooth points as masks, which
+`fibres.PlaneCurveFq.scan` keeps for every reader; ``mask_points``
+decodes a mask, whole (the zero set, line peeling's candidates) or only
+its lowest set bits (the first singular point, one smooth point).  Only
+the GF(q^2) locus, extension line peeling and pencil base points scan
+alone.  P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at
+once with bit slicing (Biham, "A fast new DES implementation in
+software", 1997): a value plane is m Python ints, and bit i of int k is
+bit k of the value at point i, the points taken in ``plane_points``
+order.  A sum of planes is m XORs; a product is m^2 ANDs and XORs
+followed by reduction by the modulus; a constant factor is a GF(2)-linear
+map on the m ints.  The zeros of a form are the complement of the OR of
+its m ints.
 
 ``tests/test_kernels.py`` checks every scan against `MPoly.eval_point`
 at every point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the
@@ -75,27 +78,31 @@ def _mul(a: list, b: list, gf) -> list:
     return c[:m]
 
 
+def _monomial(monomials: dict, e: tuple, gf) -> list:
+    """The plane of the monomial of exponent e, built from the planes in
+    `monomials` and kept there.  A module function, not a closure over
+    `monomials`: a recursive closure is a reference cycle, which would
+    keep every call's planes alive until the cyclic collector runs."""
+    mono = monomials.get(e)
+    if mono is None:    # one coordinate times a monomial of lower degree
+        k = next(k for k in range(3) if e[k])
+        lower = e[:k] + (e[k] - 1,) + e[k + 1:]
+        mono = monomials[e] = _mul(_monomial(monomials, lower, gf),
+                                   _coordinates(gf.m)[k], gf)
+    return mono
+
+
 def _zero_masks(forms, gf) -> list:
     """The zero set of each form as a mask over ``plane_points(gf.q)``;
     the forms share their monomial planes."""
     m, q = gf.m, gf.q
     full = (1 << (q * q + q + 1)) - 1
-    coords = _coordinates(m)
     monomials = {(0, 0, 0): [full] + [0] * (m - 1)}
-
-    def monomial(e):
-        mono = monomials.get(e)
-        if mono is None:    # one coordinate times a monomial of lower degree
-            k = next(k for k in range(3) if e[k])
-            lower = e[:k] + (e[k] - 1,) + e[k + 1:]
-            mono = monomials[e] = _mul(monomial(lower), coords[k], gf)
-        return mono
-
     masks = []
     for f in forms:
         acc = [0] * m
         for e, c in f.terms.items():
-            for i, plane in enumerate(monomial(e)):
+            for i, plane in enumerate(_monomial(monomials, e, gf)):
                 if plane:
                     col = gf.mul(c.v, 1 << i)    # c u^i: where plane i goes
                     for k in range(m):
@@ -105,26 +112,38 @@ def _zero_masks(forms, gf) -> list:
     return masks
 
 
-def _points(mask: int, q: int) -> list:
+def mask_points(mask: int, q: int, limit: int | None = None) -> list:
+    """The points of a mask over ``plane_points(q)`` as raw triples, in
+    that order; with a limit, only the first `limit` of them, decoded
+    from the lowest set bits alone."""
     pts = plane_points(q)
-    # bin() reversed, without its "0b": bit i at position i
-    return [pts[one.start()] for one in re.finditer("1", bin(mask)[:1:-1])]
+    if limit is None:
+        # bin() reversed, without its "0b": bit i at position i
+        return [pts[one.start()]
+                for one in re.finditer("1", bin(mask)[:1:-1])]
+    out = []
+    while mask and len(out) < limit:
+        low = mask & -mask
+        out.append(pts[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def scan_zero_points(form, gf) -> list:
     """Points of P^2(GF) where the form vanishes, as raw int triples."""
-    return _points(_zero_masks([form], gf)[0], gf.q)
+    return mask_points(_zero_masks([form], gf)[0], gf.q)
 
 
 def scan_singular_points(form, gf) -> list:
     """Points where the form and all three partials vanish (raw triples)."""
     f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
-    return _points(f & fx & fy & fz, gf.q)
+    return mask_points(f & fx & fy & fz, gf.q)
 
 
 def scan_curve(form, gf) -> tuple:
-    """The zero set, the singular points and the smooth points of a form
-    (raw triples), from one evaluation of the form and its partials."""
+    """The zero set, the singular points and the smooth points of a form,
+    as masks for ``mask_points``, from one evaluation of the form and its
+    partials."""
     f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
     singular = f & fx & fy & fz
-    return tuple(_points(mask, gf.q) for mask in (f, singular, f ^ singular))
+    return f, singular, f ^ singular

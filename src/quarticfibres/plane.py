@@ -5,23 +5,27 @@ ternary forms in (x, y, z) and the same few local constructions:
 
 * ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
   are read off the zero set: a line divides a form only if all its
-  rational points are zeros.  A fibre hands in its base-field zero set
-  from its one ``kernels.scan_curve`` pass; pencils and extensions scan
-  it with ``kernels.scan_zero_points``.  ``_full_lines`` groups the zeros
-  by their projection from a base point and leaves the point once too
-  many groups are open for one to be full, which for the q+1 zeros of
-  an integral fibre is at the second group.  Each candidate is then
-  confirmed by division;
+  rational points are zeros.  A fibre hands in its base-field zero set,
+  decoded from its one ``kernels.scan_curve`` pass; pencils and
+  extensions scan it with ``kernels.scan_zero_points``.  ``_full_lines``
+  groups the zeros by their projection from a base point and leaves the
+  point once too many groups are open for one to be full, which for the
+  q+1 zeros of an integral fibre is at the second group.  Each candidate
+  is then confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
-* ``chart_at``: the affine chart at a point, moved to the origin by
-  ``_translate``, which expands (x + s)^n by Lucas' theorem, term by
-  term and with no substitution; ``mult_origin`` reads the multiplicity;
+* ``chart_at``: the local equation at a point, a dict {(i, j): c} of raw
+  ints of one field in the two coordinates other than the pivot.  One
+  pass over the form's terms dehomogenizes, embeds the coefficients and
+  moves the point to the origin with ``_translate``, which expands
+  (x + s)^n by Lucas' theorem and multiplies by adding log-exponents, as
+  ``GF.mul`` does; ``mult_origin`` reads the multiplicity;
 * ``tangent_cone`` and ``blow_up``: the one blow-up step, which
   ``fibres.delta_invariant`` and ``resolution.resolve_pencil`` iterate.
   The degree-k part of a local equation, read as a `UPoly` in the
   direction, has the centres on the exceptional curve as its roots; the
   strict transform at one centre is an exponent map, which divides by
-  u^k, and a ``_translate`` by the centre;
+  u^k, and a ``_translate`` by the centre, a raw int of the equation's
+  field or of an extension that the equation is embedded in first;
 * ``roots``: the rational roots of a univariate `UPoly`, which is how
   blow-up directions, tangent contacts, conic pairs and base points on
   exceptional curves are found.  It splits off X^k, takes square roots
@@ -31,9 +35,9 @@ ternary forms in (x, y, z) and the same few local constructions:
   field's table of Y^2 + Y = b (``GF.artin_schreier``).  Only a
   remainder of degree 3 or more is scanned over the field.
 
-None of these makes a polynomial substitution, and neither does the
-tangent restriction in ``fibres``, which starts from ``chart_at``;
-``MPoly.substitute`` is left to the identity replays
+None of these makes a polynomial substitution or a `GFElem`, and neither
+does the tangent restriction in ``fibres``, which starts from
+``chart_at``; ``MPoly.substitute`` is left to the identity replays
 ``isomorphisms.verify_iso`` and ``resolution.covering_check``.
 
 The search limits ``LOCUS_CAP`` (plane scans) and ``ROOT_CAP`` (blow-up
@@ -42,9 +46,6 @@ for a search beyond its cap.  Both keep their meaning although most
 searches no longer walk the field: a root search of degree 3 or more
 still does, and the caps bound the field, not the path taken.
 """
-
-from itertools import accumulate, repeat
-from operator import mul
 
 from . import kernels
 from .errors import ConstraintViolation, SearchCapped
@@ -72,17 +73,6 @@ def embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
                  {e: GFElem(big, table[c.v]) for e, c in f.terms.items()})
 
 
-def _normalize_point(point):
-    """Scale a projective point so that its first nonzero coordinate is
-    1; returns the scaled point and that coordinate's index."""
-    gf = point[0].gf
-    for i, c in enumerate(point):
-        if c:
-            s = gf.one_elem() / c
-            return tuple(x * s for x in point), i
-    raise ConstraintViolation("(0:0:0) is not a projective point")
-
-
 def line_form(gf: GF, triple) -> MPoly:
     """The linear form a x + b y + c z of a raw coefficient triple."""
     return MPoly.from_terms(
@@ -92,91 +82,108 @@ def line_form(gf: GF, triple) -> MPoly:
 
 
 # ----- local charts -------------------------------------------------------
+#
+# A local equation is a dict {(i, j): c} over one field GF, c a nonzero raw
+# int and (i, j) the exponents of the chart coordinates u and v, the two
+# coordinates other than the pivot, in order.
 
 
-def chart_at(form: MPoly, point) -> tuple[MPoly, int]:
-    """Dehomogenize at the point's pivot, then ``_translate`` the point
-    to the origin.
+def _lucas(n: int, s: int, log: list) -> list:
+    """(k, log of s^(n-k)) for each term s^(n-k) x^k of (x + s)^n.  By
+    Lucas' theorem C(n, k) is odd iff the bits of k are a subset of n's;
+    s = 0 leaves x^n alone."""
+    if not s:
+        return [(n, 0)]
+    ls, k, out = log[s], n, []
+    while True:
+        out.append((k, (n - k) * ls))
+        if not k:
+            return out
+        k = (k - 1) & n
 
-    The chart lives over the field of the point's coordinates (GFElem
-    values); returns the local equation and the pivot index."""
-    p, i = _normalize_point(point)
-    f = embed_form(form, form.domain, p[0].gf).dehomogenize(form.vars[i])
-    return _translate(f, {j: c for j, c in enumerate(p) if j != i}), i
+
+def _translate(terms, gf: GF, su: int, sv: int) -> dict:
+    """The local equation of the sum of c (u + su)^i (v + sv)^j over the
+    triples (i, j, c) of `terms`: each term expands by ``_lucas`` and its
+    coefficients are products of powers, so their log-exponents add, as
+    in ``GF.mul``."""
+    log, exp, n = gf.log, gf.exp, gf.q - 1
+    us, vs, out = {}, {}, {}
+    get = out.get
+    for i, j, c in terms:
+        eu = us.get(i) or us.setdefault(i, _lucas(i, su, log))
+        ev = vs.get(j) or vs.setdefault(j, _lucas(j, sv, log))
+        lc = log[c]
+        for k, x in eu:
+            x += lc
+            for m, y in ev:
+                out[k, m] = get((k, m), 0) ^ exp[(x + y) % n]
+    return {e: c for e, c in out.items() if c}
 
 
-def mult_origin(f: MPoly) -> int:
+def chart_at(form: MPoly, point, gf: GF) -> dict:
+    """The local equation of a form at a point of P^2(gf), three raw ints
+    of a field that holds the form's coefficients, in the coordinates u
+    and v other than the pivot, the point's first nonzero coordinate.
+
+    The form is dehomogenized at the pivot, its coefficients embedded in
+    gf, and the point scaled to 1 there is moved to the origin by
+    ``_translate``, all in one pass over the form's terms."""
+    i = next((k for k, c in enumerate(point) if c), None)
+    if i is None:
+        raise ConstraintViolation("(0:0:0) is not a projective point")
+    iu, iv = (k for k in range(3) if k != i)
+    su, sv = gf.div(point[iu], point[i]), gf.div(point[iv], point[i])
+    table = None if form.domain is gf else form.domain.embedding_into(gf)
+    return _translate(
+        ((e[iu], e[iv], c.v if table is None else table[c.v])
+         for e, c in form.terms.items()), gf, su, sv)
+
+
+def mult_origin(f: dict) -> int:
     """Lowest total degree of a nonzero local equation."""
-    return min(sum(e) for e in f.terms)
-
-
-def _translate(f: MPoly, shift: dict) -> MPoly:
-    """f with the variable of each index i in `shift` replaced by itself
-    plus shift[i].  By Lucas' theorem C(n, k) is odd iff the bits of k
-    are a subset of n's, so in char 2 (x + s)^n is the sum of s^(n-k) x^k
-    over those k.  Terms expand one by one with only the coefficients'
-    *, + and truth value, so one path serves every char-2 domain."""
-    top = max((max(e) for e in f.terms), default=0)
-    pows = [(i, [None, *accumulate(repeat(s, top), mul)])    # p[j] = s^j
-            for i, s in shift.items() if s]
-    if not pows:
-        return f
-    out = {}
-    for e, c in f.terms.items():
-        part = [(e, c)]
-        for i, p in pows:
-            if n := e[i]:
-                part = [(e1[:i] + (k,) + e1[i + 1:],
-                         c1 if k == n else c1 * p[n - k])
-                        for e1, c1 in part
-                        for k in range(n, -1, -1) if k & n == k]
-        for e1, c1 in part:
-            old = out.get(e1)
-            out[e1] = c1 if old is None else old + c1
-    return MPoly(f.vars, f.domain, {e: c for e, c in out.items() if c})
+    return min(i + j for i, j in f)
 
 
 # ----- blow-ups -----------------------------------------------------------
 
 
-def tangent_cone(f: MPoly, k: int, iu: int) -> tuple[UPoly, int]:
-    """The degree-k part L(u, v) of a local equation in the coordinates u
-    (variable `iu`) and v, read as L(1, eta), a `UPoly` in the direction
-    eta of the line v = eta u, and the multiplicity of the direction
-    u = 0: the power of u dividing L, or k when L = 0."""
+def tangent_cone(f: dict, gf: GF, k: int) -> tuple[UPoly, int]:
+    """The degree-k part L(u, v) of a local equation, read as L(1, eta),
+    a `UPoly` in the direction eta of the line v = eta u, and the
+    multiplicity of the direction u = 0: the power of u dividing L, or k
+    when L = 0."""
     cs = [0] * (k + 1)
-    for e, c in f.terms.items():
-        if sum(e) == k:
-            cs[k - e[iu]] = c.v
-    h = UPoly.from_coeffs(f.domain, cs)
+    for (i, j), c in f.items():
+        if i + j == k:
+            cs[j] = c
+    h = UPoly.from_coeffs(gf, cs)
     return h, (k - h.deg() if h else k)
 
 
-def blow_up(f: MPoly, iu: int, iv: int, k: int, eta) -> MPoly:
-    """Strict transform of a local equation at the infinitely near point
-    of direction eta (a coefficient; a GFElem moves the transform to its
-    field), or of the direction u = 0 when eta is None.
+def blow_up(f: dict, gf: GF, k: int, eta: int | None,
+            big: GF | None = None) -> dict:
+    """Strict transform of a local equation over gf at the infinitely
+    near point of direction eta, a raw int of `big` (gf by default; f is
+    embedded in big first), or of the direction u = 0 when eta is None.
 
     The substitution v -> u (eta + v), with exceptional curve u = 0, and
-    division by u^k map a term u^a v^b to u^(a+b-k) (v + eta)^b: an
+    division by u^k map a term u^i v^j to u^(i+j-k) (v + eta)^j: an
     exponent map, then ``_translate`` by eta.  For u = 0, u -> u v and
-    division by v^k map it to u^a v^(a+b-k), an exponent map alone.
+    division by v^k map it to u^i v^(i+j-k), an exponent map alone.
     Raises `ConstraintViolation` when k exceeds the multiplicity of f,
     where an exponent would turn negative."""
-    if isinstance(eta, GFElem):
-        f = embed_form(f, f.domain, eta.gf)
-    ie = iv if eta is None else iu          # the exceptional coordinate
-    terms = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[ie] = e[iu] + e[iv] - k
-        if e2[ie] < 0:
-            raise ConstraintViolation(
-                f"a blow-up divides by the {k}-th power of the exceptional"
-                f" coordinate, above the multiplicity")
-        terms[tuple(e2)] = c
-    f = MPoly(f.vars, f.domain, terms)
-    return f if eta is None else _translate(f, {iv: eta})
+    if mult_origin(f) < k:
+        raise ConstraintViolation(
+            f"a blow-up divides by the {k}-th power of the exceptional"
+            f" coordinate, above the multiplicity")
+    if eta is None:
+        return {(i, i + j - k): c for (i, j), c in f.items()}
+    if big is not None and big is not gf:
+        table = gf.embedding_into(big)
+        f, gf = {e: table[c] for e, c in f.items()}, big
+    return _translate(((i + j - k, j, c) for (i, j), c in f.items()),
+                      gf, 0, eta)
 
 
 # ----- univariate roots ---------------------------------------------------

@@ -257,8 +257,9 @@ def _named_factors(pencil: PencilSpec):
     return named
 
 
-def _vanishes(f: MPoly) -> bool:
-    return not f.coeff(tuple([0] * len(f.vars)))
+def _vanishes(f: dict) -> bool:
+    """Whether a local equation vanishes at the origin."""
+    return (0, 0) not in f
 
 
 # ----- the engine -----------------------------------------------------------
@@ -275,13 +276,10 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     strict_mults = {cid: {} for cid, _, _, _ in named}
 
     for (pt, series) in report.base_points:
-        point = tuple(GFElem(gf, v) for v in pt)
-        g0, pivot = chart_at(pencil.f0, point)
-        g1, _ = chart_at(pencil.f1, point)
-        iu, iv = [i for i in range(3) if i != pivot]
+        g0, g1 = chart_at(pencil.f0, pt, gf), chart_at(pencil.f1, pt, gf)
         tracked = {}
         for cid, form, _, _ in named:
-            local, _ = chart_at(form, point)
+            local = chart_at(form, pt, gf)
             if _vanishes(local):
                 tracked[cid] = local
         queue = deque([{
@@ -311,25 +309,25 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
 
             # the centres on the new exceptional curve: the common
             # directions of the two members' degree-mu cones
-            (h0, v0), (h1, v1) = (tangent_cone(g, mu, iu) for g in (g0, g1))
+            (h0, v0), (h1, v1) = (tangent_cone(g, gf, mu) for g in (g0, g1))
             found, rest = roots(h0.gcd(h1))
             if rest.deg() > 0:
                 raise NonRationalCenter(
                     "the transformed pencil has a base point with irrational "
                     "coordinates")
-            centres = [GFElem(gf, beta) for beta, _ in found]
+            centres = [beta for beta, _ in found]
             for eta in centres + ([None] if v0 and v1 else []):
-                exc = {eid: blow_up(h, iu, iv, 1, eta)
+                exc = {eid: blow_up(h, gf, 1, eta)
                        for eid, h in item["exc"].items()}
-                exc[nid] = MPoly.var(FORM_VARS, gf,
-                                    FORM_VARS[iv if eta is None else iu])
-                tracked = {cid: blow_up(h, iu, iv, tmults[cid], eta)
+                # the new exceptional curve: v = 0 in the chart of the
+                # direction u = 0, u = 0 in the others
+                exc[nid] = {(0, 1) if eta is None else (1, 0): 1}
+                tracked = {cid: blow_up(h, gf, tmults[cid], eta)
                            for cid, h in item["tracked"].items()}
-                chart = ("B" if eta is None
-                         else f"A[{eta.v}]" if eta.v else "A")
+                chart = "B" if eta is None else f"A[{eta}]" if eta else "A"
                 queue.append({
-                    "g0": blow_up(g0, iu, iv, mu, eta),
-                    "g1": blow_up(g1, iu, iv, mu, eta),
+                    "g0": blow_up(g0, gf, mu, eta),
+                    "g1": blow_up(g1, gf, mu, eta),
                     "exc": {k: h for k, h in exc.items() if _vanishes(h)},
                     "tracked": {k: h for k, h in tracked.items()
                                 if _vanishes(h)},

@@ -113,9 +113,10 @@ def test_scan_tables():
     r5 = run("scan", "--fibration", "pencil-quartic", "--field-m", "2",
              "--json")
     assert json.loads(r5.stdout)["results"]["scanned"] == 15
+    # the cubic pencil has no quartic fibres to classify: not a fibration
     r6 = run("scan", "--fibration", "pencil-cubic", "--json")
-    assert r6.returncode == 1
-    assert json.loads(r6.stdout)["error"]["type"] == "ConstraintViolation"
+    assert r6.returncode == 2 and r6.stdout == ""
+    assert "invalid choice: 'pencil-cubic'" in r6.stderr
 
 
 def test_scan_tables_over_gf4_and_gf8():

@@ -23,6 +23,7 @@ from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
 from quarticfibres.plane import chart_at, embed_form, roots, tangent_cone
+from quarticfibres.resolution import cubic_pencil
 from quarticfibres.upoly import UPoly
 
 SPEC2 = FieldSpec(1)
@@ -34,12 +35,13 @@ def _curve(text, spec=SPEC2):
 
 
 def test_catalogue():
-    assert set(FIBRATIONS) == {"pi3", "pi4", "pi5",
-                               "pencil-quartic", "pencil-cubic"}
+    # the cubic pencil is resolved, never classified: not a fibration
+    assert set(FIBRATIONS) == {"pi3", "pi4", "pi5", "pencil-quartic"}
     assert len(FIBRATIONS["pi4"][0]) == 3
-    assert len(FIBRATIONS["pencil-cubic"][0]) == 2
-    with pytest.raises(UnsupportedFamily):
-        specialize_fibre("pi6", (0,), SPEC2)
+    assert len(FIBRATIONS["pencil-quartic"][0]) == 2
+    for name in ("pi6", "pencil-cubic"):
+        with pytest.raises(UnsupportedFamily):
+            specialize_fibre(name, (0, 1), SPEC2)
 
 
 def test_specialize_matches_family_shape():
@@ -48,7 +50,8 @@ def test_specialize_matches_family_shape():
     assert is_strange(c.form)
     q = specialize_fibre("pencil-quartic", (1, 1), SPEC2)
     assert q.form == parse_form("y^4 + x*z^3 + x^3*z", SPEC2, over="GF")
-    cub = specialize_fibre("pencil-cubic", (1, 1), SPEC2)
+    pencil = cubic_pencil()
+    cub = PlaneCurveFq(pencil.f0 + pencil.f1, SPEC2)
     assert cub.form == parse_form("x*y^2 + z^3 + x^2*z", SPEC2, over="GF")
     assert cub.degree() == 3
 
@@ -103,11 +106,10 @@ def test_delta_oracles():
 def test_delta_through_irrational_directions(text, want, r):
     curve = _curve(text)
     assert delta_invariant(curve, (0, 0, 1)) == want
-    local, _ = chart_at(curve.form, tuple(GFElem(curve.gf, v)
-                                          for v in (0, 0, 1)))
-    etas, vertical = fibres._directions(local, want[1][0], 0)
+    local = chart_at(curve.form, (0, 0, 1), curve.gf)
+    etas, vertical = fibres._directions(local, curve.gf, want[1][0])
     assert vertical == 0 and len(etas) == want[1][0]
-    assert all(eta.gf.m == r for eta in etas)
+    assert all(big.m == r for big, _ in etas)
 
 
 @pytest.mark.parametrize("text", ["x^2*y^2", "x^2*y"])
@@ -225,7 +227,9 @@ def test_tangent_types():
 def _binary_profile(g: MPoly) -> tuple:
     """Root multiplicities of a nonzero binary quartic in (x, y) over the
     algebraic closure, conjugates counted separately."""
-    h, k0 = tangent_cone(g, g.total_degree(), 1)   # k0: the root (1:0)
+    # read with u = y and v = x; k0 is the multiplicity of the root (1:0)
+    h, k0 = tangent_cone({(e[1], e[0]): c.v for e, c in g.terms.items()},
+                         g.domain, g.total_degree())
     found, rest = roots(h)
     profile = ([k0] if k0 else []) + [n for _, n in found]
     if rest.deg() == 4 and rest.is_square():
@@ -238,8 +242,11 @@ def _binary_profile(g: MPoly) -> tuple:
 def _tangent_by_substitution(curve, point) -> TangentType:
     """The reference restriction: two points span the tangent line, and
     the form is substituted along them as a binary quartic."""
-    p, _ = plane._normalize_point(fibres._coerce_point(curve, point))
-    gf = p[0].gf
+    raw, gf = fibres._coerce_point(curve, point)
+    i = next((k for k, c in enumerate(raw) if c), None)
+    if i is None:
+        raise ConstraintViolation("(0:0:0) is not a projective point")
+    p = tuple(GFElem(gf, gf.div(c, raw[i])) for c in raw)
     f = embed_form(curve.form, curve.gf, gf)
     vals = dict(zip(f.vars, p))
     if f.eval_point(vals):
@@ -317,7 +324,7 @@ def test_tangent_contact_matches_substitution(m):
     gf = GF.get(m)
     checked = 0
     for curve in _oracle_curves(gf, rng):
-        zeros, singular, smooth = curve.scan
+        zeros, singular, smooth = map(curve.points, range(3))
         points = rng.sample(smooth, min(4, len(smooth))) + list(singular)
         zero_set = set(zeros)
         points += [p for p in (tuple(rng.randrange(gf.q) for _ in range(3))
@@ -383,7 +390,8 @@ def test_classify_divides_only_by_candidate_lines(monkeypatch):
     assert cls.kind == "IntegralQuartic"
     assert len(calls) <= 8
     # the multiplicity is the first of the delta invariant's sequence
-    assert sum(point == cls.sing_point for _, point in charts) == 1
+    sing = tuple(c.v for c in cls.sing_point)
+    assert sum(point == sing for _, point, _ in charts) == 1
 
 
 def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
@@ -533,6 +541,40 @@ def test_gf64_fibre_searches_do_not_walk_the_field(monkeypatch):
     assert sum(map(len, groups)) <= 2
 
 
+def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
+    # a machine-independent work count: the local equations of the delta
+    # invariant and the tangent contact are dicts of raw field ints, so
+    # neither makes or combines a GFElem, and of the pass only the q + 1
+    # zeros that line peeling reads, the singular head and one smooth
+    # point are decoded
+    inside, elem_calls, decoded = [], [], []
+    for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__",
+                 "__pow__", "square", "sqrt", "fourth_root"):
+        def counted(*args, _fn=getattr(GFElem, name), _name=name):
+            if inside:
+                elem_calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(GFElem, name, counted)
+    for name in ("delta_invariant", "tangent_contact_type"):
+        def flagged(*args, _fn=getattr(fibres, name)):
+            inside.append(True)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(fibres, name, flagged)
+    mask_points = kernels.mask_points
+
+    def decode(*args):
+        decoded.append(mask_points(*args))
+        return decoded[-1]
+    monkeypatch.setattr(kernels, "mask_points", decode)
+    cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
+    assert (cls.kind, cls.delta) == ("IntegralQuartic", 3)
+    assert cls.tangent is not None and elem_calls == []
+    assert 0 < sum(map(len, decoded)) <= 64 + 3
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_integral_answer_beyond_delta_3_raises(m):
     # four conjugate concurrent lines: delta 6 at (0:1:0), more than the
@@ -542,8 +584,9 @@ def test_integral_answer_beyond_delta_3_raises(m):
 
 
 def test_classify_rejects_non_quartic():
-    with pytest.raises(Exception):
-        classify_fibre(specialize_fibre("pencil-cubic", (1, 0), SPEC2))
+    with pytest.raises(ConstraintViolation,
+                       match="the classification taxonomy is quartic"):
+        classify_fibre(_curve("x*y^2 + z^3"))
 
 
 @functools.cache

@@ -41,9 +41,9 @@ def _fields():
 
 
 def test_evaluate_matches_eval_point():
-    # the scans, the one-pass zero/singular/smooth lists included,
-    # against the exact evaluator at every point of P^2(GF(2^m)), m <= 4;
-    # the zero form and a constant form included
+    # the scans, the one-pass zero/singular/smooth masks included (decoded
+    # whole and up to a limit), against the exact evaluator at every point
+    # of P^2(GF(2^m)), m <= 4; the zero form and a constant form included
     for gf in _fields():
         pts = kernels.plane_points(gf.q)
         forms = [_rand_form(gf) for _ in range(3)]
@@ -63,7 +63,13 @@ def test_evaluate_matches_eval_point():
                     singular.append(p)
             assert kernels.scan_zero_points(f, gf) == zero
             assert kernels.scan_singular_points(f, gf) == singular
-            assert kernels.scan_curve(f, gf) == (zero, singular, smooth)
+            masks = kernels.scan_curve(f, gf)
+            assert [kernels.mask_points(mask, gf.q) for mask in masks] == [
+                zero, singular, smooth]
+            for mask, pts_all in zip(masks, (zero, singular, smooth)):
+                for limit in (0, 1, 2, len(pts_all), len(pts_all) + 1):
+                    assert kernels.mask_points(mask, gf.q, limit) == (
+                        pts_all[:limit])
 
 
 def test_scan_zero_points_brute_force():

@@ -21,8 +21,6 @@ from quarticfibres.plane import (blow_up, chart_at, embed_form,
                                  is_smooth_conic, line_form, peel_lines,
                                  roots)
 from quarticfibres.resolution import PENCILS, resolve_pencil
-from quarticfibres.sampling import random_scalar
-from quarticfibres.scalars import KDomain
 from quarticfibres.upoly import UPoly
 
 random.seed(30931)
@@ -204,16 +202,32 @@ def test_extension_round_splits_a_conjugate_pair(monkeypatch):
 # ----- charts and blow-ups ------------------------------------------------
 
 
+def _normalized(point):
+    """A GFElem point scaled to 1 at its first nonzero coordinate, and
+    that coordinate's index."""
+    i = next(k for k, c in enumerate(point) if c)
+    s = point[0].gf.one_elem() / point[i]
+    return tuple(c * s for c in point), i
+
+
+def _as_local(f, pivot):
+    """A polynomial free of the pivot variable as the local equation that
+    ``plane`` takes: {(i, j): raw int} in the two other variables."""
+    iu, iv = [k for k in range(3) if k != pivot]
+    assert not any(e[pivot] for e in f.terms)
+    return {(e[iu], e[iv]): c.v for e, c in f.terms.items()}
+
+
 def _chart_by_substitution(form, point):
     """The reference chart: dehomogenize, then substitute x + p_x for x
     (and so on) as polynomials."""
-    p, i = plane._normalize_point(point)
+    p, i = _normalized(point)
     gf = p[0].gf
     f = embed_form(form, form.domain, gf).dehomogenize(form.vars[i])
     mapping = {name: (MPoly.var(form.vars, gf, name)
                       + MPoly.const(form.vars, gf, p[j]))
                for j, name in enumerate(form.vars) if j != i and p[j]}
-    return (f.substitute(mapping) if mapping else f), i
+    return _as_local(f.substitute(mapping) if mapping else f, i)
 
 
 def _blow_up_by_substitution(f, iu, iv, k, eta):
@@ -236,15 +250,9 @@ def _blow_up_by_substitution(f, iu, iv, k, eta):
     return MPoly(g.vars, g.domain, terms)
 
 
-def _random_coeff(dom, rng):
-    if isinstance(dom, KDomain):
-        return random_scalar(rng, dom.gf, 1)
-    return GFElem(dom, rng.randrange(dom.q))
-
-
-def _random_local(dom, rng, lowest, top=12, pivot=0):
+def _random_local(gf, rng, lowest, top=12, pivot=0):
     """A local equation in the two variables other than `pivot`, with
-    terms of total degree lowest..top."""
+    terms of total degree lowest..top, as a polynomial."""
     iu, iv = [i for i in range(3) if i != pivot]
     items = []
     for _ in range(rng.randint(1, 10)):
@@ -252,9 +260,9 @@ def _random_local(dom, rng, lowest, top=12, pivot=0):
         a = rng.randint(0, d)
         e = [0, 0, 0]
         e[iu], e[iv] = a, d - a
-        items.append((e, _random_coeff(dom, rng)))
-    f = MPoly.from_terms(FORM_VARS, dom, items)
-    return f if f else _random_local(dom, rng, lowest, top, pivot)
+        items.append((e, GFElem(gf, rng.randrange(gf.q))))
+    f = MPoly.from_terms(FORM_VARS, gf, items)
+    return f if f else _random_local(gf, rng, lowest, top, pivot)
 
 
 # base field m, extension degrees of the shifts
@@ -273,8 +281,8 @@ def test_chart_matches_substitution(m, exts):
             point[j] = big.zero_elem()      # zero shifts, (0:0:1) among them
         if not any(point):
             continue
-        assert chart_at(form, tuple(point)) == _chart_by_substitution(
-            form, tuple(point))
+        assert chart_at(form, tuple(c.v for c in point), big) == (
+            _chart_by_substitution(form, tuple(point)))
 
 
 @pytest.mark.parametrize("m, exts", _ORACLE_FIELDS)
@@ -289,39 +297,19 @@ def test_blow_up_matches_substitution(m, exts):
         k = rng.randint(0, lowest)
         big = GF.get(m * rng.choice(exts))
         for eta in (None, big.zero_elem(), GFElem(big, rng.randrange(big.q))):
-            assert blow_up(f, iu, iv, k, eta) == _blow_up_by_substitution(
-                f, iu, iv, k, eta)
-
-
-def test_charts_and_blow_ups_over_k():
-    """The same code path over K = F_4(t): the shifts are fractions."""
-    rng = random.Random(4300)
-    dom = KDomain.get(GF.get(2))
-    for _ in range(15):
-        lowest = rng.randint(1, 4)
-        f = _random_local(dom, rng, lowest, top=6)
-        k = rng.randint(0, lowest)
-        eta = random_scalar(rng, dom.gf, 1, nonzero=True)
-        for e in (None, eta):
-            assert blow_up(f, 1, 2, k, e) == _blow_up_by_substitution(
-                f, 1, 2, k, e)
-        form = _random_local(dom, rng, 0, top=6, pivot=0)
-        shift = {1: eta, 2: random_scalar(rng, dom.gf, 1)}
-        sub = {FORM_VARS[i]: (MPoly.var(FORM_VARS, dom, FORM_VARS[i])
-                              + MPoly.const(FORM_VARS, dom, s))
-               for i, s in shift.items()}
-        assert plane._translate(form, shift) == form.substitute(sub)
+            got = blow_up(_as_local(f, pivot), gf, k,
+                          None if eta is None else eta.v, big)
+            assert got == _as_local(
+                _blow_up_by_substitution(f, iu, iv, k, eta), pivot)
 
 
 def test_blow_up_refuses_k_above_the_multiplicity():
     gf = GF.get(2)
-    one = gf.one_elem()
-    f = MPoly.from_terms(FORM_VARS, gf, [((0, 2, 0), one),
-                                         ((0, 0, 3), one)])   # y^2+z^3
-    for eta in (one, None):
+    f = {(2, 0): 1, (0, 3): 1}          # u^2 + v^3
+    for eta in (1, None):
         with pytest.raises(ConstraintViolation):
-            blow_up(f, 1, 2, 3, eta)
-        assert blow_up(f, 1, 2, 2, eta)         # the multiplicity is 2
+            blow_up(f, gf, 3, eta)
+        assert blow_up(f, gf, 2, eta)   # the multiplicity is 2
 
 
 def test_charts_and_blow_ups_make_no_substitution(monkeypatch):
