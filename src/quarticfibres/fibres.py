@@ -64,17 +64,19 @@ class PlaneCurveFq:
             raise ZeroForm("the zero form does not cut out a curve")
         if not self.form.is_homogeneous():
             raise NotHomogeneous("fibres are cut out by homogeneous forms")
-        if self.form.total_degree() not in (3, 4):
+        d = self.form.total_degree()
+        if d not in (3, 4):
             raise ConstraintViolation(
-                f"expected a cubic or quartic, got degree "
-                f"{self.form.total_degree()}")
+                f"expected a cubic or quartic, got degree {d}")
+        # read by every step of the classification; frozen, so set here
+        object.__setattr__(self, "_degree", d)
 
     @property
     def gf(self) -> GF:
         return self.field.field()
 
     def degree(self) -> int:
-        return self.form.total_degree()
+        return self._degree
 
     @cached_property
     def scan(self) -> tuple:

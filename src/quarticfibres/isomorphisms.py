@@ -16,19 +16,29 @@ becomes a ScalarK.
 takes the maps over their common denominator, clears the denominators of
 both quartics once and then runs in GF(q)[t], so no fraction is reduced
 until the scalar is returned.
+Polynomials of GF(q)[t] are the packed ints that `UPoly` wraps, multiplied
+by `upoly`'s kernel (`mul`, `square`, `pow`): the numerators and factors
+of the fractions, and the maps, folded target, substitution
+(`mpoly.substitute_terms`) and cleared source of the replay, which are
+{exponent: int} dicts.  A `UPoly` is made only to divide (the lcm of
+denominators and the exact divisions that clear them), and with `ScalarK`
+for the target parameters, the returned scale and a mismatch's residual.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 
+from . import upoly
 from .errors import (ConstraintViolation, DivisionByZero, EpsilonZero,
                      SubstitutionMismatch, UnsupportedFamily)
 from .families import (FamilyParams, FamilyTag, QuarticModel, build_family,
                        make_params)
-from .mpoly import FORM_VARS, MPoly
+from .mpoly import FORM_VARS, MPoly, substitute_terms
 from .scalars import ScalarK
-from .upoly import UPoly, UPolyDomain
+from .upoly import UPoly
 
 MU_NAMES = {
     FamilyTag.III: ("mu2", "mu3", "mu4", "mu5"),
@@ -74,36 +84,37 @@ def identity_witness(tag: FamilyTag, gf) -> IsoWitness:
 class _Factors:
     """The factor list f_0, f_1, ... of one witness computation (the
     denominators of its inputs and the numerators it inverts), with the
-    powers f_i^k it has used."""
+    powers f_i^k it has used; all packed GF(q)[t] ints (`upoly`)."""
 
     def __init__(self, gf):
         self.gf = gf
-        self.index: dict[UPoly, int] = {}
-        self.polys: list[UPoly] = []
-        self.pows: dict[tuple[int, int], UPoly] = {}
+        self.index: dict[int, int] = {}
+        self.polys: list[int] = []
+        self.pows: dict[tuple[int, int], int] = {}
 
-    def factor(self, f: UPoly) -> int:
+    def factor(self, f: int) -> int:
         i = self.index.get(f)
         if i is None:
             i = self.index[f] = len(self.polys)
             self.polys.append(f)
         return i
 
-    def times(self, n: UPoly, e: dict) -> UPoly:
+    def times(self, n: int, e: dict) -> int:
         """n * prod f_i^e_i, all e_i >= 0."""
+        gf = self.gf
         for i, k in e.items():
             if k:
                 p = self.pows.get((i, k))
                 if p is None:
-                    p = self.pows[i, k] = self.polys[i].pow(k)
-                n = n * p
+                    p = self.pows[i, k] = upoly.pow(gf, self.polys[i], k)
+                n = upoly.mul(gf, n, p)
         return n
 
     def lift(self, s: ScalarK) -> "_Frac":
-        e = {} if s.den.is_constant() else {self.factor(s.den): -1}
-        return _Frac(self, s.num, e)
+        den = s.den.c   # monic: a constant denominator is 1
+        return _Frac(self, s.num.c, {} if den == 1 else {self.factor(den): -1})
 
-    def common(self, fracs) -> tuple[list[UPoly], dict]:
+    def common(self, fracs) -> tuple[list[int], dict]:
         """The numerators of the fractions over prod f_i^low_i, with low_i
         the least exponent of f_i among them (at most 0)."""
         low: dict[int, int] = {}
@@ -119,22 +130,21 @@ class _Factors:
             nums.append(self.times(x.n, e) if x else x.n)
         return nums, low
 
-    def cleared(self, fracs) -> tuple[list[UPoly], UPoly]:
+    def cleared(self, fracs) -> tuple[list[int], int]:
         """The numerators of the fractions and their common denominator."""
         nums, low = self.common(fracs)
-        return nums, self.times(UPoly.one(self.gf),
-                                {i: -k for i, k in low.items()})
+        return nums, self.times(1, {i: -k for i, k in low.items()})
 
 
 class _Frac:
-    """An element n * prod f_i^e_i of K with n in GF(q)[t], over the factor
-    list of one witness computation.  A product adds exponents and a sum
-    factors out the common denominator, so no gcd is taken until
+    """An element n * prod f_i^e_i of K with n a packed GF(q)[t] int, over
+    the factor list of one witness computation.  A product adds exponents
+    and a sum factors out the common denominator, so no gcd is taken until
     `scalar` makes the one canonical ScalarK."""
 
     __slots__ = ("fs", "n", "e")
 
-    def __init__(self, fs: _Factors, n: UPoly, e: dict):
+    def __init__(self, fs: _Factors, n: int, e: dict):
         self.fs = fs
         self.n = n
         self.e = e if n else {}   # factor index -> nonzero exponent
@@ -148,7 +158,7 @@ class _Frac:
         if not other:
             return self
         (n1, n2), low = self.fs.common((self, other))
-        return _Frac(self.fs, n1 + n2, low)
+        return _Frac(self.fs, n1 ^ n2, low)
 
     def __mul__(self, other: "_Frac") -> "_Frac":
         e = dict(self.e)
@@ -158,28 +168,28 @@ class _Frac:
                 e[i] = k
             else:
                 del e[i]
-        return _Frac(self.fs, self.n * other.n, e)
+        return _Frac(self.fs, upoly.mul(self.fs.gf, self.n, other.n), e)
 
     def square(self) -> "_Frac":
         return self ** 2
 
     def __pow__(self, k: int) -> "_Frac":
-        return _Frac(self.fs, self.n.pow(k),
+        return _Frac(self.fs, upoly.pow(self.fs.gf, self.n, k),
                      {i: k * v for i, v in self.e.items()})
 
     def inverse(self) -> "_Frac":
         if not self:
             raise DivisionByZero("inverse of 0 in K")
         fs = self.fs
-        one = UPoly.one(fs.gf)
-        inv = _Frac(fs, one, {i: -k for i, k in self.e.items()})
-        if self.n == one:
+        inv = _Frac(fs, 1, {i: -k for i, k in self.e.items()})
+        if self.n == 1:
             return inv
-        return inv * _Frac(fs, one, {fs.factor(self.n): -1})
+        return inv * _Frac(fs, 1, {fs.factor(self.n): -1})
 
     def scalar(self) -> ScalarK:
         (n,), den = self.fs.cleared((self,))
-        return ScalarK(n, den)
+        gf = self.fs.gf
+        return ScalarK(UPoly(gf, n), UPoly(gf, den))
 
 
 def _eps_gamma(w: IsoWitness, params: FamilyParams):
@@ -272,10 +282,18 @@ def _lcm_den(coeffs) -> UPoly:
     return out
 
 
-def _cleared(f: MPoly, den: UPoly, dom: UPolyDomain) -> MPoly:
-    """den * f over GF(q)[t], for den a multiple of every denominator."""
-    return MPoly(f.vars, dom, {e: c.num * den.exact_div(c.den)
-                               for e, c in f.terms.items()})
+def _cleared(f: MPoly, den: UPoly) -> dict:
+    """den * f as {exponent: packed GF(q)[t] int}, for den a multiple of
+    every denominator; one exact division per distinct denominator."""
+    gf = den.gf
+    quotients = {}
+    out = {}
+    for e, c in f.terms.items():
+        q = quotients.get(c.den.c)
+        if q is None:
+            q = quotients[c.den.c] = den.exact_div(c.den).c
+        out[e] = upoly.mul(gf, c.num.c, q)
+    return out
 
 
 def verify_iso(source: QuarticModel, target: QuarticModel, w: IsoWitness) -> ScalarK:
@@ -284,48 +302,50 @@ def verify_iso(source: QuarticModel, target: QuarticModel, w: IsoWitness) -> Sca
     Substituting the maps into the target's affine chart (x = 1) and
     multiplying through by eps^(4a) (mu4 + mu5 z)^4 must reproduce the
     source affine quartic up to a nonzero constant, which is returned.
-    The replay runs in GF(q)[t]: the denominators of the maps, of the
-    target and of the source are cleared once, eps^k is folded into the
-    target coefficient it multiplies, and proportionality is tested by
-    cross-multiplication.  Raises SubstitutionMismatch otherwise.
+    The replay runs in GF(q)[t], on {exponent: packed int} dicts: the
+    denominators of the maps, of the target and of the source are cleared
+    once, eps^k is folded into the target coefficient it multiplies, and
+    proportionality is tested by cross-multiplication.  Raises
+    SubstitutionMismatch otherwise.
     """
     mus, lever, eps, gamma = _eps_gamma(w, source.params)
     forms = _map_forms(w.tag, mus, lever, eps, gamma)
     fs = eps.fs
     gf = source.params.gf
-    dom = UPolyDomain(gf)
+    mul = partial(upoly.mul, gf)
     ez, ey = _EPS_POWERS[w.tag]
     a = max(ez, ey)
     nums, d_maps = fs.cleared([c for f in forms for c in f.values()])
     nums = iter(nums)
-    maps = {name: MPoly.from_terms(FORM_VARS, dom, ((e, next(nums)) for e in f))
-            for name, f in zip(FORM_VARS, forms)}
+    maps = [{e: n for e in f if (n := next(nums))} for f in forms]
     (eps_num,), eps_den = fs.cleared((eps,))
     c_tgt = _lcm_den(target.form.terms.values())
-    en, ed = [UPoly.one(gf)], [UPoly.one(gf)]
+    en, ed = [1], [1]
     for _ in range(4 * a):
-        en.append(en[-1] * eps_num)
-        ed.append(ed[-1] * eps_den)
+        en.append(mul(en[-1], eps_num))
+        ed.append(mul(ed[-1], eps_den))
     # x^h y^i z^j picks up eps^(a h + (a-ey) i + (a-ez) j) = eps^k,
     # times eps_den^(4a) to clear it
     folded = {}
-    for e, c in _cleared(target.form, c_tgt, dom).terms.items():
+    for e, c in _cleared(target.form, c_tgt).items():
         k = 4 * a - ey * e[1] - ez * e[2]
-        folded[e] = c * en[k] * ed[4 * a - k]
-    lhs = MPoly(FORM_VARS, dom, folded).substitute(maps)
+        folded[e] = mul(mul(c, en[k]), ed[4 * a - k])
+    lhs = substitute_terms(folded, maps, mul, operator.xor,
+                           partial(upoly.square, gf))
     src = source.form.dehomogenize("x")
     s_den = _lcm_den(src.terms.values())
-    rhs = _cleared(src, s_den, dom).terms
+    rhs = _cleared(src, s_den)
     # the affine replay over K is lhs / scale_den
-    scale_den = c_tgt * (ed[a] * d_maps).pow(4)
+    scale_den = mul(c_tgt.c, upoly.pow(gf, mul(ed[a], d_maps), 4))
     y4 = (0, 4, 0)
-    p4, s4 = lhs.terms.get(y4), rhs.get(y4)
-    if (p4 is None or lhs.terms.keys() != rhs.keys()
-            or any(c * s4 != p4 * rhs[e] for e, c in lhs.terms.items())):
+    p4, s4 = lhs.get(y4), rhs.get(y4)
+    if (p4 is None or lhs.keys() != rhs.keys()
+            or any(mul(c, s4) != mul(p4, rhs[e]) for e, c in lhs.items())):
+        den = UPoly(gf, scale_den)
         lifted = MPoly(FORM_VARS, src.domain, {
-            e: ScalarK(c, scale_den) for e, c in lhs.terms.items()})
+            e: ScalarK(UPoly(gf, c), den) for e, c in lhs.items()})
         s = lifted.coeff(y4) / src.coeff(y4)
         raise SubstitutionMismatch(
             f"substituted target quartic is not a scalar multiple of the source "
             f"(family {w.tag})", residual=str(lifted + src.scale(s)))
-    return ScalarK(p4 * s_den, s4 * scale_den)
+    return ScalarK(UPoly(gf, mul(p4, s_den.c)), UPoly(gf, mul(s4, scale_den)))

@@ -5,9 +5,17 @@ dunders, so one engine serves ternary forms over finite fields, quartic
 models over K = F_q(t), and the tower's breve relations alike.  Term
 order is graded reverse lexicographic with earlier entries of `vars`
 taking precedence (x > y > z for ternary forms).
+
+Substitution is one loop on plain {exponent: coefficient} dicts,
+`substitute_terms`, which takes the coefficient arithmetic as functions:
+`MPoly.substitute` passes the ring dunders, and the witness replay of
+`isomorphisms` passes the packed GF(q)[t] kernel of `upoly`, so its
+coefficients never become objects.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import ZeroDivisor
 
@@ -99,22 +107,8 @@ class MPoly:
     __sub__ = __add__  # char 2
 
     def __mul__(self, other: "MPoly") -> "MPoly":
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                p = c1 * c2
-                if not p:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if e in terms:
-                    s = terms[e] + p
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-                else:
-                    terms[e] = p
-        return MPoly(self.vars, self.domain, terms)
+        return MPoly(self.vars, self.domain, _product(
+            self.terms, other.terms, operator.mul, operator.add))
 
     def scale(self, c) -> "MPoly":
         if not c:
@@ -131,10 +125,9 @@ class MPoly:
 
     def square(self) -> "MPoly":
         """Char 2 has no cross terms: square each coefficient at doubled
-        exponents (distinct exponents stay distinct, squares stay nonzero)."""
+        exponents."""
         return MPoly(self.vars, self.domain,
-                     {tuple(2 * k for k in e): c.square()
-                      for e, c in self.terms.items()})
+                     _square(self.terms, operator.methodcaller("square")))
 
     def pow(self, n: int) -> "MPoly":
         if n < 0:
@@ -164,24 +157,12 @@ class MPoly:
 
     def substitute(self, mapping: dict[str, "MPoly"]) -> "MPoly":
         """Plug polynomials in for variables (unmentioned variables persist)."""
-        vars = self.vars
-        # pows[i][k] is the k-th power of the polynomial put in for vars[i],
-        # built on first use: a square at even k, else one more factor
-        pows = [[None, mapping[name] if name in mapping
-                 else MPoly.var(vars, self.domain, name)] for name in vars]
-
-        def terms():
-            for e, c in self.terms.items():
-                term = MPoly.const(vars, self.domain, c)
-                for p, k in zip(pows, e):
-                    if k:
-                        while len(p) <= k:
-                            n = len(p)
-                            p.append(p[n >> 1].square() if n % 2 == 0
-                                     else p[-1] * p[1])
-                        term = term * p[k]
-                yield from term.terms.items()
-        return MPoly.from_terms(vars, self.domain, terms())
+        vars, dom = self.vars, self.domain
+        images = [(mapping[name] if name in mapping
+                   else MPoly.var(vars, dom, name)).terms for name in vars]
+        return MPoly(vars, dom, substitute_terms(
+            self.terms, images, operator.mul, operator.add,
+            operator.methodcaller("square")))
 
     def eval_point(self, values: dict, lift=None):
         """Evaluate at a point given as {var: coefficient-like value}.
@@ -283,6 +264,67 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self})"
+
+
+def _product(f: dict, g: dict, mul, add) -> dict:
+    """The product of two {exponent: coefficient} polynomials over an
+    integral domain (a product of nonzero coefficients is nonzero)."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            p = mul(c1, c2)
+            e = tuple(map(operator.add, e1, e2))
+            if e in out:
+                s = add(out[e], p)
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = p
+    return out
+
+
+def _square(f: dict, square) -> dict:
+    """The square of an {exponent: coefficient} polynomial: char 2 has no
+    cross terms, so each coefficient is squared at doubled exponents
+    (distinct exponents stay distinct, squares stay nonzero)."""
+    return {tuple(2 * k for k in e): square(c) for e, c in f.items()}
+
+
+def substitute_terms(terms: dict, images: list, mul, add, square) -> dict:
+    """The one substitution loop: the sum over the terms c v^e of `terms`
+    of c prod_i images[i]^e_i, on {exponent tuple: nonzero coefficient}
+    dicts over an integral domain.  `mul`, `add` and `square` act on
+    coefficients: the ring dunders for `MPoly.substitute`, the packed
+    GF(q)[t] kernel of `upoly` with xor for `isomorphisms.verify_iso`.
+    The powers of each image are built on first use: a square at even k
+    (term by term in char 2), else one more factor."""
+    pows = [[None, f] for f in images]
+    out = {}
+    for e, c in terms.items():
+        term = None
+        for p, k in zip(pows, e):
+            if not k:
+                continue
+            while len(p) <= k:
+                n = len(p)
+                p.append(_square(p[n >> 1], square) if n % 2 == 0
+                         else _product(p[-1], p[1], mul, add))
+            term = ({x: mul(c, v) for x, v in p[k].items()} if term is None
+                    else _product(term, p[k], mul, add))
+        if term is None:
+            term = {(0,) * len(e): c}
+        for x, v in term.items():
+            if x in out:
+                s = add(out[x], v)
+                if s:
+                    out[x] = s
+                else:
+                    del out[x]
+            else:
+                out[x] = v
+    return out
 
 
 def needs_parens(s: str, ops: str = "+/") -> bool:

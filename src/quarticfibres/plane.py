@@ -37,8 +37,10 @@ ternary forms in (x, y, z) and the same few local constructions:
 
 None of these makes a polynomial substitution or a `GFElem`, and neither
 does the tangent restriction in ``fibres``, which starts from
-``chart_at``; ``MPoly.substitute`` is left to the identity replays
-``isomorphisms.verify_iso`` and ``resolution.covering_check``.
+``chart_at``; the one substitution loop, ``mpoly.substitute_terms``, is
+left to the identity replays ``isomorphisms.verify_iso`` (on packed
+GF(q)[t] ints) and ``resolution.covering_check`` (through
+``MPoly.substitute``).
 
 The search limits ``LOCUS_CAP`` (plane scans) and ``ROOT_CAP`` (blow-up
 directions) live here, with ``check_cap``, which raises `SearchCapped`

@@ -5,13 +5,16 @@ sits in bits [k*s, k*s + m) with slot width s = 2m - 1 (`GF.slot`), room
 for a product of two field elements; for m = 1 this is the `gf2x` packing
 of GF(2)[t].  Addition is xor.  A product is one carry-less `gf2x.mul` of
 the packed ints (Kronecker substitution), after which every slot is reduced
-modulo the field's modulus at once.  Division runs schoolbook on the packed
-int, one shift-xor per quotient term against the divisor scaled to cancel
-the leading coefficient; the divisor is scaled once per distinct leading
-coefficient met, and a gcd makes only its result monic.  Over GF(2),
-division and gcd are `gf2x`'s own.  The fractions of `scalars` and the
-plane-curve univariates of `plane` (root finding, gcds of restrictions)
-both use this type.
+modulo the field's modulus at once.  The module functions `mul`, `square`
+and `pow` are that one product kernel, on packed ints; the `UPoly` methods
+of the same names delegate to them.  Division runs schoolbook on the
+packed int, one shift-xor per quotient term against the divisor scaled to
+cancel the leading coefficient; the divisor is scaled once per distinct
+leading coefficient met, and a gcd makes only its result monic.  Over
+GF(2), division and gcd are `gf2x`'s own.  The fractions of `scalars` and
+the plane-curve univariates of `plane` (root finding, gcds of
+restrictions) use this type; the witness computation of `isomorphisms`
+calls the kernel on packed ints and wraps a `UPoly` only where it divides.
 """
 
 from __future__ import annotations
@@ -41,6 +44,31 @@ def _reduce(gf: GF, p: int) -> int:
     return p
 
 
+def mul(gf: GF, a: int, b: int) -> int:
+    """Product of two packed polynomials."""
+    return _reduce(gf, gf2x.mul(a, b))
+
+
+def square(gf: GF, a: int) -> int:
+    """Square of a packed polynomial (char 2: the coefficients squared at
+    doubled degrees)."""
+    return _reduce(gf, gf2x.square(a))
+
+
+def pow(gf: GF, a: int, e: int) -> int:
+    """a^e of a packed polynomial, by squaring (e >= 0)."""
+    if e < 0:
+        raise ValueError("negative power of a UPoly")
+    r = None
+    while e:
+        if e & 1:
+            r = a if r is None else mul(gf, r, a)
+        e >>= 1
+        if e:
+            a = square(gf, a)
+    return 1 if r is None else r
+
+
 def _lc(gf: GF, c: int) -> int:
     """Leading coefficient of a nonzero packed polynomial."""
     s = gf.slot
@@ -63,7 +91,7 @@ def _divmod(gf: GF, a: int, b: int) -> tuple[int, int]:
         hit = scaled.get(x)
         if hit is None:
             y = gf.mul(x, inv)
-            hit = scaled[x] = (y, _reduce(gf, gf2x.mul(b, y)))
+            hit = scaled[x] = (y, mul(gf, b, y))
         y, bx = hit
         sh = lead - top
         q |= y << sh
@@ -137,19 +165,16 @@ class UPoly:
     __sub__ = __add__  # char 2
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        gf = self.gf
-        return UPoly(gf, _reduce(gf, gf2x.mul(self.c, other.c)))
+        return UPoly(self.gf, mul(self.gf, self.c, other.c))
 
     def scalar_mul(self, c: int) -> "UPoly":
         """Multiply by a field element."""
         if c == 1:
             return self
-        gf = self.gf
-        return UPoly(gf, _reduce(gf, gf2x.mul(self.c, c)))
+        return UPoly(self.gf, mul(self.gf, self.c, c))
 
     def square(self) -> "UPoly":
-        gf = self.gf
-        return UPoly(gf, _reduce(gf, gf2x.square(self.c)))
+        return UPoly(self.gf, square(self.gf, self.c))
 
     def divmod(self, b: "UPoly") -> tuple["UPoly", "UPoly"]:
         gf = self.gf
@@ -184,17 +209,7 @@ class UPoly:
         return g.scalar_mul(gf.inv(_lc(gf, a))) if a else g
 
     def pow(self, e: int) -> "UPoly":
-        if e < 0:
-            raise ValueError("negative power of a UPoly")
-        r = None
-        b = self
-        while e:
-            if e & 1:
-                r = b if r is None else r * b
-            e >>= 1
-            if e:
-                b = b.square()
-        return UPoly.one(self.gf) if r is None else r
+        return UPoly(self.gf, pow(self.gf, self.c, e))
 
     # ----- char-2 squares -----------------------------------------------
 
@@ -246,18 +261,3 @@ class UPoly:
     def __repr__(self):
         return f"UPoly({self})"
 
-
-class UPolyDomain:
-    """Coefficient-domain adapter for sparse forms over GF(2^m)[t]
-    (mirrors `scalars.KDomain`)."""
-
-    __slots__ = ("gf",)
-
-    def __init__(self, gf: GF):
-        self.gf = gf
-
-    def zero_elem(self) -> UPoly:
-        return UPoly.zero(self.gf)
-
-    def one_elem(self) -> UPoly:
-        return UPoly.one(self.gf)

@@ -334,3 +334,34 @@ def test_apply_reduces_few_fractions(monkeypatch):
     tgt, calls = _gcd_calls(monkeypatch, apply_iso, src, w)
     assert tgt.params == _apply_over_k(src, w).params
     assert calls <= 30
+
+
+def test_witness_runs_on_packed_ints(monkeypatch):
+    # a machine-independent work count: the fractions and the replay run on
+    # the packed GF(q)[t] ints that UPoly wraps, so verify_iso substitutes
+    # with no MPoly and makes a UPoly only to divide and to return; over
+    # UPoly objects and MPoly.substitute it made 193 UPoly products and 317
+    # UPoly constructions here, and apply_iso 65 products
+    src, w = _fixed_f4_case()
+    calls = dict.fromkeys(("substitute", "mul", "init"), 0)
+
+    def counted(cls, name, key):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+    counted(MPoly, "substitute", "substitute")
+    counted(UPoly, "__mul__", "mul")
+    counted(UPoly, "__init__", "init")
+    tgt = apply_iso(src, w)
+    assert calls["substitute"] == 0 and calls["mul"] < 65
+    calls.update(dict.fromkeys(calls, 0))
+    s = verify_iso(src, tgt, w)
+    work = dict(calls)
+    monkeypatch.undo()
+    assert s == _replay_over_k(src, tgt, w)
+    assert work["substitute"] == 0
+    assert work["mul"] <= 20
+    assert work["init"] <= 100

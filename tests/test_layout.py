@@ -82,6 +82,26 @@ def _args_read(fn, seen) -> set:
     return reads
 
 
+def test_only_the_field_and_polynomial_layers_reach_gf2x():
+    # every carry-less product of packed polynomials goes through the one
+    # kernel of `upoly` (`mul`, `square`, `pow`); only the field tables of
+    # `finitefield` reach `gf2x` besides it
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(n.split(".")[-1] == "gf2x" for n in names):
+                users.add(path.stem)
+    assert users <= {"gf2x", "finitefield", "upoly"}
+
+
 def test_cli_subcommands_define_only_the_flags_they_read():
     top = cli._build_parser()
     subs = next(a for a in top._actions

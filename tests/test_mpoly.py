@@ -1,10 +1,13 @@
+import operator
 import random
+from functools import partial
 
+from quarticfibres import upoly
 from quarticfibres.finitefield import GF, GFElem
 from quarticfibres.mpoly import (FORM_VARS, MPoly, grevlex_key, needs_parens,
-                               triform)
+                               substitute_terms, triform)
 from quarticfibres.scalars import KDomain, ScalarK
-from quarticfibres.upoly import UPoly, UPolyDomain
+from quarticfibres.upoly import UPoly
 
 random.seed(71005)
 
@@ -63,15 +66,32 @@ def test_pow_and_scale():
         g = GFElem(F4, 2)
         assert a.scale(g).scale(F4.one_elem() / g) == a
     # squares are termwise in char 2: pow and the power ladder of
-    # substitute against repeated products, over GF(4), K and GF(4)[t]
+    # substitute against repeated products, over GF(4), K and GF(4)[t];
+    # over GF(4)[t] the substitution is the packed loop of the witness
+    # replay, on the ints the UPoly coefficients wrap
     rng = random.Random(54)
-    upoly = lambda: UPoly.from_coeffs(F4, [rng.randrange(4) for _ in range(3)])
+    rand_upoly = lambda: UPoly.from_coeffs(
+        F4, [rng.randrange(4) for _ in range(3)])
+
+    class PolyDomain:
+        """MPoly's coefficient hooks for GF(4)[t]."""
+        zero_elem = staticmethod(lambda: UPoly.zero(F4))
+        one_elem = staticmethod(lambda: UPoly.one(F4))
+
+    def packed_substitute(f, sub):
+        packed = lambda g: {e: c.c for e, c in g.terms.items()}
+        terms = substitute_terms(
+            packed(f), [packed(sub[name]) for name in FORM_VARS],
+            partial(upoly.mul, F4), operator.xor, partial(upoly.square, F4))
+        return MPoly(FORM_VARS, f.domain,
+                     {e: UPoly(F4, c) for e, c in terms.items()})
     domains = (
-        (F4, lambda: GFElem(F4, rng.randrange(4))),
+        (F4, lambda: GFElem(F4, rng.randrange(4)), MPoly.substitute),
         (KDomain.get(F4),
-         lambda: ScalarK(upoly(), upoly() or UPoly.one(F4))),
-        (UPolyDomain(F4), upoly))
-    for dom, coeff in domains:
+         lambda: ScalarK(rand_upoly(), rand_upoly() or UPoly.one(F4)),
+         MPoly.substitute),
+        (PolyDomain(), rand_upoly, packed_substitute))
+    for dom, coeff, substitute in domains:
         def rand_form(nterms):
             return MPoly.from_terms(FORM_VARS, dom, [
                 (tuple(rng.randrange(3) for _ in range(3)), coeff())
@@ -95,7 +115,7 @@ def test_pow_and_scale():
                 for name, k in zip(FORM_VARS, e):
                     term = term * power(sub[name], k)
                 want = want + term
-            assert f.substitute(sub) == want
+            assert substitute(f, sub) == want
 
 
 def test_partial_leibniz():
