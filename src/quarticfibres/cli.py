@@ -242,11 +242,9 @@ def _cmd_iso(args) -> int:
 
 def _class_record(cls) -> dict:
     rec = {"kind": cls.kind, "ext": cls.ext}
-    if cls.sing_point is not None:
+    if cls.sing_point is not None:      # an integral quartic
         rec["singular_point"] = _point_strs(cls.sing_point)
-    if cls.multiplicity is not None:
         rec["multiplicity"] = cls.multiplicity
-    if cls.delta is not None:
         rec["delta"] = cls.delta
     if cls.tangent is not None:
         rec["tangent"] = {"kind": cls.tangent.kind,
@@ -281,7 +279,7 @@ def _cmd_fibre(args) -> int:
                          f" {tuple(cls.tangent.profile)}")
     for form, mult in cls.components:
         rep.lines.append(f"component ({form})^{mult}")
-    if cls.kind == "IntegralQuartic" and cls.sing_point is not None:
+    if cls.sing_point is not None:
         try:
             pred = predicted_singular_point(name, point, spec)
         except QuarticError:
@@ -299,7 +297,7 @@ def _cmd_fibre(args) -> int:
 
 
 def _scan_key(cls) -> str:
-    if cls.kind == "IntegralQuartic" and cls.multiplicity is not None:
+    if cls.kind == "IntegralQuartic":
         return f"IntegralQuartic mult {cls.multiplicity}"
     return cls.kind
 

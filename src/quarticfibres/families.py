@@ -178,7 +178,11 @@ def invariant(m: QuarticModel) -> ScalarK | None:
 
 
 def is_strange(f: MPoly) -> bool:
-    """All tangent lines through one point: equivalent to dF/dy = 0."""
+    """All tangent lines through one point: equivalent to dF/dy = 0, which
+    in characteristic 2 says that every exponent of y is even.  That is
+    read off the exponents, with no derivative formed: `classify_fibre`
+    asks it of every fibre."""
     if not f.is_homogeneous():
         raise NotHomogeneous("strangeness is defined for homogeneous forms")
-    return f.partial("y").is_zero()
+    y = f.vars.index("y")
+    return not any(e[y] % 2 for e in f.terms)

@@ -13,7 +13,10 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
   zero, singular and smooth masks; line peeling decodes the zero set,
   and the classification only the lowest points it takes of the other
   two); only the singular locus over GF(q^2) scans again, and
-  classification calls it only when the pass has no singular point;
+  classification calls it only when the pass has no singular point.
+  ``kernels`` bounds every such scan, so each of these raises
+  `SearchCapped` beyond its cap, and the GF(q^2) field is built only
+  once the pass has been read;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
   check the point and read it as raw ints of its field, then work in its
   ``plane.chart_at``, a dict of raw ints: the first reads off the lowest
@@ -25,14 +28,23 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
   biconic / integral and returns a `FibreClass`; the linear split reads
   its candidate lines off the zero set and confirms each by division.
 
-Charts, blow-ups, line peeling, root finding and the search caps come
-from ``plane``; none of the above makes a polynomial substitution, and
-`GFElem` values are made only for what is reported: points and
-`FibreClass.sing_point`.  The fibres are strange quartics, whose lines
-and singular point are rational; a conic pair y^4 + A y^2 + B =
-(y^2+v)(y^2+w) splits over GF(q) or GF(q^2), which is a question about
-T^2 + A T + B over GF(q), so the biconic split searches GF(q) alone for
-every m.
+Charts, blow-ups, line peeling and root finding come from ``plane``;
+none of the above makes a polynomial substitution, and `GFElem` values
+are made only for what is reported: points and `FibreClass.sing_point`.
+The one search bound outside ``kernels`` is the direction lift of
+``_directions``, which stops at the field tables.
+
+``classify_fibre`` takes strange quartics in the normal form dF/dy = 0,
+whose strange point is (0:1:0), and refuses any other form: only for
+those does "no line and no conic pair" mean an integral curve, and such
+a curve always has a singular point (Samuel 1966; Hefez and Kleiman
+1985).  The fibrations' fibres are all of this form, and their lines and
+singular point are rational.  A general strange quartic can have a
+conjugate pair of singular points, and without a y^4 term its lines
+through (0:1:0) can be conjugate; the cascade searches GF(q^2) for both.
+A conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w) splits over GF(q) or
+GF(q^2), which is a question about T^2 + A T + B over GF(q), so the
+biconic split searches GF(q) alone for every m.
 """
 
 from dataclasses import dataclass
@@ -42,13 +54,13 @@ from . import kernels
 from .errors import (ConstraintViolation, InternalCheckFailed, NotSingular,
                      NotSmoothPoint, NotHomogeneous, PointNotOnCurve,
                      UnsupportedFamily, ZeroForm)
-from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
+from .families import (FAMILY_PARAMS, FamilyTag, family_terms, is_strange,
                        singular_radicands)
-from .finitefield import GF, GFElem, FieldSpec
+from .finitefield import GF, GFElem, FieldSpec, TABLE_LIMIT
 from .mpoly import FORM_VARS, MPoly, triform
-from .plane import (ROOT_CAP, blow_up, chart_at, check_cap, embed_form,
-                    is_smooth_conic, line_form, mult_origin, peel_lines,
-                    roots, tangent_cone)
+from .plane import (blow_up, chart_at, embed_form, is_smooth_conic,
+                    line_form, mult_origin, peel_lines, roots,
+                    tangent_cone)
 from .upoly import UPoly
 
 
@@ -223,19 +235,18 @@ def multiplicity_at(curve: PlaneCurveFq, point) -> int:
 def singular_locus(curve: PlaneCurveFq) -> list:
     """Points where the form and its three partials vanish.
 
-    Reads the pass over GF(q) and scans P^2 over GF(q^2), which raises
-    `SearchCapped` beyond ``plane.LOCUS_CAP``, for the points not rational
-    over GF(q).  Returns a list of (point, r), rational points first,
-    each point a GFElem triple over GF(q^r).
+    Reads the pass over GF(q), then scans P^2 over GF(q^2) for the points
+    not rational over GF(q); either scan raises `SearchCapped` beyond
+    ``kernels.LOCUS_CAP``, the pass before GF(q^2) is built.  Returns a
+    list of (point, r), rational points first, each point a GFElem triple
+    over GF(q^r).
     """
     base = curve.gf
-    check_cap(2 * base.m, "the singular locus")
+    rational = [(_elems(base, raw), 1) for raw in curve.points(1)]
     big = GF.get(2 * base.m)
-    f = embed_form(curve.form, base, big)
-    return [(_elems(base, raw), 1) for raw in curve.points(1)] + [
-        (_elems(big, raw), 2)
-        for raw in kernels.scan_singular_points(f, big)
-        if not all(big.in_subfield(v, base.m) for v in raw)]
+    pts = kernels.scan_singular_points(embed_form(curve.form, base, big), big)
+    return rational + [(_elems(big, raw), 2) for raw in pts
+                       if not all(big.in_subfield(v, base.m) for v in raw)]
 
 
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
@@ -301,15 +312,15 @@ def _directions(f: dict, gf: GF, m: int):
     The roots over GF(q) are divided out first.  The cofactor left has
     degree at most 4 and no root, so its factors have degree 2 to 4 and
     all of them split over the first GF(q^r) where it has a root: no
-    root is found twice."""
+    root is found twice.  This lift is the one place that builds an
+    extension for a root search, and a GF(q^r) beyond the field tables
+    raises `SearchCapped`."""
     h, vertical = tangent_cone(f, gf, m)
-    if h.deg() > 0:
-        check_cap(gf.m, "the blow-up direction search", ROOT_CAP)
     found, rest = roots(h)
     r, split = 1, []
     while rest.deg() > 0 and not split:
         r += 1
-        check_cap(gf.m * r, "the blow-up direction search", ROOT_CAP)
+        kernels.check_cap(gf.m * r, "the direction lift", TABLE_LIMIT)
         gfr = GF.get(gf.m * r)
         table = gf.embedding_into(gfr)
         lifted = UPoly.from_coeffs(gfr, [table[c] for c in rest.to_coeffs()])
@@ -350,11 +361,6 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
 
 
 # ----- classification -----------------------------------------------------
-
-
-def _even_y_monic(form: MPoly) -> bool:
-    return bool(form.coeff((0, 4, 0))) and all(e[1] % 2 == 0
-                                               for e in form.terms)
 
 
 def _biconic_split(form: MPoly, gf):
@@ -411,27 +417,26 @@ def _biconic_split(form: MPoly, gf):
 def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     """Coarse classification used for the degenerate-fibre tables.
 
-    The cascade tries the square of a smooth conic, linear factors (over
-    GF(q^2) too unless the form is even in y), a pair of strange conics
+    The form must be a strange quartic in normal form (dF/dy = 0);
+    anything else raises `ConstraintViolation`.  The cascade tries the
+    square of a smooth conic, linear factors (``plane.peel_lines``, over
+    GF(q^2) too unless the form has a y^4 term), a pair of strange conics
     over GF(q) or GF(q^2), found by two searches of GF(q), and otherwise
     measures an integral quartic at the first point of its singular
     locus, the pass's first singular point when it has one.  A scan it
-    needs beyond ``plane.LOCUS_CAP`` raises `SearchCapped`, and a delta
-    above 3 there raises `InternalCheckFailed`.
+    needs beyond ``kernels.LOCUS_CAP`` raises `SearchCapped`; no singular
+    point, or a delta above 3 there, raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
+    if not is_strange(curve.form):
+        raise ConstraintViolation("not a strange quartic: dF/dy != 0")
     gf = curve.gf
     root = curve.form.square_root()
     if root is not None and is_smooth_conic(root):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
-    # with only even powers of y and a y^4 term, every linear factor is
-    # rational over the base field, so line peeling need not extend
-    even_y = _even_y_monic(curve.form)
-    check_cap(gf.m, "line peeling")     # before the scan line peeling reads
-    factors, rem, cur = peel_lines(curve.form, gf, 1 if even_y else 2,
-                                   curve.points(0))
+    factors, rem, cur = peel_lines(curve.form, gf, curve.points(0))
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)
@@ -445,7 +450,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             kind = "ConicPlusDoubleLine"
         return FibreClass(kind=kind, ext=ext,
                           components=comps + ((str(rem), 1),))
-    if even_y:
+    if curve.form.coeff((0, 4, 0)):
         split = _biconic_split(curve.form, gf)
         if split is not None:
             c0, c1, sgf = split
@@ -455,7 +460,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     sing = ([(_elems(gf, raw), 1) for raw in curve.points(1, limit=1)]
             or singular_locus(curve))
     if not sing:
-        return FibreClass(kind="IntegralQuartic")  # smooth: nothing to report
+        raise InternalCheckFailed("a strange quartic with no singular point")
     point, ext = sing[0]
     delta, seq = delta_invariant(curve, point)
     if delta > 3:       # an integral quartic has arithmetic genus 3

@@ -18,6 +18,9 @@ from . import gf2x
 from .errors import QuarticError
 
 
+TABLE_LIMIT = 16    # the largest m whose exp/log tables are built
+
+
 class FieldError(QuarticError, ValueError):
     pass
 
@@ -33,9 +36,9 @@ class GF:
     def __init__(self, m: int, modulus: int | None = None):
         if m < 1:
             raise FieldError("field degree must be >= 1")
-        if m > 16:   # the exp/log tables hold 2^m entries each
-            raise FieldError(f"field degree {m} is above 16, the largest"
-                             f" with exp/log tables")
+        if m > TABLE_LIMIT:  # the exp/log tables hold 2^m entries each
+            raise FieldError(f"field degree {m} is above {TABLE_LIMIT}, the"
+                             f" largest with exp/log tables")
         if modulus is None:
             modulus = gf2x.first_irreducible(m)
         if gf2x.deg(modulus) != m or not gf2x.is_irreducible(modulus):

@@ -74,23 +74,7 @@ def first_irreducible(m: int) -> int:
     raise ValueError(f"no irreducible of degree {m}")  # unreachable
 
 
-def is_square(a: int) -> bool:
-    """True iff only even exponents occur (char 2: squares = even support)."""
-    return a & _odd_mask(a.bit_length()) == 0
-
-
 def square(a: int) -> int:
     """a^2 = bit spreading (char-2 Frobenius): a zero between every two
     binary digits of a."""
     return int("0".join(bin(a)[2:]), 2)
-
-
-_ODD_MASKS: dict[int, int] = {}
-
-
-def _odd_mask(nbits: int) -> int:
-    mask = _ODD_MASKS.get(nbits)
-    if mask is None:
-        mask = sum(1 << k for k in range(1, nbits, 2))
-        _ODD_MASKS[nbits] = mask
-    return mask

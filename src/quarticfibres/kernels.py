@@ -5,7 +5,7 @@ pass and returns its zero, singular and smooth points as masks, which
 `fibres.PlaneCurveFq.scan` keeps for every reader; ``mask_points``
 decodes a mask, whole (the zero set, line peeling's candidates) or only
 its lowest set bits (the first singular point, one smooth point).  Only
-the GF(q^2) locus, extension line peeling and pencil base points scan
+the GF(q^2) locus, extension line peeling and pencil members scan
 alone.  P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at
 once with bit slicing (Biham, "A fast new DES implementation in
 software", 1997): a value plane is m Python ints, and bit i of int k is
@@ -14,6 +14,14 @@ order.  A sum of planes is m XORs; a product is m^2 ANDs and XORs
 followed by reduction by the modulus; a constant factor is a GF(2)-linear
 map on the m ints.  The zeros of a form are the complement of the OR of
 its m ints.
+
+A plane scan covers q^2 + q + 1 points; every other search of the
+package walks at most one field, and the field tables stop at GF(2^16).
+So the scans are the one search bounded below the tables, and they are
+bounded here, once, where the planes are built: beyond ``LOCUS_CAP``
+every scan raises `SearchCapped` (``check_cap``) before a plane exists,
+and whatever reads a scan (the classification, the singular locus,
+smooth points, line peeling, pencil base points) is bounded with it.
 
 ``tests/test_kernels.py`` checks every scan against `MPoly.eval_point`
 at every point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the
@@ -24,8 +32,20 @@ import re
 from functools import cache, reduce
 from operator import or_
 
+from .errors import SearchCapped
+
 # Always False: there is no compiled path; kept because perfbench records it.
 USING_NUMBA = False
+
+LOCUS_CAP = 8       # plane scans stop at P^2(GF(2^8))
+
+
+def check_cap(m: int, search: str, cap: int = LOCUS_CAP):
+    """Raise `SearchCapped` when `search` would enumerate GF(2^m) beyond
+    the cap, so that an unsearched field never reads as "none found"."""
+    if m > cap:
+        raise SearchCapped(f"{search} over GF(2^{m}) is beyond the"
+                           f" GF(2^{cap}) enumeration cap")
 
 
 @cache
@@ -94,7 +114,9 @@ def _monomial(monomials: dict, e: tuple, gf) -> list:
 
 def _zero_masks(forms, gf) -> list:
     """The zero set of each form as a mask over ``plane_points(gf.q)``;
-    the forms share their monomial planes."""
+    the forms share their monomial planes.  The one cap check of the
+    scans."""
+    check_cap(gf.m, "the plane scan")
     m, q = gf.m, gf.q
     full = (1 << (q * q + q + 1)) - 1
     monomials = {(0, 0, 0): [full] + [0] * (m - 1)}
@@ -136,8 +158,7 @@ def scan_zero_points(form, gf) -> list:
 
 def scan_singular_points(form, gf) -> list:
     """Points where the form and all three partials vanish (raw triples)."""
-    f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
-    return mask_points(f & fx & fy & fz, gf.q)
+    return mask_points(scan_curve(form, gf)[1], gf.q)
 
 
 def scan_curve(form, gf) -> tuple:

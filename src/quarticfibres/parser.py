@@ -12,9 +12,16 @@ Integer literals reduce mod 2; `g` denotes the residue class of the
 modulus variable of GF(2^m) (the class the printer expands in), and `t`
 the transcendental of K = F_q(t).  Division is only defined when the
 divisor subexpression is scalar (free of x, y, z).
+
+A product, quotient or power whose degree in t, or in x, y and z, could
+exceed ``MAX_DEGREE`` is refused with a `ParseError` at its operator
+before it is computed, so that a short input such as ``t^1000000000001``
+cannot ask for a polynomial that fills the memory.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import DivisionByZero, ParseError
 from .finitefield import FieldSpec, GFElem
@@ -22,6 +29,10 @@ from .mpoly import FORM_VARS, MPoly
 from .scalars import KDomain, ScalarK
 
 _SYMBOLS = "+*/^()"
+
+# The package's forms are quartics with parameters of small degree in t;
+# 64 leaves room for any such input and keeps every intermediate small.
+MAX_DEGREE = 64
 
 
 def _tokenize(text: str):
@@ -102,15 +113,16 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.next()
             rhs = self.factor()
+            self._bound(pos, *map(add, self._degrees(v), self._degrees(rhs)))
             v = self._mul(v, rhs) if op == "*" else self._div(v, rhs, pos)
         return v
 
     def factor(self):
         v = self.atom()
         if self.peek()[0] == "^":
-            self.next()
-            tok = self.expect("INT")
-            e = tok[1]
+            pos = self.next()[2]
+            e = self.expect("INT")[1]
+            self._bound(pos, *(e * d for d in self._degrees(v)))
             if v[0] == "s":
                 return ("s", v[1] ** e)
             return ("p", v[1].pow(e))
@@ -137,6 +149,19 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
     # value algebra --------------------------------------------------------
+
+    def _degrees(self, v) -> tuple:
+        """The degrees of a value in t and in x, y, z (0 when zero)."""
+        f = self._promote(v)
+        cs = f.terms.values() if self.over_k else ()
+        return (max((max(c.num.deg(), c.den.deg()) for c in cs), default=0),
+                max(f.total_degree(), 0))
+
+    def _bound(self, pos, *degrees):
+        """Refuse a product or power whose degrees could exceed
+        ``MAX_DEGREE``, before it is computed."""
+        if max(degrees) > MAX_DEGREE:
+            raise ParseError(f"a product above degree {MAX_DEGREE}", pos)
 
     def _promote(self, v) -> MPoly:
         if v[0] == "p":

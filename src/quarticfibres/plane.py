@@ -5,12 +5,14 @@ ternary forms in (x, y, z) and the same few local constructions:
 
 * ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
   are read off the zero set: a line divides a form only if all its
-  rational points are zeros.  A fibre hands in its base-field zero set,
-  decoded from its one ``kernels.scan_curve`` pass; pencils and
-  extensions scan it with ``kernels.scan_zero_points``.  ``_full_lines``
-  groups the zeros by their projection from a base point and leaves the
-  point once too many groups are open for one to be full, which for the
-  q+1 zeros of an integral fibre is at the second group.  Each candidate
+  rational points are zeros.  The caller hands in the base-field zero
+  set: a fibre decodes it from its one ``kernels.scan_curve`` pass, a
+  pencil member from the ``kernels.scan_zero_points`` that also gives
+  its base points.  Whether an extension round follows is read off the
+  form, and that round scans on its own.  ``_full_lines`` groups the
+  zeros by their projection from a base point and leaves the point once
+  too many groups are open for one to be full, which for the q+1 zeros
+  of an integral fibre is at the second group.  Each candidate
   is then confirmed by division;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the local equation at a point, a dict {(i, j): c} of raw
@@ -42,30 +44,16 @@ left to the identity replays ``isomorphisms.verify_iso`` (on packed
 GF(q)[t] ints) and ``resolution.covering_check`` (through
 ``MPoly.substitute``).
 
-The search limits ``LOCUS_CAP`` (plane scans) and ``ROOT_CAP`` (blow-up
-directions) live here, with ``check_cap``, which raises `SearchCapped`
-for a search beyond its cap.  Both keep their meaning although most
-searches no longer walk the field: a root search of degree 3 or more
-still does, and the caps bound the field, not the path taken.
+Nothing here checks a search limit.  The zero sets come from the plane
+scans, which ``kernels`` bounds where it builds them; a root search walks
+at most one field, and the field tables stop at GF(2^16).
 """
 
 from . import kernels
-from .errors import ConstraintViolation, SearchCapped
+from .errors import ConstraintViolation
 from .finitefield import GF, GFElem
 from .mpoly import MPoly, FORM_VARS
 from .upoly import UPoly
-
-LOCUS_CAP = 8       # line peeling and locus scans stop at GF(2^8)
-ROOT_CAP = 12       # blow-up directions are enumerated up to GF(2^12)
-
-
-def check_cap(m: int, search: str, cap: int = LOCUS_CAP):
-    """Raise `SearchCapped` when `search` would enumerate GF(2^m) beyond
-    the cap, so that an unsearched field never reads as "none found"."""
-    if m > cap:
-        raise SearchCapped(f"{search} over GF(2^{m}) is beyond the"
-                           f" GF(2^{cap}) enumeration cap")
-
 
 def embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
     if small is big:
@@ -354,11 +342,10 @@ def _full_lines(zeros: list, gf: GF) -> list:
     return found
 
 
-def _peel(rem: MPoly, gf: GF, found: dict, zeros=None):
+def _peel(rem: MPoly, gf: GF, found: dict, zeros: list):
     # a line that does not divide rem divides none of its quotients, so
     # each full line of the zero set is tried once, to its multiplicity
     deg = rem.total_degree()
-    zeros = kernels.scan_zero_points(rem, gf) if zeros is None else zeros
     for t in _full_lines(zeros, gf):
         if deg == 0:
             break
@@ -369,8 +356,9 @@ def _peel(rem: MPoly, gf: GF, found: dict, zeros=None):
     return found, rem
 
 
-def peel_lines(form: MPoly, gf: GF, max_ext: int = 1, zeros=None):
-    """Linear factors of a form, with multiplicities.
+def peel_lines(form: MPoly, gf: GF, zeros: list):
+    """Linear factors of a form, with multiplicities, given its zero set
+    over gf.
 
     The candidates are the lines whose rational points are all zeros of
     the form, and each is confirmed by division: by Bezout every
@@ -378,21 +366,30 @@ def peel_lines(form: MPoly, gf: GF, max_ext: int = 1, zeros=None):
     quartic can vanish on a line it does not contain.  Lines over gf are
     tried first.  A cofactor of positive degree that is not a smooth
     conic (which has no linear factor over any extension) is then tried
-    over GF(2^{m max_ext}), or raises `SearchCapped` beyond ``LOCUS_CAP``;
-    the factors move to that field only when a new line splits off there.
-    `zeros`, the zero set over gf if the caller has it, spares the
-    base-field scan.  Returns ({line triple: multiplicity}, cofactor, the
-    field of both).
+    over GF(q^2), with its own zero set there, unless the form has only
+    even powers of y and a y^4 term; the factors move to that field only
+    when a new line splits off there.  Returns ({line triple:
+    multiplicity}, cofactor, the field of both).
     """
-    check_cap(gf.m, "line peeling")
     factors, rem = _peel(form, gf, {}, zeros)
-    if max_ext <= 1 or rem.total_degree() == 0 or is_smooth_conic(rem):
+    # With only even powers of y and a y^4 term, F = a y^4 + C y^2 + D,
+    # a != 0 and C, D in x and z, so (0:1:0) is off the curve and a
+    # linear factor is y + l, l linear in x and z over the algebraic
+    # closure.  a l^4 + C l^2 + D = 0 then gives F = (y + l)^2 (a y^2 +
+    # a l^2 + C): every linear factor is a double one.  An irrational one
+    # has a conjugate y + l', which divides the cofactor twice too, so
+    # F = a ((y + l)(y + l'))^2.  So the linear factors are rational
+    # unless F is the square of a pair of conjugate lines, which is left
+    # to the caller as a square, and no extension round is made.
+    if ((form.coeff((0, 4, 0)) and not any(e[1] % 2 for e in form.terms))
+            or rem.total_degree() == 0 or is_smooth_conic(rem)):
         return factors, rem, gf
-    check_cap(gf.m * max_ext, "line peeling")
-    big = GF.get(gf.m * max_ext)
+    big = GF.get(2 * gf.m)
     table = gf.embedding_into(big)
     lifted = {tuple(table[v] for v in t): n for t, n in factors.items()}
-    big_factors, big_rem = _peel(embed_form(rem, gf, big), big, lifted)
+    lifted_rem = embed_form(rem, gf, big)
+    big_factors, big_rem = _peel(lifted_rem, big, lifted,
+                                 kernels.scan_zero_points(lifted_rem, big))
     if big_rem.total_degree() == rem.total_degree():
         return factors, rem, gf
     return big_factors, big_rem, big

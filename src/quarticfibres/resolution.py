@@ -30,8 +30,10 @@ The centres on each exceptional curve are the rational roots of the gcd
 of the members' degree-mu tangent cones, plus the direction u = 0 when
 both cones contain it; a cofactor left over has irrational roots and
 raises `NonRationalCenter` at once.  Charts, the blow-up step, line
-peeling and the root finder come from ``plane``; the base points are the
-common zeros of two ``kernels`` scans.
+peeling and the root finder come from ``plane``.  Each member is scanned
+once over GF(q) (``kernels.scan_zero_points``, bounded there): the base
+points are the common zeros of the two scans, and each scan is also the
+zero set that line peeling reads to name the member's components.
 """
 
 from collections import deque
@@ -218,29 +220,38 @@ class ResolutionReport:
 # ----- plane-side helpers ---------------------------------------------------
 
 
-def base_points(pencil: PencilSpec) -> list:
-    """Rational common zeros of the two members, canonically ordered."""
-    gf = pencil.gf
-    return sorted(set(kernels.scan_zero_points(pencil.f0, gf))
-                  & set(kernels.scan_zero_points(pencil.f1, gf)))
+def _rational_factors(form: MPoly, gf: GF, zeros: list):
+    """The linear factors of a member over gf, and their cofactor: lines
+    that split off only over GF(q^2) stay in the cofactor, since the
+    components are named over gf."""
+    lines, rem, field = peel_lines(form, gf, zeros)
+    if field is not gf:
+        back = {v: u for u, v in enumerate(gf.embedding_into(field))}
+        lines = {tuple(map(back.get, t)): n for t, n in lines.items()
+                 if all(v in back for v in t)}
+        rem = form
+        for t, n in lines.items():
+            rem = rem.divide(line_form(gf, t).pow(n))
+    return lines, rem
 
 
-def _named_factors(pencil: PencilSpec):
-    """Assign stable ids to the irreducible components of both members.
+def _named_factors(pencil: PencilSpec, zeros: list):
+    """Assign stable ids to the irreducible components of both members,
+    given their zero sets over the base field.
 
     The f0 side is named W, W2, ...; the f1 side X, Z, L3, ... with X
     the highest-multiplicity linear factor.
     """
     gf = pencil.gf
     named = []          # (cid, form, fib0, fib1)
-    lines0, rem0, _ = peel_lines(pencil.f0, gf)
+    lines0, rem0 = _rational_factors(pencil.f0, gf, zeros[0])
     parts0 = []
     if rem0.total_degree() > 0:
         parts0.append((rem0, 1))
     parts0 += [(line_form(gf, t), m) for t, m in sorted(lines0.items())]
     for i, (form, mult) in enumerate(parts0):
         named.append(("W" if i == 0 else f"W{i + 1}", form, mult, 0))
-    lines1, rem1, _ = peel_lines(pencil.f1, gf)
+    lines1, rem1 = _rational_factors(pencil.f1, gf, zeros[1])
     parts1 = [(line_form(gf, t), m) for t, m in
               sorted(lines1.items(), key=lambda kv: (-kv[1], kv[0]))]
     if rem1.total_degree() > 0:
@@ -268,9 +279,10 @@ def _vanishes(f: dict) -> bool:
 def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     """Blow up base points until the transformed pencil is base-free."""
     gf = pencil.gf
-    pts = base_points(pencil)
-    ordered = sorted(pts, reverse=True)
-    named = _named_factors(pencil)
+    zeros = [kernels.scan_zero_points(f, gf) for f in (pencil.f0, pencil.f1)]
+    # the rational base points, in descending order
+    ordered = sorted(set(zeros[0]) & set(zeros[1]), reverse=True)
+    named = _named_factors(pencil, zeros)
     report = ResolutionReport(
         pencil, [(pt, _SERIES[i]) for i, pt in enumerate(ordered)])
     strict_mults = {cid: {} for cid, _, _, _ in named}

@@ -214,10 +214,9 @@ class UPoly:
     # ----- char-2 squares -----------------------------------------------
 
     def is_square(self) -> bool:
-        """Even-support test: over a perfect coefficient field this is exact."""
+        """Even-support test: over a perfect coefficient field this is exact.
+        The mask covers the odd slots (bits 1, 3, 5, ... at m = 1)."""
         gf = self.gf
-        if gf.m == 1:
-            return gf2x.is_square(self.c)
         w = 2 * gf.slot
         odd = _ones(w, self.c.bit_length() // w + 1) * ((gf.q - 1) << gf.slot)
         return not self.c & odd

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,12 @@ CMD = [sys.executable, "-m", "quarticfibres.cli"]
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run(*args, cmd=CMD):
+def run(*args, cmd=CMD, **kwargs):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(cmd + list(args), capture_output=True, text=True,
-                          env=env)
+                          env=env, **kwargs)
 
 
 def test_family_json_report():
@@ -226,6 +227,26 @@ def test_field_degree_above_16_is_an_error_record():
     r = run("family", "--tag", "IV", "--b", "t", "--field-m", "16")
     assert r.returncode == 0
     assert "PASS strange quartic" in r.stdout
+
+
+def _limit_memory():
+    limit = 768 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_huge_powers_are_parse_errors():
+    # refused at the "^" before the power is built; the child's address
+    # space is limited, so that a regression fails instead of filling the
+    # memory
+    for params, pos in ((["--b", "t^1000000000001"], 1),
+                        (["--b", "t", "--a", "(t+1)^1000000000"], 5)):
+        r = run("family", "--tag", "IV", *params, preexec_fn=_limit_memory)
+        assert r.returncode == 1
+        assert r.stdout.startswith("error: ParseError: ")
+        assert f"(at position {pos})" in r.stdout
+        r = run("family", "--tag", "IV", *params, "--json",
+                preexec_fn=_limit_memory)
+        assert json.loads(r.stdout)["error"]["type"] == "ParseError"
 
 
 def test_runs_without_numpy():

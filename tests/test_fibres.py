@@ -164,13 +164,19 @@ def test_non_default_modulus():
     assert count == 448
 
 
-def test_search_beyond_the_cap_raises():
+def test_search_beyond_the_cap_raises(monkeypatch):
+    # every reader of a plane scan over GF(512) raises SearchCapped from
+    # the one check in kernels, before a monomial plane is built
     spec = FieldSpec(9)
+    planes = _count_calls(monkeypatch, kernels, "_coordinates")
+    points = _count_calls(monkeypatch, kernels, "plane_points")
     for name, point in (("pi4", (3, 5, 7)), ("pi3", (1, 0, 1, 0))):
         with pytest.raises(SearchCapped):
             classify_fibre(specialize_fibre(name, point, spec))
-    with pytest.raises(SearchCapped):
-        singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
+    for fn in (singular_locus, smooth_points):
+        with pytest.raises(SearchCapped, match="plane scan over GF.2.9."):
+            fn(specialize_fibre("pi4", (3, 5, 7), spec))
+    assert planes == points == []
     # singular along y = 0 over GF(32): its GF(2^10) points are not
     # searched, so the 34 rational points alone are not the locus
     with pytest.raises(SearchCapped):
@@ -178,12 +184,11 @@ def test_search_beyond_the_cap_raises():
     # a line pair over GF(2^10) and a conic: line peeling needs GF(2^10)
     with pytest.raises(SearchCapped):
         classify_fibre(_curve("(x^2+x*z+z^2)*(y^2+x*z)", FieldSpec(5)))
-    # the Klein quartic is smooth: over GF(32) no rational singular point
-    # is found and GF(2^10) is not scanned, so "smooth" is not known
-    klein = "x^3*y + y^3*z + z^3*x"
+    # singular at (1:g:0) with g in GF(4): over GF(32) no rational
+    # singular point is found and GF(2^10) is not scanned, so the point
+    # is not known
     with pytest.raises(SearchCapped):
-        classify_fibre(_curve(klein, FieldSpec(5)))
-    assert classify_fibre(_curve(klein, FieldSpec(4))).sing_point is None
+        classify_fibre(_curve("x^4+x^2*y^2+y^4+x*z^3", FieldSpec(5)))
 
 
 def test_predicted_points_all_fibrations():
@@ -424,15 +429,14 @@ def test_integral_fibres_make_no_extension_scan(monkeypatch):
 def test_singular_point_over_the_extension(monkeypatch):
     # no rational singular point: the locus's GF(4) round, one evaluation
     # of F and its partials over P^2(GF(4)), finds the conjugate pair
-    # (1:0:g), (1:0:g+1); the form is odd in y, so line peeling also
-    # evaluates F alone over GF(4)
+    # (1:g:0), (1:g+1:0); the form has a y^4 term, so line peeling makes
+    # no extension round
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
-    cls = classify_fibre(_curve("x^4 + x*y^3 + x^2*z^2 + z^4"))
-    assert [(len(forms), gf.m) for forms, gf in calls] == [
-        (4, 1), (1, 2), (4, 2)]
+    cls = classify_fibre(_curve("x^4 + x^2*y^2 + y^4 + x*z^3"))
+    assert [(len(forms), gf.m) for forms, gf in calls] == [(4, 1), (4, 2)]
     assert (cls.kind, cls.ext, cls.multiplicity, cls.delta) == (
         "IntegralQuartic", 2, 2, 1)
-    assert cls.sing_point == tuple(GF.get(2).elem(v) for v in (1, 0, 2))
+    assert cls.sing_point == tuple(GF.get(2).elem(v) for v in (1, 2, 0))
     assert cls.tangent.kind == "Bitangent22"
 
 
@@ -589,6 +593,30 @@ def test_classify_rejects_non_quartic():
         classify_fibre(_curve("x*y^2 + z^3"))
 
 
+@pytest.mark.parametrize("text", [
+    # (xy + xz + g yz)(xy + xz + (g+1) yz), a conjugate conic pair, which
+    # the cascade would call integral
+    "x^2*y^2 + x*y^2*z + x^2*z^2 + x*y*z^2 + y^2*z^2",
+    # three singular points, conjugate over GF(8), which the pass misses
+    # and the GF(4) locus round cannot see: it would be called smooth
+    "y^4 + x^3*z + x*y^2*z + y^3*z + x*y*z^2 + y*z^3"])
+def test_classify_takes_strange_forms_only(text):
+    # "no line and no conic pair, so integral" holds for dF/dy = 0 only
+    with pytest.raises(ConstraintViolation, match="not a strange quartic"):
+        classify_fibre(_curve(text))
+
+
+def test_direction_lift_stops_at_the_field_tables():
+    # the node's tangents are conjugate over GF(2^(2m)) for odd m: the
+    # lift to GF(2^14) is solved in closed form, and GF(2^18) has no
+    # tables
+    node = "x^2*z^2 + x*y*z^2 + y^2*z^2 + x^3*z + y^4"
+    assert delta_invariant(_curve(node, FieldSpec(7)), (0, 0, 1)) == (
+        1, (2, 1, 1))
+    with pytest.raises(SearchCapped, match="beyond the GF.2.16."):
+        delta_invariant(_curve(node, FieldSpec(9)), (0, 0, 1))
+
+
 @functools.cache
 def _grid(name, m):
     """Every fibre of a fibration over GF(2^m), with its class."""
@@ -682,11 +710,23 @@ def _first_singular_point(curve):
     return locus[0] if locus else (None, 1)
 
 
+def _even_y_quartics(gf, coefficient_lists):
+    """Strange quartics sum c x^i y^j z^k over the even j, one for each
+    list of coefficients, y^4 first."""
+    monos = [(i, j, 4 - i - j) for j in (4, 2, 0) for i in range(5 - j)]
+    for cs in coefficient_lists:
+        form = MPoly.from_terms(FORM_VARS, gf, [
+            (e, GFElem(gf, c)) for e, c in zip(monos, cs)])
+        if not form.is_zero():
+            yield PlaneCurveFq(form, FieldSpec(gf.m))
+
+
 def test_singular_point_is_the_locus_head():
     # the classification's singular point, read off the pass unless the
     # pass found none, against the head of the full singular locus: every
-    # integral fibre of the m <= 2 grids and seeded random quartics, about
-    # 1 in 20 of which over GF(2) has only conjugate singular points
+    # integral fibre of the m <= 2 grids, every y^4-monic form with only
+    # even y-exponents over GF(2) (36 of them have only conjugate
+    # singular points) and seeded such forms over GF(4)
     checked = exts = 0
     for m, name in product((1, 2), ("pi3", "pi4", "pi5")):
         for point, curve, cls in _grid(name, m):
@@ -694,19 +734,17 @@ def test_singular_point_is_the_locus_head():
                 assert (cls.sing_point, cls.ext) == _first_singular_point(
                     curve), (name, point, m)
                 checked += 1
-    for m in (1, 2):
-        gf, rng = GF.get(m), random.Random(1900 + m)
-        for _ in range(100):
-            curve = PlaneCurveFq(MPoly.from_terms(FORM_VARS, gf, [
-                ((i, j, 4 - i - j), GFElem(gf, rng.randrange(gf.q)))
-                for i in range(5) for j in range(5 - i)]), FieldSpec(m))
-            try:
-                cls = classify_fibre(curve)
-            except QuarticError:
-                continue
-            if cls.kind == "IntegralQuartic":
-                assert (cls.sing_point, cls.ext) == _first_singular_point(
-                    curve), str(curve.form)
-                checked += 1
-                exts += cls.ext == 2
+    rng = random.Random(1902)
+    curves = [*_even_y_quartics(GF.get(1), ((1, *cs) for cs in
+                                            product(range(2), repeat=8))),
+              *_even_y_quartics(GF.get(2), ([rng.randrange(4)
+                                             for _ in range(9)]
+                                            for _ in range(100)))]
+    for curve in curves:
+        cls = classify_fibre(curve)
+        if cls.kind == "IntegralQuartic":
+            assert (cls.sing_point, cls.ext) == _first_singular_point(
+                curve), str(curve.form)
+            checked += 1
+            exts += cls.ext == 2
     assert checked >= 300 and exts >= 3

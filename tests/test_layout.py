@@ -102,6 +102,24 @@ def test_only_the_field_and_polynomial_layers_reach_gf2x():
     assert users <= {"gf2x", "finitefield", "upoly"}
 
 
+def test_search_caps_are_checked_in_two_places():
+    # the plane scans are bounded once, where kernels builds its planes,
+    # and the one extension a root search builds is the direction lift of
+    # fibres._directions: no caller adds a cap of its own
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "check_cap" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"kernels._zero_masks", "fibres._directions"}
+
+
 def test_cli_subcommands_define_only_the_flags_they_read():
     top = cli._build_parser()
     subs = next(a for a in top._actions

@@ -5,7 +5,7 @@ import pytest
 from quarticfibres.errors import DivisionByZero, ParseError
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
-from quarticfibres.parser import parse_element, parse_form
+from quarticfibres.parser import MAX_DEGREE, parse_element, parse_form
 from quarticfibres.scalars import KDomain, ScalarK
 from quarticfibres.upoly import UPoly
 
@@ -88,3 +88,26 @@ def test_form_round_trip():
                 items.append((e, c))
             f = MPoly.from_terms(FORM_VARS, KDomain.get(gf), items)
             assert parse_form(str(f), spec) == f
+
+
+def test_degree_bound():
+    # a product or power above the bound is refused at its operator,
+    # before it is computed: in t for K, in x, y, z for forms
+    t = ScalarK.t(GF.get(1))
+    assert parse_element(f"t^{MAX_DEGREE}", SPEC2) == t ** MAX_DEGREE
+    assert parse_form(f"t^{MAX_DEGREE}*x^{MAX_DEGREE}", SPEC2).total_degree(
+    ) == MAX_DEGREE
+    for text, pos in (("t^1000000000001", 1), ("(t+1)^1000000000", 5),
+                      ("t^40*t^40", 4), ("t/(t+1)^64", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_element(text, SPEC2)
+        assert info.value.position == pos, text
+    for text, pos in (("x^65", 1), ("(x+y*z)^1000000000", 7),
+                      ("x^40*y^40", 4), ("(x+t^30)*t^40", 8)):
+        with pytest.raises(ParseError) as info:
+            parse_form(text, SPEC4)
+        assert info.value.position == pos, text
+    # a constant to any power has degree 0
+    assert parse_element("(g+1)^1000000000000", SPEC4) == parse_element(
+        "g+1", SPEC4)
+    assert parse_form("(x+x)^1000000000000", SPEC2).is_zero()

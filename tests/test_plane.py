@@ -26,7 +26,7 @@ from quarticfibres.upoly import UPoly
 random.seed(30931)
 
 
-def _trial_division_peel(rem, gf, found, zeros=None):
+def _trial_division_peel(rem, gf, found, zeros):
     """The reference: divide by each line of P^2(gf) in turn, reading no
     zero set."""
     deg = rem.total_degree()
@@ -38,11 +38,12 @@ def _trial_division_peel(rem, gf, found, zeros=None):
     return found, rem
 
 
-def _check(form, gf, max_ext, monkeypatch):
-    got = peel_lines(form, gf, max_ext)
+def _check(form, gf, monkeypatch):
+    zeros = kernels.scan_zero_points(form, gf)
+    got = peel_lines(form, gf, zeros)
     with monkeypatch.context() as mp:
         mp.setattr(plane, "_peel", _trial_division_peel)
-        want = peel_lines(form, gf, max_ext)
+        want = peel_lines(form, gf, zeros)
     assert got == want
     return got
 
@@ -65,17 +66,17 @@ def _random_form(gf, deg, rng=random):
             return f
 
 
-def _random_case(gf):
+def _random_case(gf, rng):
     """A product of random lines with multiplicities 1..4 and a random
     cofactor, of total degree 4."""
     pts = kernels.plane_points(gf.q)
     factors, deg = [], 0
-    while deg < 4 and random.random() < 0.75:
-        mult = random.randint(1, 4 - deg)
-        factors += [line_form(gf, random.choice(pts))] * mult
+    while deg < 4 and rng.random() < 0.75:
+        mult = rng.randint(1, 4 - deg)
+        factors += [line_form(gf, rng.choice(pts))] * mult
         deg += mult
     if deg < 4:
-        factors.append(_random_form(gf, 4 - deg))
+        factors.append(_random_form(gf, 4 - deg, rng))
     return _prod(gf, *factors)
 
 
@@ -100,14 +101,16 @@ def _collinear_cases(gf):
     return cases
 
 
-@pytest.mark.parametrize("m, max_ext, count", [
+@pytest.mark.parametrize("m, draw, count", [
     (1, 1, 60), (1, 2, 60), (2, 1, 60), (2, 2, 40), (3, 1, 40)])
-def test_peel_lines_matches_trial_division(m, max_ext, count, monkeypatch):
-    gf = GF.get(m)
+def test_peel_lines_matches_trial_division(m, draw, count, monkeypatch):
+    # each (m, draw) is its own seeded draw of random cases; line peeling
+    # derives its extension round from each form
+    gf, rng = GF.get(m), random.Random(f"peel {m} {draw}")
     for _ in range(count):
-        _check(_random_case(gf), gf, max_ext, monkeypatch)
+        _check(_random_case(gf, rng), gf, monkeypatch)
     for form in _collinear_cases(gf):
-        _check(form, gf, max_ext, monkeypatch)
+        _check(form, gf, monkeypatch)
 
 
 def test_four_concurrent_lines(monkeypatch):
@@ -117,7 +120,7 @@ def test_four_concurrent_lines(monkeypatch):
         # x, y, x+y and x+g*y all pass through (0:0:1)
         form = _prod(gf, *(line_form(gf, t) for t in
                            ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, g, 0))))
-        factors, rem, _ = _check(form, gf, 1, monkeypatch)
+        factors, rem, _ = _check(form, gf, monkeypatch)
         assert len(factors) == 4 and rem.total_degree() == 0
 
 
@@ -131,7 +134,7 @@ def test_four_lines_over_f2(monkeypatch):
     for form in (_prod(gf, x, y, x + y, z),
                  _prod(gf, x, y, z, x + y + z),
                  _prod(gf, x, x, y, x + y)):
-        factors, rem, _ = _check(form, gf, 1, monkeypatch)
+        factors, rem, _ = _check(form, gf, monkeypatch)
         assert sum(factors.values()) == 4 and rem.total_degree() == 0
     # one line times a cubic through the four points off it: seven
     # candidates, one of which divides
@@ -140,7 +143,7 @@ def test_four_lines_over_f2(monkeypatch):
         ((0, 0, 3), gf.one_elem()), ((2, 0, 1), gf.one_elem())])
     form = x * cubic
     assert len(kernels.scan_zero_points(form, gf)) == 7
-    factors, rem, _ = _check(form, gf, 1, monkeypatch)
+    factors, rem, _ = _check(form, gf, monkeypatch)
     assert factors == {(1, 0, 0): 1} and rem == cubic
 
 
@@ -152,7 +155,7 @@ def test_lines_meeting_at_a_shared_zero(monkeypatch):
         ((2, 0, 0), gf.one_elem()), ((1, 1, 0), gf.one_elem()),
         ((0, 0, 2), GFElem(gf, g))])
     a, b = line_form(gf, (1, 0, 0)), line_form(gf, (1, 0, g))
-    factors, rem, _ = _check(_prod(gf, a, a, b, conic), gf, 1, monkeypatch)
+    factors, rem, _ = _check(_prod(gf, a, a, b, conic), gf, monkeypatch)
     assert factors == {(1, 0, 0): 2, (1, 0, g): 1}
 
 
@@ -192,9 +195,8 @@ def test_extension_round_splits_a_conjugate_pair(monkeypatch):
         ((0, 0, 2), gf.one_elem())])             # x^2+xz+z^2
     y = line_form(gf, (0, 1, 0))
     form = _prod(gf, pair, y, y)
-    factors, rem, field = _check(form, gf, 1, monkeypatch)
-    assert factors == {(0, 1, 0): 2} and rem == pair and field is gf
-    factors, rem, field = _check(form, gf, 2, monkeypatch)
+    # only even powers of y but no y^4 term: the round is GF(4)
+    factors, rem, field = _check(form, gf, monkeypatch)
     assert field is GF.get(2) and rem.total_degree() == 0
     assert sorted(factors.values()) == [1, 1, 2]
 

@@ -3,6 +3,7 @@ intersection numbers, fibre labels and the inseparable covering."""
 
 import pytest
 
+from quarticfibres import kernels
 from quarticfibres.errors import (ConstraintViolation, IdentityFailed,
                                   NonRationalCenter, UnknownCurve, ZeroForm)
 from quarticfibres.finitefield import FieldSpec
@@ -185,3 +186,38 @@ def test_irrational_base_point_detected():
 def test_pencils_table():
     assert set(PENCILS) == {"quartic", "cubic"}
     assert PENCILS["quartic"]().degree() == 4
+
+
+def test_each_member_is_scanned_once_over_the_base_field(monkeypatch):
+    # a machine-independent work count: one GF(q) scan per member gives
+    # both the base points and the zero set line peeling reads; only an
+    # extension round (x y^2 + z^3, which has no y^4 term) scans GF(q^2)
+    calls = []
+    scan = kernels.scan_zero_points
+
+    def counted(form, gf):
+        calls.append((str(form), gf.m))
+        return scan(form, gf)
+    monkeypatch.setattr(kernels, "scan_zero_points", counted)
+    for name, pencil in PENCILS.items():
+        calls.clear()
+        report = resolve_pencil(pencil())
+        assert report.blowup_counts() == (RQ if name == "quartic"
+                                          else RC).blowup_counts()
+        members = [str(pencil().f0), str(pencil().f1)]
+        assert [c for c in calls if c[1] == 1] == [(f, 1) for f in members]
+        assert [c for c in calls if c[1] != 1] == (
+            [] if name == "quartic" else [("x*y^2+z^3", 2)])
+
+
+def test_member_with_conjugate_lines_keeps_its_rational_components():
+    # x (x^2 + x y + y^2): the conic is a pair of lines conjugate over
+    # GF(4), so the components named over GF(2) are the conic and x
+    spec = FieldSpec(1)
+    pencil = PencilSpec(parse_form("x^3+x^2*y+x*y^2", spec, over="GF"),
+                        parse_form("y^3+x^2*y", spec, over="GF"), spec)
+    report = resolve_pencil(pencil)
+    assert {cid: (str(c.form), c.fib0, c.fib1)
+            for cid, c in report.strict.items()} == {
+        "W": ("x^2+x*y+y^2", 1, 0), "W2": ("x", 1, 0),
+        "X": ("x+y", 0, 2), "Z": ("y", 0, 1)}
