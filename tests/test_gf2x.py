@@ -1,6 +1,8 @@
 import random
 
 from quarticfibres import gf2x
+from quarticfibres.finitefield import GF
+from quarticfibres.upoly import UPoly
 
 random.seed(71001)
 
@@ -56,6 +58,18 @@ def test_irreducibles():
     assert not gf2x.is_irreducible(0b1001)  # (u+1)^3
     assert gf2x.first_irreducible(2) == 0b111
     assert gf2x.first_irreducible(8) == 0b100011011
+
+
+def test_square_has_even_support():
+    # squares are read by UPoly's odd-slot mask, at m = 1 on this packing
+    gf = GF.get(1)
+    for _ in range(200):
+        s = gf2x.square(random.getrandbits(14))
+        assert UPoly(gf, s).is_square()
+        assert not UPoly(gf, s ^ (1 << 2 * random.randrange(14) + 1)).is_square()
+    # odd-degree polynomials are never squares
+    assert not UPoly(gf, 0b10).is_square()
+    assert not UPoly(gf, 0b1110).is_square()
 
 
 def test_square_is_mul_self():
