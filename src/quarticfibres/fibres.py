@@ -420,12 +420,15 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     The form must be a strange quartic in normal form (dF/dy = 0);
     anything else raises `ConstraintViolation`.  The cascade tries the
     square of a smooth conic, linear factors (``plane.peel_lines``, over
-    GF(q^2) too unless the form has a y^4 term), a pair of strange conics
-    over GF(q) or GF(q^2), found by two searches of GF(q), and otherwise
-    measures an integral quartic at the first point of its singular
-    locus, the pass's first singular point when it has one.  A scan it
-    needs beyond ``kernels.LOCUS_CAP`` raises `SearchCapped`; no singular
-    point, or a delta above 3 there, raises `InternalCheckFailed`.
+    GF(q^2) too unless the form has a y^4 term; for any other square, the
+    lines of its square root, which has the same zero set, each taken
+    twice, so that a conjugate pair of double lines is found), a pair of
+    strange conics over GF(q) or GF(q^2), found by two searches of GF(q),
+    and otherwise measures an integral quartic at the first point of its
+    singular locus, the pass's first singular point when it has one.  A
+    scan it needs beyond ``kernels.LOCUS_CAP`` raises `SearchCapped`; no
+    singular point, or a delta above 3 there, raises
+    `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -436,7 +439,11 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     if root is not None and is_smooth_conic(root):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
-    factors, rem, cur = peel_lines(curve.form, gf, curve.points(0))
+    if root is None:
+        factors, rem, cur = peel_lines(curve.form, gf, curve.points(0))
+    else:   # the square of a singular conic: its lines, each doubled
+        lines, rem, cur = peel_lines(root, gf, curve.points(0))
+        factors, rem = {t: 2 * n for t, n in lines.items()}, rem.square()
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)

@@ -10,9 +10,14 @@ alone.  P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at
 once with bit slicing (Biham, "A fast new DES implementation in
 software", 1997): a value plane is m Python ints, and bit i of int k is
 bit k of the value at point i, the points taken in ``plane_points``
-order.  A sum of planes is m XORs; a product is m^2 ANDs and XORs
-followed by reduction by the modulus; a constant factor is a GF(2)-linear
-map on the m ints.  The zeros of a form are the complement of the OR of
+order.  A sum of planes is m XORs, and a constant factor is a GF(2)-
+linear map on the m ints.  A product of planes is m^2 ANDs and XORs
+followed by reduction by the modulus, and a monomial plane takes one
+only where no cheaper rule applies: x is 1 on every affine point (1:y:z)
+and 0 on the line x = 0, so a factor x^i (i > 0) is an AND of each int
+with the affine mask, and a monomial in y and z alone is one product of
+a lower one by the y or z plane.  A pi4 fibre and its partials make six
+products in all.  The zeros of a form are the complement of the OR of
 its m ints.
 
 A plane scan covers q^2 + q + 1 points; every other search of the
@@ -68,17 +73,18 @@ def _stripes(width: int, length: int) -> int:
 
 @cache
 def _coordinates(m: int) -> tuple:
-    """The x, y and z planes of P^2(GF(2^m)).  On the affine part the
+    """The affine mask and the y and z planes of P^2(GF(2^m)).  x is 1 on
+    every affine point (1:y:z) and 0 on the line x = 0, so its plane is
+    one int, the mask of the affine bits i < q^2.  On the affine part the
     point index is y q + z, so bit k of z is bit k of the index and bit
     k of y is bit m + k."""
     q = 1 << m
     qq = q * q
-    x = [(1 << qq) - 1] + [0] * (m - 1)
     y = [_stripes(q << k, qq) for k in range(m)]
     z = [_stripes(1 << k, qq + q) for k in range(m)]
     y[0] |= ((1 << q) - 1) << qq
     z[0] |= 1 << (qq + q)
-    return x, y, z
+    return (1 << qq) - 1, y, z
 
 
 def _mul(a: list, b: list, gf) -> list:
@@ -100,15 +106,22 @@ def _mul(a: list, b: list, gf) -> list:
 
 def _monomial(monomials: dict, e: tuple, gf) -> list:
     """The plane of the monomial of exponent e, built from the planes in
-    `monomials` and kept there.  A module function, not a closure over
+    `monomials` and kept there.  x^i y^j z^k with i > 0 is the plane of
+    y^j z^k on the affine mask; y^j z^k is one product by the y or z
+    plane.  A module function, not a closure over
     `monomials`: a recursive closure is a reference cycle, which would
     keep every call's planes alive until the cyclic collector runs."""
     mono = monomials.get(e)
-    if mono is None:    # one coordinate times a monomial of lower degree
-        k = next(k for k in range(3) if e[k])
-        lower = e[:k] + (e[k] - 1,) + e[k + 1:]
-        mono = monomials[e] = _mul(_monomial(monomials, lower, gf),
-                                   _coordinates(gf.m)[k], gf)
+    if mono is None:
+        i, j, k = e
+        affine, y, z = _coordinates(gf.m)
+        if i:
+            mono = [p & affine for p in _monomial(monomials, (0, j, k), gf)]
+        elif j:
+            mono = _mul(_monomial(monomials, (0, j - 1, k), gf), y, gf)
+        else:
+            mono = _mul(_monomial(monomials, (0, 0, k - 1), gf), z, gf)
+        monomials[e] = mono
     return mono
 
 
@@ -119,7 +132,9 @@ def _zero_masks(forms, gf) -> list:
     check_cap(gf.m, "the plane scan")
     m, q = gf.m, gf.q
     full = (1 << (q * q + q + 1)) - 1
-    monomials = {(0, 0, 0): [full] + [0] * (m - 1)}
+    _, y, z = _coordinates(m)
+    monomials = {(0, 0, 0): [full] + [0] * (m - 1), (0, 1, 0): y,
+                 (0, 0, 1): z}
     masks = []
     for f in forms:
         acc = [0] * m

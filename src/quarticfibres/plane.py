@@ -380,7 +380,8 @@ def peel_lines(form: MPoly, gf: GF, zeros: list):
     # has a conjugate y + l', which divides the cofactor twice too, so
     # F = a ((y + l)(y + l'))^2.  So the linear factors are rational
     # unless F is the square of a pair of conjugate lines, which is left
-    # to the caller as a square, and no extension round is made.
+    # to the caller as a square (``classify_fibre`` peels its square
+    # root), and no extension round is made.
     if ((form.coeff((0, 4, 0)) and not any(e[1] % 2 for e in form.terms))
             or rem.total_degree() == 0 or is_smooth_conic(rem)):
         return factors, rem, gf

@@ -399,6 +399,17 @@ def test_classify_divides_only_by_candidate_lines(monkeypatch):
     assert sum(point == sing for _, point, _ in charts) == 1
 
 
+def test_gf64_fibre_plane_products(monkeypatch):
+    # a machine-independent work count: of the monomial planes of a pi4
+    # fibre and its partials, x^i y^j z^k (i > 0) is y^j z^k on the affine
+    # mask, so only y^2, y^3, y^4, z^2, z^3 and z^4 take a product of
+    # planes
+    calls = _count_calls(monkeypatch, kernels, "_mul")
+    cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
+    assert cls.kind == "IntegralQuartic"
+    assert len(calls) == 6
+
+
 def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
     # a machine-independent work count: F and its partials are evaluated
     # over P^2(GF(16)) once, for the zero set that line peeling reads,
@@ -499,6 +510,22 @@ def test_conjugate_conic_pairs_beyond_gf256(name, point, m):
     curve = specialize_fibre(name, point, FieldSpec(m))
     cls = classify_fibre(curve)
     assert (cls.kind, cls.ext, len(cls.components)) == ("Other", 2, 2)
+    assert _multiplies_back(curve, cls)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_square_of_a_line_pair_is_two_double_lines(m):
+    # y^4 + x^2 y^2 + x^4 = ((y + g x)(y + (g+1) x))^2 with g^2 + g = 1:
+    # the lines are rational over GF(4) and conjugate over GF(2) and GF(8),
+    # and either way the answer is two double lines, not two singular
+    # "conics" g x^2 + y^2 and (g+1) x^2 + y^2
+    spec = FieldSpec(m)
+    curve = _curve("y^4 + x^2*y^2 + x^4", spec)
+    cls = classify_fibre(curve)
+    assert (cls.kind, cls.ext) == ("Other", 1 if m == 2 else 2)
+    big = FieldSpec(m * cls.ext)
+    assert sorted((parse_form(text, big, over="GF").total_degree(), mult)
+                  for text, mult in cls.components) == [(1, 2), (1, 2)]
     assert _multiplies_back(curve, cls)
 
 

@@ -12,7 +12,9 @@ random.seed(71007)
 def _rand_form(gf, nterms=6):
     items = []
     for _ in range(nterms):
-        e = tuple(random.randrange(4) for _ in range(3))
+        # exponents up to 4: x^4 on the affine mask, y^4 and z^4 as
+        # chains of three products
+        e = tuple(random.randrange(5) for _ in range(3))
         items.append((e, GFElem(gf, random.randrange(gf.q))))
     return MPoly.from_terms(FORM_VARS, gf, items)
 
