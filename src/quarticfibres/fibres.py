@@ -24,15 +24,17 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
   of ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
   points; the third restricts the chart to the tangent line, its linear
   part, by a coefficient map;
-* ``classify_fibre`` runs the cascade square-root / linear-split /
+* ``classify_fibre`` runs the cascade double-conic / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
-  its candidate lines off the zero set and confirms each by division.
+  its rational candidate lines off the zero set and confirms each by
+  division, and reads the other lines off the cofactor's coefficients.
 
 Charts, blow-ups, line peeling and root finding come from ``plane``;
 none of the above makes a polynomial substitution, and `GFElem` values
 are made only for what is reported: points and `FibreClass.sing_point`.
-The one search bound outside ``kernels`` is the direction lift of
-``_directions``, which stops at the field tables.
+The one search bound outside ``kernels`` is the root lift of
+``_lift_roots``, which the blow-up directions and the lines through
+(0:1:0) share, and which stops at the field tables.
 
 ``classify_fibre`` takes strange quartics in the normal form dF/dy = 0,
 whose strange point is (0:1:0), and refuses any other form: only for
@@ -40,9 +42,15 @@ those does "no line and no conic pair" mean an integral curve, and such
 a curve always has a singular point (Samuel 1966; Hefez and Kleiman
 1985).  The fibrations' fibres are all of this form, and their lines and
 singular point are rational.  A general strange quartic can have a
-conjugate pair of singular points, and without a y^4 term its lines
-through (0:1:0) can be conjugate; the cascade searches GF(q^2) for both.
-A conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w) splits over GF(q) or
+conjugate pair of singular points, which the cascade searches GF(q^2)
+for.  Its lines need no search beyond the base field.  Write F = a y^4 +
+C y^2 + D with C and D in x and z.  A line y + l not through (0:1:0)
+divides F only as (y + l)^2, and then l is rational unless F is the
+square of a conjugate pair of such lines.  So without a y^4 term every
+line left after base-field peeling passes through (0:1:0), and these
+lines are the linear factors of gcd(C, D), split over GF(q^r) with
+r <= 4.  A conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w), the square of a
+conjugate pair of lines y + l included (v = l^2), splits over GF(q) or
 GF(q^2), which is a question about T^2 + A T + B over GF(q), so the
 biconic split searches GF(q) alone for every m.
 """
@@ -303,29 +311,41 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 # ----- delta invariant ----------------------------------------------------
 
 
+def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF]:
+    """The roots of a polynomial of degree at most 4 with no root in gf,
+    as (root, multiplicity) pairs over the first GF(q^r) where it has
+    one, ascending, and that field (gf when h is constant).
+
+    h has no linear factor, so its factors have degree 2 to 4, and all of
+    them split over that field: a quartic with a factor of degree 2 has
+    two, both split over GF(q^2), so no root is left to a later field.
+    This lift is the one place that builds an extension for a root
+    search, and a GF(q^r) beyond the field tables raises
+    `SearchCapped`."""
+    r, found, big = 1, [], gf
+    while h.deg() > 0 and not found:
+        r += 1
+        kernels.check_cap(gf.m * r, "the root lift", TABLE_LIMIT)
+        big = GF.get(gf.m * r)
+        table = gf.embedding_into(big)
+        found = roots(UPoly.from_coeffs(
+            big, [table[c] for c in h.to_coeffs()]))[0]
+    return found, big
+
+
 def _directions(f: dict, gf: GF, m: int):
     """The finite blow-up directions of a point of multiplicity m on a
     local equation over gf, each a (field, raw int) pair over the smallest
     GF(q^r) that holds it, in ascending (r, eta) order, and the
     multiplicity of the direction u = 0.
 
-    The roots over GF(q) are divided out first.  The cofactor left has
-    degree at most 4 and no root, so its factors have degree 2 to 4 and
-    all of them split over the first GF(q^r) where it has a root: no
-    root is found twice.  This lift is the one place that builds an
-    extension for a root search, and a GF(q^r) beyond the field tables
-    raises `SearchCapped`."""
+    The roots over GF(q) are divided out first, and ``_lift_roots``
+    splits the cofactor, of degree at most 4: no root is found twice."""
     h, vertical = tangent_cone(f, gf, m)
     found, rest = roots(h)
-    r, split = 1, []
-    while rest.deg() > 0 and not split:
-        r += 1
-        kernels.check_cap(gf.m * r, "the direction lift", TABLE_LIMIT)
-        gfr = GF.get(gf.m * r)
-        table = gf.embedding_into(gfr)
-        lifted = UPoly.from_coeffs(gfr, [table[c] for c in rest.to_coeffs()])
-        split = [(gfr, alpha) for alpha, _ in roots(lifted)[0]]
-    return [(gf, alpha) for alpha, _ in found] + split, vertical
+    split, big = _lift_roots(rest, gf)
+    return ([(gf, alpha) for alpha, _ in found]
+            + [(big, alpha) for alpha, _ in split]), vertical
 
 
 def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
@@ -363,19 +383,51 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
 # ----- classification -----------------------------------------------------
 
 
+def _lines_through_n(factors: dict, rem: MPoly, gf: GF):
+    """Add the lines through the strange point (0:1:0) that divide rem to
+    the rational lines `factors` that base-field peeling took out of a
+    strange quartic without a y^4 term, and return both and the cofactor
+    over the field of the new lines (gf when there is none).
+
+    rem is C y^2 + D with C and D in x and z (a constant when the lines
+    took the whole form), and no rational line divides it.  A line through (0:1:0) other than the rational z is
+    x + b z, which divides rem iff it divides C and D, so the lines are
+    the linear factors of gcd(C, D), to their multiplicities there, read
+    at z = 1 as one `UPoly.gcd`.  The gcd has no root in gf, so
+    ``_lift_roots`` splits it."""
+    cs = [[0] * 5, [0] * 5]         # D and C at z = 1, by the power of x
+    for (i, j, _), c in rem.terms.items():
+        cs[j // 2][i] = c.v
+    d, c = (UPoly.from_coeffs(gf, v) for v in cs)
+    found, big = _lift_roots(c.gcd(d), gf)
+    if not found:
+        return factors, rem, gf
+    table = gf.embedding_into(big)
+    factors = {tuple(table[v] for v in t): n for t, n in factors.items()}
+    rem = embed_form(rem, gf, big)
+    for b, n in found:
+        factors[1, 0, b] = n
+        rem = rem.divide(line_form(big, (1, 0, b)).pow(n))
+    return factors, rem, big
+
+
 def _biconic_split(form: MPoly, gf):
     """Try to write a quartic with only even y-exponents as a product
     (y^2+v)(y^2+w) of distinct strange conics, over the base field or
-    its quadratic extension (conjugate pairs).  For such quartics this
-    is the only factorization shape left once squares and rational
-    linear factors are ruled out: an odd-y conic factor would force its
-    cofactor to share the odd part, making the product a square.
+    its quadratic extension (conjugate pairs), and return its components
+    and their field.  For such quartics this is the only factorization
+    shape left once squares of smooth conics and linear factors are ruled
+    out: an odd-y conic factor would force its cofactor to share the odd
+    part, making the product a square.
 
     For f = y^4 + A y^2 + B the pair has v + w = A and v w = B, so v is a
     root of T^2 + A T + B, and A = 0 leaves only squares.  A conjugate
     pair over GF(q^2) = GF(q)(theta), theta^2 + theta = tau with
     Tr(tau) = 1, is v = v0 + theta A, w = v + A, where v0 over GF(q) is a
-    root of T^2 + A T + B + tau A^2: both rounds search GF(q) alone."""
+    root of T^2 + A T + B + tau A^2: both rounds search GF(q) alone, and
+    tau and theta are read off the fields' tables of Y^2 + Y = b.  A
+    square v = l^2, which a conjugate pair of lines y + l not through
+    (0:1:0) gives, is the double line y + l."""
     lead = form.coeff((0, 4, 0))
     f = form if lead.v == 1 else form.scale(lead.gf.one_elem() / lead)
     a2, a1, a0 = acs = [f.coeff((2 - i, 2, i)).v for i in range(3)]
@@ -389,9 +441,8 @@ def _biconic_split(form: MPoly, gf):
         return [x for x, _ in roots(UPoly.from_coeffs(gf, (c0, c1, 1)))[0]]
 
     for r in (1, 2):
-        # round 2 takes a tau of trace 1: X^2 + X + tau has no root in gf
-        tau = 0 if r == 1 else next(
-            t for t in range(1, gf.q) if not quad_roots(t, 1))
+        # round 2 takes a tau of trace 1: Y^2 + Y = tau has no root in gf
+        tau = 0 if r == 1 else gf.artin_schreier().index(None)
         c4, c2, c0 = (b ^ mul(tau, mul(a, a))
                       for b, a in ((b4, a2), (b2, a1), (b0, a0)))
         for p in quad_roots(c4, a2):
@@ -402,16 +453,26 @@ def _biconic_split(form: MPoly, gf):
                         continue
                     big = gf if r == 1 else GF.get(2 * gf.m)
                     table = gf.embedding_into(big)
-                    theta = roots(UPoly.from_coeffs(big, (table[tau], 1, 1)))
-                    v = [table[c] ^ big.mul(theta[0][0][0], table[a])
+                    theta = big.artin_schreier()[table[tau]]
+                    v = [table[c] ^ big.mul(theta, table[a])
                          for c, a in zip((p, q, s), acs)]
                     w = [c ^ table[a] for c, a in zip(v, acs)]
-                    pair = [MPoly.from_terms(FORM_VARS, big, [
-                        ((0, 2, 0), big.one_elem()),
-                        *(((2 - i, 0, i), GFElem(big, c))
-                          for i, c in enumerate(t))]) for t in (v, w)]
-                    return pair[0], pair[1], big
+                    return tuple(sorted(_strange_conic(big, t)
+                                        for t in (v, w))), big
     return None
+
+
+def _strange_conic(big: GF, v: list):
+    """The component y^2 + v0 x^2 + v1 x z + v2 z^2 with its multiplicity:
+    for v1 = 0 it is the double line y + sqrt(v0) x + sqrt(v2) z."""
+    v0, v1, v2 = v
+    if v1:
+        return str(MPoly.from_terms(FORM_VARS, big, [
+            ((0, 2, 0), big.one_elem()),
+            *(((2 - i, 0, i), GFElem(big, c)) for i, c in enumerate(v))])), 1
+    s0, s2 = big.sqrt(v0), big.sqrt(v2)
+    line = (1, big.inv(s0), big.div(s2, s0)) if s0 else (0, 1, s2)
+    return str(line_form(big, line)), 2
 
 
 def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
@@ -419,31 +480,30 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
 
     The form must be a strange quartic in normal form (dF/dy = 0);
     anything else raises `ConstraintViolation`.  The cascade tries the
-    square of a smooth conic, linear factors (``plane.peel_lines``, over
-    GF(q^2) too unless the form has a y^4 term; for any other square, the
-    lines of its square root, which has the same zero set, each taken
-    twice, so that a conjugate pair of double lines is found), a pair of
-    strange conics over GF(q) or GF(q^2), found by two searches of GF(q),
-    and otherwise measures an integral quartic at the first point of its
+    square of a smooth conic; linear factors, the rational ones by
+    ``plane.peel_lines`` and, without a y^4 term, the lines through
+    (0:1:0) by ``_lines_through_n``; a pair of strange conics over GF(q)
+    or GF(q^2), found by two searches of GF(q), which also finds the
+    square of a conjugate pair of lines not through (0:1:0); and
+    otherwise measures an integral quartic at the first point of its
     singular locus, the pass's first singular point when it has one.  A
-    scan it needs beyond ``kernels.LOCUS_CAP`` raises `SearchCapped`; no
-    singular point, or a delta above 3 there, raises
-    `InternalCheckFailed`.
+    scan it needs beyond ``kernels.LOCUS_CAP``, or a line beyond the
+    field tables, raises `SearchCapped`; no singular point, or a delta
+    above 3 there, raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
     if not is_strange(curve.form):
         raise ConstraintViolation("not a strange quartic: dF/dy != 0")
-    gf = curve.gf
-    root = curve.form.square_root()
+    gf, form = curve.gf, curve.form
+    root = form.square_root()
     if root is not None and is_smooth_conic(root):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
-    if root is None:
-        factors, rem, cur = peel_lines(curve.form, gf, curve.points(0))
-    else:   # the square of a singular conic: its lines, each doubled
-        lines, rem, cur = peel_lines(root, gf, curve.points(0))
-        factors, rem = {t: 2 * n for t, n in lines.items()}, rem.square()
+    factors, rem = peel_lines(form, gf, curve.points(0))
+    cur, a = gf, form.coeff((0, 4, 0))
+    if not a:
+        factors, rem, cur = _lines_through_n(factors, rem, gf)
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)
@@ -457,13 +517,12 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             kind = "ConicPlusDoubleLine"
         return FibreClass(kind=kind, ext=ext,
                           components=comps + ((str(rem), 1),))
-    if curve.form.coeff((0, 4, 0)):
-        split = _biconic_split(curve.form, gf)
+    if a:
+        split = _biconic_split(form, gf)
         if split is not None:
-            c0, c1, sgf = split
+            comps, sgf = split
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
-                              components=tuple(sorted(
-                                  ((str(c0), 1), (str(c1), 1)))))
+                              components=comps)
     sing = ([(_elems(gf, raw), 1) for raw in curve.points(1, limit=1)]
             or singular_locus(curve))
     if not sing:

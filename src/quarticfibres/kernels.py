@@ -5,18 +5,18 @@ pass and returns its zero, singular and smooth points as masks, which
 `fibres.PlaneCurveFq.scan` keeps for every reader; ``mask_points``
 decodes a mask, whole (the zero set, line peeling's candidates) or only
 its lowest set bits (the first singular point, one smooth point).  Only
-the GF(q^2) locus, extension line peeling and pencil members scan
-alone.  P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at
-once with bit slicing (Biham, "A fast new DES implementation in
-software", 1997): a value plane is m Python ints, and bit i of int k is
-bit k of the value at point i, the points taken in ``plane_points``
-order.  A sum of planes is m XORs, and a constant factor is a GF(2)-
-linear map on the m ints.  A product of planes is m^2 ANDs and XORs
-followed by reduction by the modulus, and a monomial plane takes one
-only where no cheaper rule applies: x is 1 on every affine point (1:y:z)
-and 0 on the line x = 0, so a factor x^i (i > 0) is an AND of each int
-with the affine mask, and a monomial in y and z alone is one product of
-a lower one by the y or z plane.  A pi4 fibre and its partials make six
+the GF(q^2) locus and pencil members scan alone.  P^2(GF(2^8)) has
+65793 points, so a form is evaluated at all at once with bit slicing
+(Biham, "A fast new DES implementation in software", 1997): a value
+plane is m Python ints, and bit i of int k is bit k of the value at
+point i, the points taken in ``plane_points`` order.  A sum of planes
+is m XORs, and a constant factor is a GF(2)-linear map on the m ints.
+A product of planes is m^2 ANDs and XORs followed by reduction by the
+modulus, and a monomial plane takes one only where no cheaper rule
+applies: x is 1 on every affine point (1:y:z) and 0 on the line x = 0,
+so a factor x^i (i > 0) is an AND of each int with the affine mask, and
+a monomial in y and z alone is one product of a lower one by the y or z
+plane.  A pi4 fibre and its partials make six
 products in all.  The zeros of a form are the complement of the OR of
 its m ints.
 

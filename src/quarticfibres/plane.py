@@ -3,17 +3,17 @@
 Both the fibre classification and the resolution of pencils work with
 ternary forms in (x, y, z) and the same few local constructions:
 
-* ``line_form`` and ``peel_lines``: linear factors.  The candidate lines
-  are read off the zero set: a line divides a form only if all its
-  rational points are zeros.  The caller hands in the base-field zero
-  set: a fibre decodes it from its one ``kernels.scan_curve`` pass, a
-  pencil member from the ``kernels.scan_zero_points`` that also gives
-  its base points.  Whether an extension round follows is read off the
-  form, and that round scans on its own.  ``_full_lines`` groups the
-  zeros by their projection from a base point and leaves the point once
-  too many groups are open for one to be full, which for the q+1 zeros
-  of an integral fibre is at the second group.  Each candidate
-  is then confirmed by division;
+* ``line_form`` and ``peel_lines``: linear factors over the field given
+  and no other.  The candidate lines are read off the zero set: a line
+  divides a form only if all its rational points are zeros.  The caller
+  hands in the base-field zero set: a fibre decodes it from its one
+  ``kernels.scan_curve`` pass, a pencil member from the
+  ``kernels.scan_zero_points`` that also gives its base points.
+  ``_full_lines`` groups the zeros by their projection from a base point
+  and leaves the point once too many groups are open for one to be full,
+  which for the q+1 zeros of an integral fibre is at the second group.
+  Each candidate is then confirmed by division.  A fibre's lines over an
+  extension are read off its cofactor by ``fibres``, with no scan;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the local equation at a point, a dict {(i, j): c} of raw
   ints of one field in the two coordinates other than the pivot.  One
@@ -29,13 +29,14 @@ ternary forms in (x, y, z) and the same few local constructions:
   u^k, and a ``_translate`` by the centre, a raw int of the equation's
   field or of an extension that the equation is embedded in first;
 * ``roots``: the rational roots of a univariate `UPoly`, which is how
-  blow-up directions, tangent contacts, conic pairs and base points on
-  exceptional curves are found.  It splits off X^k, takes square roots
-  while the support is even (in char 2 the tangent cones and tangent
-  restrictions of strange quartics are mostly 2^j-th powers), and solves
-  what is left in closed form up to degree 2, a quadratic by the
-  field's table of Y^2 + Y = b (``GF.artin_schreier``).  Only a
-  remainder of degree 3 or more is scanned over the field.
+  blow-up directions, tangent contacts, conic pairs, lines through
+  (0:1:0) and base points on exceptional curves are found.  It splits
+  off X^k, takes square roots while the support is even (in char 2 the
+  tangent cones and tangent restrictions of strange quartics are mostly
+  2^j-th powers), and solves what is left in closed form up to degree
+  2, a quadratic by the field's table of Y^2 + Y = b
+  (``GF.artin_schreier``).  Only a remainder of degree 3 or more is
+  scanned over the field.
 
 None of these makes a polynomial substitution or a `GFElem`, and neither
 does the tangent restriction in ``fibres``, which starts from
@@ -49,7 +50,6 @@ scans, which ``kernels`` bounds where it builds them; a root search walks
 at most one field, and the field tables stop at GF(2^16).
 """
 
-from . import kernels
 from .errors import ConstraintViolation
 from .finitefield import GF, GFElem
 from .mpoly import MPoly, FORM_VARS
@@ -342,10 +342,20 @@ def _full_lines(zeros: list, gf: GF) -> list:
     return found
 
 
-def _peel(rem: MPoly, gf: GF, found: dict, zeros: list):
-    # a line that does not divide rem divides none of its quotients, so
-    # each full line of the zero set is tried once, to its multiplicity
-    deg = rem.total_degree()
+def peel_lines(form: MPoly, gf: GF, zeros: list):
+    """Linear factors of a form over gf, with multiplicities, given its
+    zero set over gf.
+
+    The candidates are the lines whose rational points are all zeros of
+    the form, and each is confirmed by division: by Bezout every
+    candidate is a factor once q+1 exceeds the degree, but over GF(2) a
+    quartic can vanish on a line it does not contain.  A line that does
+    not divide the cofactor divides none of its quotients, so each
+    candidate is tried once, to its multiplicity.  Returns ({line triple:
+    multiplicity}, cofactor), both over gf: lines over an extension stay
+    in the cofactor.
+    """
+    found, rem, deg = {}, form, form.total_degree()
     for t in _full_lines(zeros, gf):
         if deg == 0:
             break
@@ -354,43 +364,3 @@ def _peel(rem: MPoly, gf: GF, found: dict, zeros: list):
             found[t] = found.get(t, 0) + 1
             rem, deg = q, deg - 1
     return found, rem
-
-
-def peel_lines(form: MPoly, gf: GF, zeros: list):
-    """Linear factors of a form, with multiplicities, given its zero set
-    over gf.
-
-    The candidates are the lines whose rational points are all zeros of
-    the form, and each is confirmed by division: by Bezout every
-    candidate is a factor once q+1 exceeds the degree, but over GF(2) a
-    quartic can vanish on a line it does not contain.  Lines over gf are
-    tried first.  A cofactor of positive degree that is not a smooth
-    conic (which has no linear factor over any extension) is then tried
-    over GF(q^2), with its own zero set there, unless the form has only
-    even powers of y and a y^4 term; the factors move to that field only
-    when a new line splits off there.  Returns ({line triple:
-    multiplicity}, cofactor, the field of both).
-    """
-    factors, rem = _peel(form, gf, {}, zeros)
-    # With only even powers of y and a y^4 term, F = a y^4 + C y^2 + D,
-    # a != 0 and C, D in x and z, so (0:1:0) is off the curve and a
-    # linear factor is y + l, l linear in x and z over the algebraic
-    # closure.  a l^4 + C l^2 + D = 0 then gives F = (y + l)^2 (a y^2 +
-    # a l^2 + C): every linear factor is a double one.  An irrational one
-    # has a conjugate y + l', which divides the cofactor twice too, so
-    # F = a ((y + l)(y + l'))^2.  So the linear factors are rational
-    # unless F is the square of a pair of conjugate lines, which is left
-    # to the caller as a square (``classify_fibre`` peels its square
-    # root), and no extension round is made.
-    if ((form.coeff((0, 4, 0)) and not any(e[1] % 2 for e in form.terms))
-            or rem.total_degree() == 0 or is_smooth_conic(rem)):
-        return factors, rem, gf
-    big = GF.get(2 * gf.m)
-    table = gf.embedding_into(big)
-    lifted = {tuple(table[v] for v in t): n for t, n in factors.items()}
-    lifted_rem = embed_form(rem, gf, big)
-    big_factors, big_rem = _peel(lifted_rem, big, lifted,
-                                 kernels.scan_zero_points(lifted_rem, big))
-    if big_rem.total_degree() == rem.total_degree():
-        return factors, rem, gf
-    return big_factors, big_rem, big

@@ -33,7 +33,8 @@ raises `NonRationalCenter` at once.  Charts, the blow-up step, line
 peeling and the root finder come from ``plane``.  Each member is scanned
 once over GF(q) (``kernels.scan_zero_points``, bounded there): the base
 points are the common zeros of the two scans, and each scan is also the
-zero set that line peeling reads to name the member's components.
+zero set from which ``plane.peel_lines`` names the member's components
+over GF(q): its rational lines, and the rest as one cofactor.
 """
 
 from collections import deque
@@ -220,21 +221,6 @@ class ResolutionReport:
 # ----- plane-side helpers ---------------------------------------------------
 
 
-def _rational_factors(form: MPoly, gf: GF, zeros: list):
-    """The linear factors of a member over gf, and their cofactor: lines
-    that split off only over GF(q^2) stay in the cofactor, since the
-    components are named over gf."""
-    lines, rem, field = peel_lines(form, gf, zeros)
-    if field is not gf:
-        back = {v: u for u, v in enumerate(gf.embedding_into(field))}
-        lines = {tuple(map(back.get, t)): n for t, n in lines.items()
-                 if all(v in back for v in t)}
-        rem = form
-        for t, n in lines.items():
-            rem = rem.divide(line_form(gf, t).pow(n))
-    return lines, rem
-
-
 def _named_factors(pencil: PencilSpec, zeros: list):
     """Assign stable ids to the irreducible components of both members,
     given their zero sets over the base field.
@@ -244,14 +230,14 @@ def _named_factors(pencil: PencilSpec, zeros: list):
     """
     gf = pencil.gf
     named = []          # (cid, form, fib0, fib1)
-    lines0, rem0 = _rational_factors(pencil.f0, gf, zeros[0])
+    lines0, rem0 = peel_lines(pencil.f0, gf, zeros[0])
     parts0 = []
     if rem0.total_degree() > 0:
         parts0.append((rem0, 1))
     parts0 += [(line_form(gf, t), m) for t, m in sorted(lines0.items())]
     for i, (form, mult) in enumerate(parts0):
         named.append(("W" if i == 0 else f"W{i + 1}", form, mult, 0))
-    lines1, rem1 = _rational_factors(pencil.f1, gf, zeros[1])
+    lines1, rem1 = peel_lines(pencil.f1, gf, zeros[1])
     parts1 = [(line_form(gf, t), m) for t, m in
               sorted(lines1.items(), key=lambda kv: (-kv[1], kv[0]))]
     if rem1.total_degree() > 0:

@@ -1,0 +1,55 @@
+"""The full strange-form census over GF(4), an opt-in check that pytest
+does not collect.
+
+Classifies every nonzero quartic over GF(4) with only even powers of y,
+sum c x^i y^j z^k over the nine monomials with j even (4^9 - 1 = 262143
+forms), and prints the (kind, ext) histogram and the errors by type.  A
+change that deletes or replaces a search path only general strange forms
+reach reruns it and compares the two outputs.  It takes a few minutes:
+
+    PYTHONPATH=src python tests/census_gf4.py
+"""
+
+import time
+from collections import Counter
+from itertools import product
+
+from quarticfibres.errors import QuarticError
+from quarticfibres.fibres import PlaneCurveFq, classify_fibre
+from quarticfibres.finitefield import GF, FieldSpec, GFElem
+from quarticfibres.mpoly import FORM_VARS, MPoly
+
+MONOMIALS = [(i, j, 4 - i - j) for j in (4, 2, 0) for i in range(5 - j)]
+
+
+def census(m: int = 2):
+    """The (kind, ext) counts and the error counts by type over GF(2^m)."""
+    gf, spec = GF.get(m), FieldSpec(m)
+    kinds, errors = Counter(), Counter()
+    for cs in product(range(gf.q), repeat=len(MONOMIALS)):
+        if not any(cs):
+            continue
+        form = MPoly.from_terms(FORM_VARS, gf, [
+            (e, GFElem(gf, c)) for e, c in zip(MONOMIALS, cs) if c])
+        try:
+            cls = classify_fibre(PlaneCurveFq(form, spec))
+        except QuarticError as exc:
+            errors[type(exc).__name__] += 1
+        else:
+            kinds[cls.kind, cls.ext] += 1
+    return kinds, errors
+
+
+def main():
+    start = time.perf_counter()
+    kinds, errors = census()
+    print(f"{sum(kinds.values()) + sum(errors.values())} forms over GF(4)")
+    for (kind, ext), n in sorted(kinds.items()):
+        print(f"{n:8d}  {kind} ext {ext}")
+    print(f"{sum(errors.values()):8d}  errors"
+          + "".join(f", {n} {name}" for name, n in sorted(errors.items())))
+    print(f"[{time.perf_counter() - start:.0f}s]")
+
+
+if __name__ == "__main__":
+    main()

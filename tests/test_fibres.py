@@ -181,9 +181,10 @@ def test_search_beyond_the_cap_raises(monkeypatch):
     # searched, so the 34 rational points alone are not the locus
     with pytest.raises(SearchCapped):
         singular_locus(_curve("y^2*x^2 + y^2*x*z + y^2*z^2", FieldSpec(5)))
-    # a line pair over GF(2^10) and a conic: line peeling needs GF(2^10)
-    with pytest.raises(SearchCapped):
-        classify_fibre(_curve("(x^2+x*z+z^2)*(y^2+x*z)", FieldSpec(5)))
+    # four lines through (0:1:0) conjugate over GF(2^20): the root lift
+    # stops at the field tables
+    with pytest.raises(SearchCapped, match="beyond the GF.2.16."):
+        classify_fibre(_curve("x^4+x^3*z+z^4", FieldSpec(5)))
     # singular at (1:g:0) with g in GF(4): over GF(32) no rational
     # singular point is found and GF(2^10) is not scanned, so the point
     # is not known
@@ -607,11 +608,38 @@ def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_integral_answer_beyond_delta_3_raises(m):
-    # four conjugate concurrent lines: delta 6 at (0:1:0), more than the
-    # arithmetic genus 3 of an integral quartic
-    with pytest.raises(InternalCheckFailed):
+def test_integral_answer_beyond_delta_3_raises(m, monkeypatch):
+    # four conjugate concurrent lines: with the lines through (0:1:0)
+    # unfound, the form reaches the integral branch with delta 6 there,
+    # more than the arithmetic genus 3 of an integral quartic
+    monkeypatch.setattr(fibres, "_lines_through_n",
+                        lambda factors, rem, gf: (factors, rem, gf))
+    with pytest.raises(InternalCheckFailed, match="with delta 6"):
         classify_fibre(_curve("x^4 + x*z^3 + z^4", FieldSpec(m)))
+
+
+@pytest.mark.parametrize("text, m, ext", [
+    # four lines x + b z with b^4 + b^3 + 1 = 0, irreducible over GF(2)
+    # and GF(8): all four over GF(2^(4m))
+    ("x^4 + x*z^3 + z^4", 1, 4), ("x^4 + x*z^3 + z^4", 3, 4),
+    # the line x and three lines conjugate over GF(8)
+    ("x^4 + x^3*z + x*z^3", 1, 3),
+    # four lines conjugate over GF(256)
+    ("g*x^4 + (g+1)*x^3*z + g*x^2*z^2 + g*x*z^3 + (g+1)*z^4", 2, 4)])
+def test_lines_through_n_beyond_gf_q2(text, m, ext):
+    curve = _curve(text, FieldSpec(m))
+    cls = classify_fibre(curve)
+    assert (cls.kind, cls.ext) == ("Other", ext)
+    assert [mult for _, mult in cls.components] == [1, 1, 1, 1]
+    assert _multiplies_back(curve, cls)
+
+
+def test_line_pair_beyond_the_scan_cap():
+    # the pair x^2+xz+z^2 splits over GF(2^10), whose plane is beyond the
+    # scan cap; its lines come from the binary gcd, with no scan
+    cls = classify_fibre(_curve("(x^2+x*z+z^2)*(y^2+x*z)", FieldSpec(5)))
+    assert (cls.kind, cls.ext) == ("Other", 2)
+    assert len(cls.components) == 3 and cls.components[-1] == ("y^2+x*z", 1)
 
 
 def test_classify_rejects_non_quartic():
@@ -746,6 +774,45 @@ def _even_y_quartics(gf, coefficient_lists):
             (e, GFElem(gf, c)) for e, c in zip(monos, cs)])
         if not form.is_zero():
             yield PlaneCurveFq(form, FieldSpec(gf.m))
+
+
+def _multiplies_back(curve, cls):
+    """Whether the printed components, parsed over GF(2^(m ext)), multiply
+    back to the form up to a unit."""
+    big = FieldSpec(curve.field.m * cls.ext)
+    prod = None
+    for text, mult in cls.components:
+        part = parse_form(text, big, over="GF").pow(mult)
+        prod = part if prod is None else prod * part
+    target = embed_form(curve.form, curve.gf, big.field())
+    return prod.scale(target.lead()[1] / prod.lead()[1]) == target
+
+
+def test_strange_form_census_over_gf2_and_its_embeddings():
+    # all 511 strange forms over GF(2), read over GF(2), GF(4) and GF(8):
+    # the geometric answer (kind, multiplicity, delta and the component
+    # multiplicities) does not depend on the field, the components
+    # multiply back over the field ext names, and nothing raises
+    small = GF.get(1)
+    kinds, mismatches = Counter(), []
+    for curve in _even_y_quartics(small, product(range(2), repeat=9)):
+        answers = []
+        for m in (1, 2, 3):
+            big = GF.get(m)
+            lifted = PlaneCurveFq(embed_form(curve.form, small, big),
+                                  FieldSpec(m))
+            cls = classify_fibre(lifted)
+            if cls.components:
+                assert _multiplies_back(lifted, cls), (str(curve.form), m)
+            answers.append((cls.kind, cls.multiplicity, cls.delta,
+                            sorted(n for _, n in cls.components)))
+        kinds[answers[0][0]] += 1
+        if answers.count(answers[0]) != 3:
+            mismatches.append(str(curve.form))
+    assert mismatches == []
+    assert kinds == {"IntegralQuartic": 264, "Other": 185,
+                     "ConicPlusDoubleLine": 28, "DoubleConic": 28,
+                     "LinePlusTripleLine": 6}
 
 
 def test_singular_point_is_the_locus_head():

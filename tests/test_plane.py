@@ -12,8 +12,8 @@ import pytest
 
 from quarticfibres import kernels, plane
 from quarticfibres.errors import ConstraintViolation
-from quarticfibres.fibres import (classify_fibre, delta_invariant,
-                                  specialize_fibre)
+from quarticfibres.fibres import (PlaneCurveFq, classify_fibre,
+                                  delta_invariant, specialize_fibre)
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
@@ -26,10 +26,10 @@ from quarticfibres.upoly import UPoly
 random.seed(30931)
 
 
-def _trial_division_peel(rem, gf, found, zeros):
+def _trial_division_peel(form, gf):
     """The reference: divide by each line of P^2(gf) in turn, reading no
     zero set."""
-    deg = rem.total_degree()
+    found, rem, deg = {}, form, form.total_degree()
     for t in kernels.plane_points(gf.q):
         line = line_form(gf, t)
         while deg and (q := rem.divide(line)) is not None:
@@ -38,13 +38,9 @@ def _trial_division_peel(rem, gf, found, zeros):
     return found, rem
 
 
-def _check(form, gf, monkeypatch):
-    zeros = kernels.scan_zero_points(form, gf)
-    got = peel_lines(form, gf, zeros)
-    with monkeypatch.context() as mp:
-        mp.setattr(plane, "_peel", _trial_division_peel)
-        want = peel_lines(form, gf, zeros)
-    assert got == want
+def _check(form, gf):
+    got = peel_lines(form, gf, kernels.scan_zero_points(form, gf))
+    assert got == _trial_division_peel(form, gf)
     return got
 
 
@@ -103,28 +99,27 @@ def _collinear_cases(gf):
 
 @pytest.mark.parametrize("m, draw, count", [
     (1, 1, 60), (1, 2, 60), (2, 1, 60), (2, 2, 40), (3, 1, 40)])
-def test_peel_lines_matches_trial_division(m, draw, count, monkeypatch):
-    # each (m, draw) is its own seeded draw of random cases; line peeling
-    # derives its extension round from each form
+def test_peel_lines_matches_trial_division(m, draw, count):
+    # each (m, draw) is its own seeded draw of random cases
     gf, rng = GF.get(m), random.Random(f"peel {m} {draw}")
     for _ in range(count):
-        _check(_random_case(gf, rng), gf, monkeypatch)
+        _check(_random_case(gf, rng), gf)
     for form in _collinear_cases(gf):
-        _check(form, gf, monkeypatch)
+        _check(form, gf)
 
 
-def test_four_concurrent_lines(monkeypatch):
+def test_four_concurrent_lines():
     for m in (2, 3):
         gf = GF.get(m)
         g = gf.algebra_gen()
         # x, y, x+y and x+g*y all pass through (0:0:1)
         form = _prod(gf, *(line_form(gf, t) for t in
                            ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, g, 0))))
-        factors, rem, _ = _check(form, gf, monkeypatch)
+        factors, rem = _check(form, gf)
         assert len(factors) == 4 and rem.total_degree() == 0
 
 
-def test_four_lines_over_f2(monkeypatch):
+def test_four_lines_over_f2():
     """Over GF(2) a quartic can vanish on all seven points of the plane,
     so every line is a candidate and at least q+1 = 3 of them are found
     from the first base point alone; the lines left over have lost all
@@ -134,7 +129,7 @@ def test_four_lines_over_f2(monkeypatch):
     for form in (_prod(gf, x, y, x + y, z),
                  _prod(gf, x, y, z, x + y + z),
                  _prod(gf, x, x, y, x + y)):
-        factors, rem, _ = _check(form, gf, monkeypatch)
+        factors, rem = _check(form, gf)
         assert sum(factors.values()) == 4 and rem.total_degree() == 0
     # one line times a cubic through the four points off it: seven
     # candidates, one of which divides
@@ -143,11 +138,11 @@ def test_four_lines_over_f2(monkeypatch):
         ((0, 0, 3), gf.one_elem()), ((2, 0, 1), gf.one_elem())])
     form = x * cubic
     assert len(kernels.scan_zero_points(form, gf)) == 7
-    factors, rem, _ = _check(form, gf, monkeypatch)
+    factors, rem = _check(form, gf)
     assert factors == {(1, 0, 0): 1} and rem == cubic
 
 
-def test_lines_meeting_at_a_shared_zero(monkeypatch):
+def test_lines_meeting_at_a_shared_zero():
     gf = GF.get(2)
     g = gf.algebra_gen()
     # a double line and a simple line through (0:1:0) on a conic through it
@@ -155,7 +150,7 @@ def test_lines_meeting_at_a_shared_zero(monkeypatch):
         ((2, 0, 0), gf.one_elem()), ((1, 1, 0), gf.one_elem()),
         ((0, 0, 2), GFElem(gf, g))])
     a, b = line_form(gf, (1, 0, 0)), line_form(gf, (1, 0, g))
-    factors, rem, _ = _check(_prod(gf, a, a, b, conic), gf, monkeypatch)
+    factors, rem = _check(_prod(gf, a, a, b, conic), gf)
     assert factors == {(1, 0, 0): 2, (1, 0, g): 1}
 
 
@@ -188,17 +183,32 @@ def test_smooth_conic_closed_form_matches_scan():
     assert 0 < sum(verdicts) < len(cases)
 
 
-def test_extension_round_splits_a_conjugate_pair(monkeypatch):
-    gf = GF.get(1)
+def _pair_times_y_squared(gf):
+    """(x^2+xz+z^2) y^2: a pair of lines through (0:1:0), conjugate over
+    GF(4), and the double line y."""
     pair = MPoly.from_terms(FORM_VARS, gf, [
         ((2, 0, 0), gf.one_elem()), ((1, 0, 1), gf.one_elem()),
         ((0, 0, 2), gf.one_elem())])             # x^2+xz+z^2
     y = line_form(gf, (0, 1, 0))
-    form = _prod(gf, pair, y, y)
-    # only even powers of y but no y^4 term: the round is GF(4)
-    factors, rem, field = _check(form, gf, monkeypatch)
-    assert field is GF.get(2) and rem.total_degree() == 0
-    assert sorted(factors.values()) == [1, 1, 2]
+    return pair, _prod(gf, pair, y, y)
+
+
+def test_peel_lines_stays_in_its_field():
+    # the conjugate pair is left in the cofactor: no GF(4) line is named
+    gf = GF.get(1)
+    pair, form = _pair_times_y_squared(gf)
+    factors, rem = _check(form, gf)
+    assert factors == {(0, 1, 0): 2} and rem == pair
+
+
+def test_classification_splits_a_conjugate_pair_through_n():
+    # the lines of the cofactor through (0:1:0) come from its binary
+    # form x^2+xz+z^2, split over GF(4) = GF(2)(g)
+    gf = GF.get(1)
+    cls = classify_fibre(PlaneCurveFq(_pair_times_y_squared(gf)[1],
+                                      FieldSpec(1)))
+    assert (cls.kind, cls.ext) == ("Other", 2)
+    assert cls.components == (("x+(g+1)*z", 1), ("x+g*z", 1), ("y", 2))
 
 
 # ----- charts and blow-ups ------------------------------------------------

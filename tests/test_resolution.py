@@ -190,8 +190,8 @@ def test_pencils_table():
 
 def test_each_member_is_scanned_once_over_the_base_field(monkeypatch):
     # a machine-independent work count: one GF(q) scan per member gives
-    # both the base points and the zero set line peeling reads; only an
-    # extension round (x y^2 + z^3, which has no y^4 term) scans GF(q^2)
+    # both the base points and the zero set line peeling reads, and line
+    # peeling scans no other field
     calls = []
     scan = kernels.scan_zero_points
 
@@ -205,9 +205,7 @@ def test_each_member_is_scanned_once_over_the_base_field(monkeypatch):
         assert report.blowup_counts() == (RQ if name == "quartic"
                                           else RC).blowup_counts()
         members = [str(pencil().f0), str(pencil().f1)]
-        assert [c for c in calls if c[1] == 1] == [(f, 1) for f in members]
-        assert [c for c in calls if c[1] != 1] == (
-            [] if name == "quartic" else [("x*y^2+z^3", 2)])
+        assert calls == [(f, 1) for f in members]
 
 
 def test_member_with_conjugate_lines_keeps_its_rational_components():
