@@ -318,12 +318,15 @@ def check_integral_fibres(seed: int = 0) -> CheckResult:
                          f" {chart_mult} != {cls.multiplicity}")
         if cls.delta != 3:
             return _fail(name, anchor, f"{label}: delta {cls.delta}")
-        for pt in smooth_points(curve, limit=3):
-            tangent = tangent_contact_type(curve, pt)
-            if tangent.kind != _TANGENT_KIND[fibration]:
-                return _fail(name, anchor, f"{label}: tangent {tangent}")
         if cls.tangent is None:
             return _fail(name, anchor, f"{label}: no rational smooth point")
+        # the classification reads the tangent off the normal form; the
+        # restriction to the tangent line at three points checks it
+        want = _TANGENT_KIND[fibration]
+        for tangent in [cls.tangent] + [tangent_contact_type(curve, pt)
+                                        for pt in smooth_points(curve, 3)]:
+            if tangent.kind != want:
+                return _fail(name, anchor, f"{label}: tangent {tangent}")
     dt = perf_counter() - t0
     return CheckResult(name, anchor, True,
                        f"{count} integral fibres ({skipped} reducible"

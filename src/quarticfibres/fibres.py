@@ -11,9 +11,10 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
 * ``singular_locus`` and ``smooth_points`` read the curve's one
   bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which keeps the
   zero, singular and smooth masks; line peeling decodes the zero set,
-  and the classification only the lowest points it takes of the other
-  two); only the singular locus over GF(q^2) scans again, and
-  classification calls it only when the pass has no singular point.
+  the classification only the lowest singular point, and of the smooth
+  mask it asks only whether it is empty); only the singular locus over
+  GF(q^2) scans again, and classification calls it only when the pass
+  has no singular point.
   ``kernels`` bounds every such scan, so each of these raises
   `SearchCapped` beyond its cap, and the GF(q^2) field is built only
   once the pass has been read;
@@ -23,11 +24,14 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
   total degree; the second iterates ``plane.blow_up`` at the directions
   of ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
   points; the third restricts the chart to the tangent line, its linear
-  part, by a coefficient map;
+  part, by a coefficient map, and serves as the independent check of the
+  tangent that the classification reads off the normal form;
 * ``classify_fibre`` runs the cascade double-conic / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
   its rational candidate lines off the zero set and confirms each by
-  division, and reads the other lines off the cofactor's coefficients.
+  division, and reads the other lines off the cofactor's coefficients;
+  an integral answer's tangent kind comes from the form's y^2 terms,
+  with no chart and no root search.
 
 Charts, blow-ups, line peeling and root finding come from ``plane``;
 none of the above makes a polynomial substitution, and `GFElem` values
@@ -116,7 +120,11 @@ class TangentType:
 
     `profile` lists the intersection multiplicities of the distinct
     geometric contact points (conjugates listed separately), summing to
-    the curve degree.
+    the curve degree.  On a strange quartic F = a y^4 + C y^2 + D the
+    tangent at a smooth point P is the line P + s (0:1:0), along which F
+    is a Y^2 + C(P) Y with Y = s^2: a hyperflex where C(P) = 0 and a
+    bitangent elsewhere, so a general point's tangent is read from C
+    alone.
     """
 
     kind: str          # "Hyperflex4" | "Bitangent22" | "Other"
@@ -131,6 +139,8 @@ class FibreClass:
     ext: int = 1
     multiplicity: int | None = None
     delta: int | None = None
+    # at a general point, read from C: a hyperflex iff C = 0; None when
+    # the curve has no rational smooth point
     tangent: TangentType | None = None
     components: tuple = ()
 
@@ -313,24 +323,30 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 
 def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF]:
     """The roots of a polynomial of degree at most 4 with no root in gf,
-    as (root, multiplicity) pairs over the first GF(q^r) where it has
-    one, ascending, and that field (gf when h is constant).
+    as (root, multiplicity) pairs over its splitting field GF(q^r),
+    ascending, and that field (gf when h is constant).
 
-    h has no linear factor, so its factors have degree 2 to 4, and all of
-    them split over that field: a quartic with a factor of degree 2 has
-    two, both split over GF(q^2), so no root is left to a later field.
-    This lift is the one place that builds an extension for a root
-    search, and a GF(q^r) beyond the field tables raises
-    `SearchCapped`."""
-    r, found, big = 1, [], gf
-    while h.deg() > 0 and not found:
-        r += 1
-        kernels.check_cap(gf.m * r, "the root lift", TABLE_LIMIT)
-        big = GF.get(gf.m * r)
-        table = gf.embedding_into(big)
-        found = roots(UPoly.from_coeffs(
-            big, [table[c] for c in h.to_coeffs()]))[0]
-    return found, big
+    h has no linear factor, so a quadratic splits over GF(q^2) and a
+    cubic, which is irreducible, over GF(q^3).  A quartic is a product
+    of two quadratics (or the square of one), split over GF(q^2), iff it
+    shares a factor with T^(q^2) - T, and irreducible, split over
+    GF(q^4), otherwise.  So r is known before a field is built, and only
+    GF(q^r) is built and searched.  This lift is the one place that
+    builds an extension for a root search, and a GF(q^r) beyond the
+    field tables raises `SearchCapped`."""
+    r = h.deg()
+    if r <= 0:
+        return [], gf
+    if r == 4:
+        t = frob = UPoly.t(gf)
+        for _ in range(2 * gf.m):
+            frob = frob.square().mod(h)
+        r = 2 if (frob + t).gcd(h).deg() > 0 else 4
+    kernels.check_cap(gf.m * r, "the root lift", TABLE_LIMIT)
+    big = GF.get(gf.m * r)
+    table = gf.embedding_into(big)
+    return roots(UPoly.from_coeffs(
+        big, [table[c] for c in h.to_coeffs()]))[0], big
 
 
 def _directions(f: dict, gf: GF, m: int):
@@ -486,10 +502,13 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     or GF(q^2), found by two searches of GF(q), which also finds the
     square of a conjugate pair of lines not through (0:1:0); and
     otherwise measures an integral quartic at the first point of its
-    singular locus, the pass's first singular point when it has one.  A
-    scan it needs beyond ``kernels.LOCUS_CAP``, or a line beyond the
-    field tables, raises `SearchCapped`; no singular point, or a delta
-    above 3 there, raises `InternalCheckFailed`.
+    singular locus, the pass's first singular point when it has one, and
+    reads its tangent at a general point off the normal form: a hyperflex
+    when C = 0, a bitangent otherwise, and none without a rational smooth
+    point (see `TangentType`).  A scan it needs beyond
+    ``kernels.LOCUS_CAP``, or a line beyond the field tables, raises
+    `SearchCapped`; no singular point, or a delta above 3 there, raises
+    `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -532,9 +551,11 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     if delta > 3:       # an integral quartic has arithmetic genus 3
         raise InternalCheckFailed(f"an integral quartic with delta {delta}")
     tangent = None
-    sample = smooth_points(curve, limit=1)
-    if sample:
-        tangent = tangent_contact_type(curve, sample[0])
+    if curve.scan[2]:
+        # C = 0 iff no monomial has y-exponent 2
+        tangent = (TangentType("Bitangent22", (2, 2))
+                   if any(j == 2 for _, j, _ in form.terms)
+                   else TangentType("Hyperflex4", (4,)))
     return FibreClass(kind="IntegralQuartic",
                       sing_point=point, ext=ext, multiplicity=seq[0],
                       delta=delta, tangent=tangent)

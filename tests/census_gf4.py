@@ -3,7 +3,8 @@ does not collect.
 
 Classifies every nonzero quartic over GF(4) with only even powers of y,
 sum c x^i y^j z^k over the nine monomials with j even (4^9 - 1 = 262143
-forms), and prints the (kind, ext) histogram and the errors by type.  A
+forms), and prints the (kind, ext) histogram, the tangent kinds of the
+integral answers and the errors by type.  A
 change that deletes or replaces a search path only general strange forms
 reach reruns it and compares the two outputs.  It takes a few minutes:
 
@@ -23,9 +24,10 @@ MONOMIALS = [(i, j, 4 - i - j) for j in (4, 2, 0) for i in range(5 - j)]
 
 
 def census(m: int = 2):
-    """The (kind, ext) counts and the error counts by type over GF(2^m)."""
+    """The (kind, ext) counts, the tangent-kind counts of the integral
+    answers and the error counts by type over GF(2^m)."""
     gf, spec = GF.get(m), FieldSpec(m)
-    kinds, errors = Counter(), Counter()
+    kinds, tangents, errors = Counter(), Counter(), Counter()
     for cs in product(range(gf.q), repeat=len(MONOMIALS)):
         if not any(cs):
             continue
@@ -37,15 +39,19 @@ def census(m: int = 2):
             errors[type(exc).__name__] += 1
         else:
             kinds[cls.kind, cls.ext] += 1
-    return kinds, errors
+            if cls.kind == "IntegralQuartic":
+                tangents[cls.tangent.kind if cls.tangent else None] += 1
+    return kinds, tangents, errors
 
 
 def main():
     start = time.perf_counter()
-    kinds, errors = census()
+    kinds, tangents, errors = census()
     print(f"{sum(kinds.values()) + sum(errors.values())} forms over GF(4)")
     for (kind, ext), n in sorted(kinds.items()):
         print(f"{n:8d}  {kind} ext {ext}")
+    for kind, n in sorted(tangents.items(), key=str):
+        print(f"{n:8d}  IntegralQuartic tangent {kind}")
     print(f"{sum(errors.values()):8d}  errors"
           + "".join(f", {n} {name}" for name, n in sorted(errors.items())))
     print(f"[{time.perf_counter() - start:.0f}s]")

@@ -376,6 +376,19 @@ def test_classify_integral():
     assert tuple(v.v for v in cls2.sing_point) == (1, 0, 1)
 
 
+def test_integral_tangent_is_read_from_c():
+    # y^4 + x^2 y^2 + x z^3 has C = x^2, so its general tangent is a
+    # bitangent; its first smooth point (0:0:1) lies on the hyperflex line
+    # x = 0, where C vanishes, and the answer does not follow that point
+    curve = _curve("y^4 + x^2*y^2 + x*z^3")
+    point = smooth_points(curve, limit=1)[0]
+    assert tuple(v.v for v in point) == (0, 0, 1)
+    assert tangent_contact_type(curve, point).kind == "Hyperflex4"
+    cls = classify_fibre(curve)
+    assert cls.kind == "IntegralQuartic"
+    assert cls.tangent == TangentType("Bitangent22", (2, 2))
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
@@ -575,11 +588,13 @@ def test_gf64_fibre_searches_do_not_walk_the_field(monkeypatch):
 
 def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
     # a machine-independent work count: the local equations of the delta
-    # invariant and the tangent contact are dicts of raw field ints, so
-    # neither makes or combines a GFElem, and of the pass only the q + 1
-    # zeros that line peeling reads, the singular head and one smooth
-    # point are decoded
+    # invariant are dicts of raw field ints, so it makes or combines no
+    # GFElem; its chart is the only one built, the tangent is read off the
+    # form with no restriction to a line, and of the pass only the q + 1
+    # zeros that line peeling reads and the singular head are decoded
     inside, elem_calls, decoded = [], [], []
+    tangents = _count_calls(monkeypatch, fibres, "tangent_contact_type")
+    charts = _count_calls(monkeypatch, fibres, "chart_at")
     for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__",
                  "__pow__", "square", "sqrt", "fourth_root"):
         def counted(*args, _fn=getattr(GFElem, name), _name=name):
@@ -604,7 +619,8 @@ def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
     cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
     assert (cls.kind, cls.delta) == ("IntegralQuartic", 3)
     assert cls.tangent is not None and elem_calls == []
-    assert 0 < sum(map(len, decoded)) <= 64 + 3
+    assert tangents == [] and len(charts) == 1
+    assert 0 < sum(map(len, decoded)) <= 64 + 2
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -670,6 +686,27 @@ def test_direction_lift_stops_at_the_field_tables():
         1, (2, 1, 1))
     with pytest.raises(SearchCapped, match="beyond the GF.2.16."):
         delta_invariant(_curve(node, FieldSpec(9)), (0, 0, 1))
+
+
+def test_root_lift_builds_only_the_splitting_field(monkeypatch):
+    # a machine-independent work count: the lift reads its degree r off h
+    # before it builds a field, so x^4+x z^3+z^4 over GF(32), irreducible
+    # there, builds no extension before it is refused, and the line x and
+    # the cubic x^3+x^2 z+z^3 of x^4+x^3 z+x z^3 build GF(2^15) alone
+    built = []
+    get = GF.get
+
+    def counted(m, modulus=None):
+        built.append(m)
+        return get(m, modulus)
+    monkeypatch.setattr(GF, "get", staticmethod(counted))
+    with pytest.raises(SearchCapped, match="GF.2.20. is beyond the GF.2.16."):
+        classify_fibre(_curve("x^4+x*z^3+z^4", FieldSpec(5)))
+    assert set(built) == {5}
+    built.clear()
+    cls = classify_fibre(_curve("x^4+x^3*z+x*z^3", FieldSpec(5)))
+    assert (cls.kind, cls.ext, len(cls.components)) == ("Other", 3, 4)
+    assert set(built) == {5, 15}
 
 
 @functools.cache
@@ -813,6 +850,57 @@ def test_strange_form_census_over_gf2_and_its_embeddings():
     assert kinds == {"IntegralQuartic": 264, "Other": 185,
                      "ConicPlusDoubleLine": 28, "DoubleConic": 28,
                      "LinePlusTripleLine": 6}
+
+
+def _gf2_image(curve, move):
+    """The GF(2) form under a coordinate map that fixes (0:1:0), given on
+    exponents: `move` takes (i, j, k) to the monomials of its image."""
+    gf = curve.gf
+    odd = Counter(e for term in curve.form.terms for e in move(*term))
+    return PlaneCurveFq(MPoly.from_terms(FORM_VARS, gf, [
+        (e, gf.one_elem()) for e, n in odd.items() if n % 2]), curve.field)
+
+
+# (y + l)^j = y^j + l^j for j in {2, 4}, and x <-> z
+_GF2_MOVES = (
+    lambda i, j, k: [(i, j, k)] + ([(i + j, 0, k)] if j else []),
+    lambda i, j, k: [(i, j, k)] + ([(i, 0, k + j)] if j else []),
+    lambda i, j, k: [(k, j, i)])
+
+
+def _tangent_kind(curve):
+    cls = classify_fibre(curve)
+    return cls.tangent.kind if cls.tangent else None
+
+
+def test_tangent_kind_is_invariant_on_gf2_orbits():
+    # y -> y + x, y -> y + z and x <-> z fix the strange point, so they
+    # move no tangent kind among the 511 strange forms over GF(2)
+    moved = []
+    for curve in _even_y_quartics(GF.get(1), product(range(2), repeat=9)):
+        kind = _tangent_kind(curve)
+        moved += [(str(curve.form), n) for n, move in enumerate(_GF2_MOVES)
+                  if _tangent_kind(_gf2_image(curve, move)) != kind]
+    assert moved == []
+
+
+def test_hyperflex_exactly_where_c_vanishes():
+    # the identity the classification's tangent rests on: at every
+    # rational smooth point P of the integral strange forms over GF(2),
+    # the tangent restriction is a hyperflex iff C(P) = 0
+    points, mismatches = 0, []
+    for curve in _even_y_quartics(GF.get(1), product(range(2), repeat=9)):
+        if classify_fibre(curve).kind != "IntegralQuartic":
+            continue
+        for p in smooth_points(curve):
+            c_at_p = sum((c * p[0] ** i * p[2] ** k for (i, j, k), c
+                          in curve.form.terms.items() if j == 2),
+                         curve.gf.zero_elem())
+            flex = tangent_contact_type(curve, p).kind == "Hyperflex4"
+            if flex != (not c_at_p):
+                mismatches.append((str(curve.form), p))
+            points += 1
+    assert mismatches == [] and points == 432
 
 
 def test_singular_point_is_the_locus_head():
