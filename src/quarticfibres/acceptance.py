@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
+from . import kernels
 from .errors import Hyperelliptic, IdentityFailed
 from .families import (FamilyTag, build_family, invariant, is_strange)
 from .fibres import (PlaneCurveFq, classify_fibre, delta_invariant,
@@ -303,6 +304,10 @@ def check_integral_fibres(seed: int = 0) -> CheckResult:
         if len(locus) != 1 or locus[0][1] != 1:
             return _fail(name, anchor, f"{label}: locus {locus}")
         sing = locus[0][0]
+        # the closed form against the brute-force scan of P^2(GF(q))
+        if kernels.scan_singular_points(curve.form, curve.gf) != [
+                tuple(v.v for v in sing)]:
+            return _fail(name, anchor, f"{label}: locus {locus} off the scan")
         pred = predicted_singular_point(fibration, point, spec)
         if tuple(v.v for v in sing) != tuple(v.v for v in pred):
             return _fail(name, anchor,

@@ -8,16 +8,17 @@ fourth is the quartic pencil; the cubic pencil, whose members are not
 quartics, is left to ``resolution``.  A fibre is a ternary form over
 GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
 
-* ``singular_locus`` and ``smooth_points`` read the curve's one
-  bit-sliced pass over P^2(GF(q)) (`PlaneCurveFq.scan`, which keeps the
-  zero, singular and smooth masks; line peeling decodes the zero set,
-  the classification only the lowest singular point, and of the smooth
-  mask it asks only whether it is empty); only the singular locus over
-  GF(q^2) scans again, and classification calls it only when the pass
-  has no singular point.
-  ``kernels`` bounds every such scan, so each of these raises
-  `SearchCapped` beyond its cap, and the GF(q^2) field is built only
-  once the pass has been read;
+* ``singular_locus`` reads the locus off the normal form: F_x = z L^2
+  and F_z = x L^2 for a line L whose coefficients are square roots of
+  three coefficients of F, so the singular points are the roots of a
+  binary quadratic on L, with (0:1:0) when F has no y^4 term.  It scans
+  nothing, and builds GF(q^2) only for a conjugate pair;
+* the curve's one bit-sliced pass over P^2(GF(q)) evaluates F alone
+  (`PlaneCurveFq.zeros`): line peeling reads the zero set,
+  ``smooth_points`` is that set less the rational locus, and the
+  classification asks only whether it holds more points than the
+  locus.  ``kernels`` bounds the pass, so these raise `SearchCapped`
+  beyond its cap;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
   check the point and read it as raw ints of its field, then work in its
   ``plane.chart_at``, a dict of raw ints: the first reads off the lowest
@@ -37,20 +38,22 @@ Charts, blow-ups, line peeling and root finding come from ``plane``;
 none of the above makes a polynomial substitution, and `GFElem` values
 are made only for what is reported: points and `FibreClass.sing_point`.
 The one search bound outside ``kernels`` is the root lift of
-``_lift_roots``, which the blow-up directions and the lines through
-(0:1:0) share, and which stops at the field tables.
+``_lift_roots``, which the blow-up directions, the lines through (0:1:0)
+and a conjugate pair of singular points share, and which stops at the
+field tables.
 
-``classify_fibre`` takes strange quartics in the normal form dF/dy = 0,
-whose strange point is (0:1:0), and refuses any other form: only for
-those does "no line and no conic pair" mean an integral curve, and such
-a curve always has a singular point (Samuel 1966; Hefez and Kleiman
-1985).  The fibrations' fibres are all of this form, and their lines and
-singular point are rational.  A general strange quartic can have a
-conjugate pair of singular points, which the cascade searches GF(q^2)
-for.  Its lines need no search beyond the base field.  Write F = a y^4 +
-C y^2 + D with C and D in x and z.  A line y + l not through (0:1:0)
-divides F only as (y + l)^2, and then l is rational unless F is the
-square of a conjugate pair of such lines.  So without a y^4 term every
+``classify_fibre`` and ``singular_locus`` take strange quartics in the
+normal form dF/dy = 0, whose strange point is (0:1:0), and refuse any
+other form: only for those does "no line and no conic pair" mean an
+integral curve, and such a curve always has a singular point (Samuel
+1966; Hefez and Kleiman 1985), on L or at (0:1:0).  The fibrations'
+fibres are all of this form, and their lines and singular point are
+rational.  A general strange quartic can have a conjugate pair of
+singular points, the roots of the quadratic on L when they lie over
+GF(q^2).  Its lines need no search beyond the base field.  Write F =
+a y^4 + C y^2 + D with C and D in x and z.  A line y + l not through
+(0:1:0) divides F only as (y + l)^2, and then l is rational unless F is
+the square of a conjugate pair of such lines.  So without a y^4 term every
 line left after base-field peeling passes through (0:1:0), and these
 lines are the linear factors of gcd(C, D), split over GF(q^r) with
 r <= 4.  A conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w), the square of a
@@ -61,6 +64,7 @@ biconic split searches GF(q) alone for every m.
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import xor
 
 from . import kernels
 from .errors import (ConstraintViolation, InternalCheckFailed, NotSingular,
@@ -103,15 +107,10 @@ class PlaneCurveFq:
         return self._degree
 
     @cached_property
-    def scan(self) -> tuple:
-        """Zero, singular and smooth masks over P^2(GF(q)), from one pass;
-        ``points`` decodes them."""
-        return kernels.scan_curve(self.form, self.gf)
-
-    def points(self, which: int, limit: int | None = None) -> list:
-        """The first `limit` (default all) points of a mask of ``scan``,
-        0 zero, 1 singular, 2 smooth, as raw triples in scan order."""
-        return kernels.mask_points(self.scan[which], 1 << self.field.m, limit)
+    def zeros(self) -> list:
+        """The zero set over P^2(GF(q)), raw triples in scan order, from
+        the curve's one plane pass (``kernels.scan_zero_points``)."""
+        return kernels.scan_zero_points(self.form, self.gf)
 
 
 @dataclass(frozen=True)
@@ -251,26 +250,77 @@ def multiplicity_at(curve: PlaneCurveFq, point) -> int:
 
 
 def singular_locus(curve: PlaneCurveFq) -> list:
-    """Points where the form and its three partials vanish.
+    """The singular points of a reduced strange quartic in normal form, as
+    (point, r) pairs, each point a GFElem triple over GF(q^r): the
+    rational points in scan order, then a conjugate pair over GF(q^2) in
+    the scan order there.
 
-    Reads the pass over GF(q), then scans P^2 over GF(q^2) for the points
-    not rational over GF(q); either scan raises `SearchCapped` beyond
-    ``kernels.LOCUS_CAP``, the pass before GF(q^2) is built.  Returns a
-    list of (point, r), rational points first, each point a GFElem triple
-    over GF(q^r).
+    Lemma: write F = a y^4 + C y^2 + D, with c1, d1 and d3 the
+    coefficients of x y^2 z, x^3 z and x z^3, and L = sqrt(d1) x +
+    sqrt(c1) y + sqrt(d3) z.  Then F = S^2 + x z L^2, where S^2 holds
+    the six terms with every exponent even, and Sing F is F meets L,
+    with N = (0:1:0) added when a = 0.  Proof: in char 2 the derivatives
+    of S^2 and of L^2 vanish, so F_y = 0, F_x = z L^2 and F_z = x L^2.
+    These vanish together where L = 0 or at x = z = 0, that is N, where
+    F is a.  On L, F = S^2, so the points are the roots of the binary
+    quadratic Q = S restricted to L, rational or a conjugate pair over
+    GF(q^2).
+
+    Q is read at two points p0, p1 spanning L (p1 = N when L passes
+    through N), Q(s, t) = S(p0) s^2 + B s t + S(p1) t^2 with B = S(p0 +
+    p1) + S(p0) + S(p1); ``plane.roots`` solves it at t = 1, p0 is the
+    root t = 0 when S(p0) = 0, and ``_lift_roots`` lifts a conjugate
+    pair, so nothing is scanned and GF(q^2) is built only for that pair.
+    L = 0 (F is a square) or Q = 0 (L^2 divides F) makes the locus a
+    curve, and that and any form that is not a strange quartic raise
+    `ConstraintViolation`.
     """
-    base = curve.gf
-    rational = [(_elems(base, raw), 1) for raw in curve.points(1)]
-    big = GF.get(2 * base.m)
-    pts = kernels.scan_singular_points(embed_form(curve.form, base, big), big)
-    return rational + [(_elems(big, raw), 2) for raw in pts
-                       if not all(big.in_subfield(v, base.m) for v in raw)]
+    gf, form = curve.gf, curve.form
+    if curve.degree() != 4 or not is_strange(form):
+        raise ConstraintViolation("the locus is read off a strange quartic")
+    mul, root = gf.mul, {e: gf.sqrt(c.v) for e, c in form.terms.items()}
+    l0, l1, l2, sa, sxy, syz, sxx, sxz, szz = (root.get(e, 0) for e in (
+        (3, 0, 1), (1, 2, 1), (1, 0, 3), (0, 4, 0), (2, 2, 0), (0, 2, 2),
+        (4, 0, 0), (2, 0, 2), (0, 0, 4)))
+
+    def s_at(x, y, z):
+        return (mul(y, mul(sa, y) ^ mul(sxy, x) ^ mul(syz, z))
+                ^ mul(x, mul(sxx, x) ^ mul(sxz, z)) ^ mul(szz, mul(z, z)))
+    p0, p1 = ((l1, l0, 0), (0, l2, l1)) if l1 else ((l2, 0, l0), (0, 1, 0))
+    q2, q0 = s_at(*p0), s_at(*p1)
+    q1 = s_at(*map(xor, p0, p1)) ^ q2 ^ q0
+    if not (any(p0) and (q0 or q1 or q2)):     # L = 0, or L^2 divides F
+        raise ConstraintViolation("the singular locus is a curve")
+    found, rest = roots(UPoly.from_coeffs(gf, (q0, q1, q2)))
+    split, big, table = _lift_roots(rest, gf)
+    pts = [(gf, p) for p, on in ((p0, not q2), ((0, 1, 0), not sa)) if on]
+    pts += [(gf, [mul(s, u) ^ v for u, v in zip(p0, p1)]) for s, _ in found]
+    pts += [(big, [big.mul(s, table[u]) ^ table[v] for u, v in zip(p0, p1)])
+            for s, _ in split]
+    return _in_scan_order(gf, pts)
+
+
+def _in_scan_order(gf: GF, points) -> list:
+    """(field, raw triple) pairs as (GFElem triple, r) pairs over GF(q^r)
+    = field, each point scaled so that its first nonzero coordinate is 1,
+    without repeats, in the order of r and then of
+    ``kernels.plane_points`` over the point's field."""
+    out = {}
+    for f, p in points:
+        lead = next(v for v in p if v)
+        p = tuple(f.div(v, lead) for v in p)
+        # plane_points order: (1:y:z), then (0:1:z), then (0:0:1)
+        out[f.m, -p[0], -(p[0] or p[1]), p] = _elems(f, p), f.m // gf.m
+    return [out[k] for k in sorted(out)]
 
 
 def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
-    """Points of the curve with multiplicity 1, rational over the base
-    field, in scan order."""
-    return [_elems(curve.gf, raw) for raw in curve.points(2, limit)]
+    """The first `limit` (default all) points of the curve with
+    multiplicity 1, rational over the base field, in scan order: the zero
+    set less the rational points of ``singular_locus``."""
+    zeros, locus = curve.zeros, singular_locus(curve)
+    return [p for p in (_elems(curve.gf, raw) for raw in zeros)
+            if (p, 1) not in locus][:limit]
 
 
 def _elems(gf: GF, raw) -> tuple:
@@ -321,10 +371,11 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
 # ----- delta invariant ----------------------------------------------------
 
 
-def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF]:
+def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF, list | None]:
     """The roots of a polynomial of degree at most 4 with no root in gf,
     as (root, multiplicity) pairs over its splitting field GF(q^r),
-    ascending, and that field (gf when h is constant).
+    ascending, that field (gf when h is constant) and the embedding table
+    of gf into it (None when h is constant).
 
     h has no linear factor, so a quadratic splits over GF(q^2) and a
     cubic, which is irreducible, over GF(q^3).  A quartic is a product
@@ -336,7 +387,7 @@ def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF]:
     field tables raises `SearchCapped`."""
     r = h.deg()
     if r <= 0:
-        return [], gf
+        return [], gf, None
     if r == 4:
         t = frob = UPoly.t(gf)
         for _ in range(2 * gf.m):
@@ -346,7 +397,7 @@ def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF]:
     big = GF.get(gf.m * r)
     table = gf.embedding_into(big)
     return roots(UPoly.from_coeffs(
-        big, [table[c] for c in h.to_coeffs()]))[0], big
+        big, [table[c] for c in h.to_coeffs()]))[0], big, table
 
 
 def _directions(f: dict, gf: GF, m: int):
@@ -359,7 +410,7 @@ def _directions(f: dict, gf: GF, m: int):
     splits the cofactor, of degree at most 4: no root is found twice."""
     h, vertical = tangent_cone(f, gf, m)
     found, rest = roots(h)
-    split, big = _lift_roots(rest, gf)
+    split, big, _ = _lift_roots(rest, gf)
     return ([(gf, alpha) for alpha, _ in found]
             + [(big, alpha) for alpha, _ in split]), vertical
 
@@ -415,10 +466,9 @@ def _lines_through_n(factors: dict, rem: MPoly, gf: GF):
     for (i, j, _), c in rem.terms.items():
         cs[j // 2][i] = c.v
     d, c = (UPoly.from_coeffs(gf, v) for v in cs)
-    found, big = _lift_roots(c.gcd(d), gf)
+    found, big, table = _lift_roots(c.gcd(d), gf)
     if not found:
         return factors, rem, gf
-    table = gf.embedding_into(big)
     factors = {tuple(table[v] for v in t): n for t, n in factors.items()}
     rem = embed_form(rem, gf, big)
     for b, n in found:
@@ -501,14 +551,14 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     (0:1:0) by ``_lines_through_n``; a pair of strange conics over GF(q)
     or GF(q^2), found by two searches of GF(q), which also finds the
     square of a conjugate pair of lines not through (0:1:0); and
-    otherwise measures an integral quartic at the first point of its
-    singular locus, the pass's first singular point when it has one, and
-    reads its tangent at a general point off the normal form: a hyperflex
-    when C = 0, a bitangent otherwise, and none without a rational smooth
-    point (see `TangentType`).  A scan it needs beyond
-    ``kernels.LOCUS_CAP``, or a line beyond the field tables, raises
-    `SearchCapped`; no singular point, or a delta above 3 there, raises
-    `InternalCheckFailed`.
+    otherwise measures an integral quartic at the first point of
+    ``singular_locus``, and reads its tangent at a general point off the
+    normal form: a hyperflex when C = 0, a bitangent otherwise, and none
+    when the zero set holds no point off the locus, i.e. without a
+    rational smooth point (see `TangentType`).  A pass beyond
+    ``kernels.LOCUS_CAP``, or a line or conjugate singular point beyond
+    the field tables, raises `SearchCapped`; a delta above 3 at the
+    singular point raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -519,7 +569,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     if root is not None and is_smooth_conic(root):
         return FibreClass(kind="DoubleConic",
                           components=((str(root), 2),))
-    factors, rem = peel_lines(form, gf, curve.points(0))
+    factors, rem = peel_lines(form, gf, curve.zeros)
     cur, a = gf, form.coeff((0, 4, 0))
     if not a:
         factors, rem, cur = _lines_through_n(factors, rem, gf)
@@ -542,16 +592,12 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             comps, sgf = split
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
                               components=comps)
-    sing = ([(_elems(gf, raw), 1) for raw in curve.points(1, limit=1)]
-            or singular_locus(curve))
-    if not sing:
-        raise InternalCheckFailed("a strange quartic with no singular point")
-    point, ext = sing[0]
+    point, ext = (sing := singular_locus(curve))[0]
     delta, seq = delta_invariant(curve, point)
     if delta > 3:       # an integral quartic has arithmetic genus 3
         raise InternalCheckFailed(f"an integral quartic with delta {delta}")
     tangent = None
-    if curve.scan[2]:
+    if len(curve.zeros) > sum(r == 1 for _, r in sing):
         # C = 0 iff no monomial has y-exponent 2
         tangent = (TangentType("Bitangent22", (2, 2))
                    if any(j == 2 for _, j, _ in form.terms)

@@ -143,10 +143,6 @@ class GF:
     def reduce(self, a: int) -> int:
         return gf2x.mod(a, self.modulus)
 
-    def in_subfield(self, a: int, s: int) -> bool:
-        """Whether a lies in the subfield of size 2^s (s | m)."""
-        return self.pow(a, 1 << s) == a
-
     # ----- embeddings -------------------------------------------------
 
     def embedding_into(self, big: "GF") -> list[int]:

@@ -1,32 +1,35 @@
 """Bit-sliced point scans over the projective plane of GF(2^m).
 
-``scan_curve`` evaluates a fibre and its partials over P^2(GF(q)) in one
-pass and returns its zero, singular and smooth points as masks, which
-`fibres.PlaneCurveFq.scan` keeps for every reader; ``mask_points``
-decodes a mask, whole (the zero set, line peeling's candidates) or only
-its lowest set bits (the first singular point, one smooth point).  Only
-the GF(q^2) locus and pencil members scan alone.  P^2(GF(2^8)) has
-65793 points, so a form is evaluated at all at once with bit slicing
-(Biham, "A fast new DES implementation in software", 1997): a value
-plane is m Python ints, and bit i of int k is bit k of the value at
-point i, the points taken in ``plane_points`` order.  A sum of planes
-is m XORs, and a constant factor is a GF(2)-linear map on the m ints.
-A product of planes is m^2 ANDs and XORs followed by reduction by the
-modulus, and a monomial plane takes one only where no cheaper rule
-applies: x is 1 on every affine point (1:y:z) and 0 on the line x = 0,
-so a factor x^i (i > 0) is an AND of each int with the affine mask, and
-a monomial in y and z alone is one product of a lower one by the y or z
-plane.  A pi4 fibre and its partials make six
-products in all.  The zeros of a form are the complement of the OR of
-its m ints.
+``scan_zero_points`` evaluates a form alone over P^2(GF(q)) and decodes
+its zero set with ``mask_points``; it is a fibre's one pass, which
+`fibres.PlaneCurveFq.zeros` keeps for line peeling and the smooth
+points, and a pencil member's base-point scan.  ``scan_singular_points``
+also evaluates the three partials and keeps the points where all four
+vanish: no fibre reads it, since `fibres.singular_locus` is a closed
+form, and it is the brute-force oracle that the acceptance battery and
+the tests check that closed form against.
+
+P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at once
+with bit slicing (Biham, "A fast new DES implementation in software",
+1997): a value plane is m Python ints, and bit i of int k is bit k of
+the value at point i, the points taken in ``plane_points`` order.  A
+sum of planes is m XORs, and a constant factor is a GF(2)-linear map on
+the m ints.  A product of planes is m^2 ANDs and XORs followed by
+reduction by the modulus, and a monomial plane takes one only where no
+cheaper rule applies: x is 1 on every affine point (1:y:z) and 0 on the
+line x = 0, so a factor x^i (i > 0) is an AND of each int with the
+affine mask, and a monomial in y and z alone is one product of a lower
+one by the y or z plane.  A pi4 fibre makes six products in all.  The
+zeros of a form are the complement of the OR of its m ints.
 
 A plane scan covers q^2 + q + 1 points; every other search of the
 package walks at most one field, and the field tables stop at GF(2^16).
 So the scans are the one search bounded below the tables, and they are
 bounded here, once, where the planes are built: beyond ``LOCUS_CAP``
 every scan raises `SearchCapped` (``check_cap``) before a plane exists,
-and whatever reads a scan (the classification, the singular locus,
-smooth points, line peeling, pencil base points) is bounded with it.
+and whatever reads a scan (the classification, smooth points, line
+peeling, pencil base points) is bounded with it; the singular locus
+reads none.
 
 ``tests/test_kernels.py`` checks every scan against `MPoly.eval_point`
 at every point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the
@@ -35,7 +38,7 @@ scans in context.
 
 import re
 from functools import cache, reduce
-from operator import or_
+from operator import and_, or_
 
 from .errors import SearchCapped
 
@@ -149,21 +152,12 @@ def _zero_masks(forms, gf) -> list:
     return masks
 
 
-def mask_points(mask: int, q: int, limit: int | None = None) -> list:
+def mask_points(mask: int, q: int) -> list:
     """The points of a mask over ``plane_points(q)`` as raw triples, in
-    that order; with a limit, only the first `limit` of them, decoded
-    from the lowest set bits alone."""
+    that order."""
     pts = plane_points(q)
-    if limit is None:
-        # bin() reversed, without its "0b": bit i at position i
-        return [pts[one.start()]
-                for one in re.finditer("1", bin(mask)[:1:-1])]
-    out = []
-    while mask and len(out) < limit:
-        low = mask & -mask
-        out.append(pts[low.bit_length() - 1])
-        mask ^= low
-    return out
+    # bin() reversed, without its "0b": bit i at position i
+    return [pts[one.start()] for one in re.finditer("1", bin(mask)[:1:-1])]
 
 
 def scan_zero_points(form, gf) -> list:
@@ -172,14 +166,7 @@ def scan_zero_points(form, gf) -> list:
 
 
 def scan_singular_points(form, gf) -> list:
-    """Points where the form and all three partials vanish (raw triples)."""
-    return mask_points(scan_curve(form, gf)[1], gf.q)
-
-
-def scan_curve(form, gf) -> tuple:
-    """The zero set, the singular points and the smooth points of a form,
-    as masks for ``mask_points``, from one evaluation of the form and its
-    partials."""
-    f, fx, fy, fz = _zero_masks([form, *map(form.partial, form.vars)], gf)
-    singular = f & fx & fy & fz
-    return f, singular, f ^ singular
+    """Points where the form and all three partials vanish (raw triples),
+    from one evaluation of the four forms."""
+    masks = _zero_masks([form, *map(form.partial, form.vars)], gf)
+    return mask_points(reduce(and_, masks), gf.q)

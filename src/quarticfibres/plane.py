@@ -6,9 +6,9 @@ ternary forms in (x, y, z) and the same few local constructions:
 * ``line_form`` and ``peel_lines``: linear factors over the field given
   and no other.  The candidate lines are read off the zero set: a line
   divides a form only if all its rational points are zeros.  The caller
-  hands in the base-field zero set: a fibre decodes it from its one
-  ``kernels.scan_curve`` pass, a pencil member from the
-  ``kernels.scan_zero_points`` that also gives its base points.
+  hands in the base-field zero set, from ``kernels.scan_zero_points``:
+  a fibre's one pass, and a pencil member's scan that also gives its
+  base points.
   ``_full_lines`` groups the zeros by their projection from a base point
   and leaves the point once too many groups are open for one to be full,
   which for the q+1 zeros of an integral fibre is at the second group.

@@ -4,7 +4,12 @@ does not collect.
 Classifies every nonzero quartic over GF(4) with only even powers of y,
 sum c x^i y^j z^k over the nine monomials with j even (4^9 - 1 = 262143
 forms), and prints the (kind, ext) histogram, the tangent kinds of the
-integral answers and the errors by type.  A
+integral answers and the errors by type.  It also compares
+`fibres.singular_locus` with the reference scan of P^2(GF(4)) and
+P^2(GF(16)) (``locus_oracle``) on every form and prints the number of
+mismatches: the scan finds at most three singular points on a reduced
+form, which the answers must equal, and a curve of them on a square or a
+double line, for which `singular_locus` must raise.  A
 change that deletes or replaces a search path only general strange forms
 reach reruns it and compares the two outputs.  It takes a few minutes:
 
@@ -15,8 +20,9 @@ import time
 from collections import Counter
 from itertools import product
 
-from quarticfibres.errors import QuarticError
-from quarticfibres.fibres import PlaneCurveFq, classify_fibre
+from locus_oracle import reference_locus
+from quarticfibres.errors import ConstraintViolation, QuarticError
+from quarticfibres.fibres import PlaneCurveFq, classify_fibre, singular_locus
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 
@@ -25,28 +31,38 @@ MONOMIALS = [(i, j, 4 - i - j) for j in (4, 2, 0) for i in range(5 - j)]
 
 def census(m: int = 2):
     """The (kind, ext) counts, the tangent-kind counts of the integral
-    answers and the error counts by type over GF(2^m)."""
+    answers, the error counts by type over GF(2^m), and the reduced forms
+    and locus mismatches."""
     gf, spec = GF.get(m), FieldSpec(m)
     kinds, tangents, errors = Counter(), Counter(), Counter()
+    reduced = mismatches = 0
     for cs in product(range(gf.q), repeat=len(MONOMIALS)):
         if not any(cs):
             continue
         form = MPoly.from_terms(FORM_VARS, gf, [
             (e, GFElem(gf, c)) for e, c in zip(MONOMIALS, cs) if c])
+        curve = PlaneCurveFq(form, spec)
+        want = reference_locus(curve)
+        reduced += len(want) <= 3
         try:
-            cls = classify_fibre(PlaneCurveFq(form, spec))
+            agrees = singular_locus(curve) == want
+        except ConstraintViolation:
+            agrees = len(want) > 3      # a curve of singular points
+        mismatches += not agrees
+        try:
+            cls = classify_fibre(curve)
         except QuarticError as exc:
             errors[type(exc).__name__] += 1
         else:
             kinds[cls.kind, cls.ext] += 1
             if cls.kind == "IntegralQuartic":
                 tangents[cls.tangent.kind if cls.tangent else None] += 1
-    return kinds, tangents, errors
+    return kinds, tangents, errors, reduced, mismatches
 
 
 def main():
     start = time.perf_counter()
-    kinds, tangents, errors = census()
+    kinds, tangents, errors, reduced, mismatches = census()
     print(f"{sum(kinds.values()) + sum(errors.values())} forms over GF(4)")
     for (kind, ext), n in sorted(kinds.items()):
         print(f"{n:8d}  {kind} ext {ext}")
@@ -54,6 +70,8 @@ def main():
         print(f"{n:8d}  IntegralQuartic tangent {kind}")
     print(f"{sum(errors.values()):8d}  errors"
           + "".join(f", {n} {name}" for name, n in sorted(errors.items())))
+    print(f"{mismatches:8d}  locus mismatches against the GF(16) scan"
+          f" ({reduced} reduced forms)")
     print(f"[{time.perf_counter() - start:.0f}s]")
 
 

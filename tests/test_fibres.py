@@ -26,6 +26,8 @@ from quarticfibres.plane import chart_at, embed_form, roots, tangent_cone
 from quarticfibres.resolution import cubic_pencil
 from quarticfibres.upoly import UPoly
 
+from locus_oracle import reference_locus
+
 SPEC2 = FieldSpec(1)
 SPEC4 = FieldSpec(2)
 
@@ -139,13 +141,17 @@ def test_singular_locus_extension_points():
     assert tuple(v.v for v in point) == tuple(v.v for v in pred)
     # (ab^2+c)^(1/4) = 0^(1/4)... over F2 all fourth roots are rational
     assert ext == 1
-    # y^2 (x^2+xz+z^2) is singular along y = 0 and at (0:1:0); the
-    # GF(4) scan adds only the two points that are not rational
-    locus = singular_locus(_curve("y^2*x^2 + y^2*x*z + y^2*z^2"))
+    # x^4 + x^2 y^2 + y^4 + x z^3 meets its line L = z where y^2 + x y +
+    # x^2 = 0: a conjugate pair over GF(4), after no rational point
+    locus = singular_locus(_curve("x^4 + x^2*y^2 + y^4 + x*z^3"))
     assert [(tuple(v.v for v in p), r) for p, r in locus] == [
-        ((1, 0, 0), 1), ((1, 0, 1), 1), ((0, 1, 0), 1), ((0, 0, 1), 1),
-        ((1, 0, 2), 2), ((1, 0, 3), 2)]
+        ((1, 2, 0), 2), ((1, 3, 0), 2)]
     assert all(p[0].gf is GF.get(r) for p, r in locus)
+    # y^2 (x^2+xz+z^2) is singular along its double line y = L, and the
+    # square of a conic everywhere: a curve, not a list of points
+    for text in ("y^2*x^2 + y^2*x*z + y^2*z^2", "y^4 + x^2*z^2"):
+        with pytest.raises(ConstraintViolation, match="locus"):
+            singular_locus(_curve(text))
 
 
 def test_non_default_modulus():
@@ -166,30 +172,29 @@ def test_non_default_modulus():
 
 def test_search_beyond_the_cap_raises(monkeypatch):
     # every reader of a plane scan over GF(512) raises SearchCapped from
-    # the one check in kernels, before a monomial plane is built
+    # the one check in kernels, before a monomial plane is built; the
+    # singular locus reads no scan, so it answers there
     spec = FieldSpec(9)
     planes = _count_calls(monkeypatch, kernels, "_coordinates")
     points = _count_calls(monkeypatch, kernels, "plane_points")
     for name, point in (("pi4", (3, 5, 7)), ("pi3", (1, 0, 1, 0))):
         with pytest.raises(SearchCapped):
             classify_fibre(specialize_fibre(name, point, spec))
-    for fn in (singular_locus, smooth_points):
-        with pytest.raises(SearchCapped, match="plane scan over GF.2.9."):
-            fn(specialize_fibre("pi4", (3, 5, 7), spec))
+    with pytest.raises(SearchCapped, match="plane scan over GF.2.9."):
+        smooth_points(specialize_fibre("pi4", (3, 5, 7), spec))
+    locus = singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
+    pred = predicted_singular_point("pi4", (3, 5, 7), spec)
+    assert locus == [(pred, 1)]
     assert planes == points == []
-    # singular along y = 0 over GF(32): its GF(2^10) points are not
-    # searched, so the 34 rational points alone are not the locus
-    with pytest.raises(SearchCapped):
-        singular_locus(_curve("y^2*x^2 + y^2*x*z + y^2*z^2", FieldSpec(5)))
     # four lines through (0:1:0) conjugate over GF(2^20): the root lift
     # stops at the field tables
     with pytest.raises(SearchCapped, match="beyond the GF.2.16."):
         classify_fibre(_curve("x^4+x^3*z+z^4", FieldSpec(5)))
-    # singular at (1:g:0) with g in GF(4): over GF(32) no rational
-    # singular point is found and GF(2^10) is not scanned, so the point
-    # is not known
-    with pytest.raises(SearchCapped):
-        classify_fibre(_curve("x^4+x^2*y^2+y^4+x*z^3", FieldSpec(5)))
+    # singular at (1:g:0) with g in GF(4), conjugate over GF(32): the
+    # root lift builds GF(2^10) for the pair, and nothing scans it
+    cls = classify_fibre(_curve("x^4+x^2*y^2+y^4+x*z^3", FieldSpec(5)))
+    assert (cls.kind, cls.ext, cls.multiplicity, cls.delta) == (
+        "IntegralQuartic", 2, 2, 1)
 
 
 def test_predicted_points_all_fibrations():
@@ -330,7 +335,9 @@ def test_tangent_contact_matches_substitution(m):
     gf = GF.get(m)
     checked = 0
     for curve in _oracle_curves(gf, rng):
-        zeros, singular, smooth = map(curve.points, range(3))
+        zeros = kernels.scan_zero_points(curve.form, gf)
+        singular = kernels.scan_singular_points(curve.form, gf)
+        smooth = [p for p in zeros if p not in singular]
         points = rng.sample(smooth, min(4, len(smooth))) + list(singular)
         zero_set = set(zeros)
         points += [p for p in (tuple(rng.randrange(gf.q) for _ in range(3))
@@ -425,18 +432,19 @@ def test_gf64_fibre_plane_products(monkeypatch):
 
 
 def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
-    # a machine-independent work count: F and its partials are evaluated
-    # over P^2(GF(16)) once, for the zero set that line peeling reads,
-    # the singular point and the smooth sample, and never over GF(256)
+    # a machine-independent work count: F alone is evaluated over
+    # P^2(GF(16)) once, for the zero set that line peeling reads and the
+    # smooth-point count, and never over GF(256)
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
     curve = specialize_fibre("pi4", (3, 5, 7), FieldSpec(4))
     assert classify_fibre(curve).kind == "IntegralQuartic"
     rounds = [(len(forms), gf.m) for forms, gf in calls]
-    assert rounds == [(4, 4)]
-    # later readers of the same curve scan only the GF(q^2) round
+    assert rounds == [(1, 4)]
+    # later readers of the same curve scan nothing: the locus is a closed
+    # form and the smooth points are the kept zero set less the locus
     singular_locus(curve)
     smooth_points(curve)
-    assert [(len(forms), gf.m) for forms, gf in calls] == rounds + [(4, 8)]
+    assert [(len(forms), gf.m) for forms, gf in calls] == rounds
 
 
 def test_integral_fibres_make_no_extension_scan(monkeypatch):
@@ -452,13 +460,12 @@ def test_integral_fibres_make_no_extension_scan(monkeypatch):
 
 
 def test_singular_point_over_the_extension(monkeypatch):
-    # no rational singular point: the locus's GF(4) round, one evaluation
-    # of F and its partials over P^2(GF(4)), finds the conjugate pair
-    # (1:g:0), (1:g+1:0); the form has a y^4 term, so line peeling makes
-    # no extension round
+    # no rational singular point: the locus's root lift finds the
+    # conjugate pair (1:g:0), (1:g+1:0) over GF(4) with no scan, so F is
+    # evaluated once, over P^2(GF(2)), for line peeling
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
     cls = classify_fibre(_curve("x^4 + x^2*y^2 + y^4 + x*z^3"))
-    assert [(len(forms), gf.m) for forms, gf in calls] == [(4, 1), (4, 2)]
+    assert [(len(forms), gf.m) for forms, gf in calls] == [(1, 1)]
     assert (cls.kind, cls.ext, cls.multiplicity, cls.delta) == (
         "IntegralQuartic", 2, 2, 1)
     assert cls.sing_point == tuple(GF.get(2).elem(v) for v in (1, 2, 0))
@@ -797,8 +804,9 @@ def test_class_counts_are_polynomials_in_q(name, m):
 
 
 def _first_singular_point(curve):
-    """The oracle: the first point of the whole locus, GF(q^2) included."""
-    locus = singular_locus(curve)
+    """The oracle: the first point of the scanned locus, GF(q^2)
+    included."""
+    locus = reference_locus(curve)
     return locus[0] if locus else (None, 1)
 
 
@@ -930,3 +938,58 @@ def test_singular_point_is_the_locus_head():
             checked += 1
             exts += cls.ext == 2
     assert checked >= 300 and exts >= 3
+
+
+def _locus_or_curve(curve):
+    """The closed-form locus, or "curve" where it raises for one."""
+    try:
+        return singular_locus(curve)
+    except ConstraintViolation:
+        return "curve"
+
+
+def test_singular_locus_matches_the_reference_scan():
+    # the closed form against the scans of P^2(GF(q)) and P^2(GF(q^2)):
+    # the 511 strange forms over GF(2), read over GF(2), GF(4) and GF(8),
+    # and seeded forms over GF(4) and GF(16).  A reduced strange quartic
+    # has at most three singular points; a square or a double line has a
+    # curve of them, so more than three points over GF(q^2)
+    small, rng = GF.get(1), random.Random(2903)
+    curves = [PlaneCurveFq(embed_form(c.form, small, GF.get(m)), FieldSpec(m))
+              for c in _even_y_quartics(small, product(range(2), repeat=9))
+              for m in (1, 2, 3)]
+    for m, n in ((2, 300), (4, 100)):
+        gf = GF.get(m)
+        curves += _even_y_quartics(gf, ([rng.randrange(gf.q) for _ in range(9)]
+                                        for _ in range(n)))
+    reduced = exts = 0
+    for curve in curves:
+        want = reference_locus(curve)
+        if len(want) > 3:
+            want = "curve"
+        else:
+            reduced += 1
+            exts += any(r == 2 for _, r in want)
+        assert _locus_or_curve(curve) == want, (str(curve.form), curve.gf.m)
+    assert reduced >= 1000 and exts >= 100
+
+
+def test_partials_are_the_line_squared():
+    # the lemma under the closed form: for F = a y^4 + C y^2 + D, F_x =
+    # z L^2 and F_z = x L^2 with L = sqrt(d1) x + sqrt(c1) y + sqrt(d3) z
+    rng = random.Random(2904)
+    for m in (1, 2, 3, 4):
+        gf = GF.get(m)
+        for curve in _even_y_quartics(gf, ([rng.randrange(gf.q)
+                                            for _ in range(9)]
+                                           for _ in range(20))):
+            f = curve.form
+            line = MPoly.from_terms(FORM_VARS, gf, [
+                (v, f.coeff(e).sqrt()) for v, e in (
+                    ((1, 0, 0), (3, 0, 1)), ((0, 1, 0), (1, 2, 1)),
+                    ((0, 0, 1), (1, 0, 3)))])
+            x, z = (MPoly.from_terms(FORM_VARS, gf, [(e, gf.one_elem())])
+                    for e in ((1, 0, 0), (0, 0, 1)))
+            assert f.partial("x") == z * line.square(), str(f)
+            assert f.partial("z") == x * line.square(), str(f)
+            assert f.partial("y").is_zero()

@@ -65,14 +65,6 @@ def test_embedding_is_a_hom():
     assert f2.embedding_into(f4)[1] == 1
 
 
-def test_in_subfield():
-    f16 = GF.get(4)
-    emb = GF.get(2).embedding_into(f16)
-    inside = set(emb)
-    for a in range(16):
-        assert f16.in_subfield(a, 2) == (a in inside)
-
-
 def test_elem_wrapper():
     f4 = GF.get(2)
     g = GFElem(f4, 2)

@@ -43,9 +43,9 @@ def _fields():
 
 
 def test_evaluate_matches_eval_point():
-    # the scans, the one-pass zero/singular/smooth masks included (decoded
-    # whole and up to a limit), against the exact evaluator at every point
-    # of P^2(GF(2^m)), m <= 4; the zero form and a constant form included
+    # the zero and singular scans against the exact evaluator at every
+    # point of P^2(GF(2^m)), m <= 4; the zero form and a constant form
+    # included
     for gf in _fields():
         pts = kernels.plane_points(gf.q)
         forms = [_rand_form(gf) for _ in range(3)]
@@ -53,25 +53,16 @@ def test_evaluate_matches_eval_point():
         forms.append(MPoly.const(FORM_VARS, gf, GFElem(gf, gf.q - 1)))
         for f in forms:
             partials = [f.partial(v) for v in f.vars]
-            zero, singular, smooth = [], [], []
+            zero, singular = [], []
             for p in pts:
                 point = {n: GFElem(gf, v) for n, v in zip(FORM_VARS, p)}
                 if f.eval_point(point):
                     continue
                 zero.append(p)
-                if any(d.eval_point(point) for d in partials):
-                    smooth.append(p)
-                else:
+                if not any(d.eval_point(point) for d in partials):
                     singular.append(p)
             assert kernels.scan_zero_points(f, gf) == zero
             assert kernels.scan_singular_points(f, gf) == singular
-            masks = kernels.scan_curve(f, gf)
-            assert [kernels.mask_points(mask, gf.q) for mask in masks] == [
-                zero, singular, smooth]
-            for mask, pts_all in zip(masks, (zero, singular, smooth)):
-                for limit in (0, 1, 2, len(pts_all), len(pts_all) + 1):
-                    assert kernels.mask_points(mask, gf.q, limit) == (
-                        pts_all[:limit])
 
 
 def test_scan_zero_points_brute_force():
