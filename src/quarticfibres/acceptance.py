@@ -21,7 +21,7 @@ from .fibres import (PlaneCurveFq, classify_fibre, delta_invariant,
                      tangent_contact_type)
 from .finitefield import GF, FieldSpec
 from .isomorphisms import apply_iso, identity_witness, verify_iso
-from .mpoly import MPoly, FORM_VARS
+from .plane import raw_form
 from .resolution import (covering_check, cubic_pencil, dynkin_type,
                          quartic_pencil, resolve_pencil)
 from .sampling import (random_nonsquare, random_params, random_presentation,
@@ -345,11 +345,10 @@ def check_delta_oracles() -> CheckResult:
     name, anchor = "delta oracles", "delta-oracles"
     spec = FieldSpec(1)
     gf = spec.field()
-    one = gf.one_elem()
-    quartic = PlaneCurveFq(MPoly.from_terms(
-        FORM_VARS, gf, [((0, 4, 0), one), ((1, 0, 3), one)]), spec)
-    cubic = PlaneCurveFq(MPoly.from_terms(
-        FORM_VARS, gf, [((1, 2, 0), one), ((0, 0, 3), one)]), spec)
+    quartic = PlaneCurveFq(raw_form(gf, [((0, 4, 0), 1), ((1, 0, 3), 1)]),
+                           spec)
+    cubic = PlaneCurveFq(raw_form(gf, [((1, 2, 0), 1), ((0, 0, 3), 1)]),
+                         spec)
     d4, seq4 = delta_invariant(quartic, (1, 0, 0))
     d3, seq3 = delta_invariant(cubic, (1, 0, 0))
     ok = (d4, d3) == (3, 1)

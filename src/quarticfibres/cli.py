@@ -291,7 +291,7 @@ def _cmd_fibre(args) -> int:
                       "fibre-predicted",
                       tuple(v.v for v in pred)
                       == tuple(v.v for v in cls.sing_point))
-    strange = is_strange(curve.form)
+    strange = curve.normal is not None
     rep.result("strange", strange, f"strange {strange}")
     return _emit(rep, args)
 

@@ -180,8 +180,9 @@ def invariant(m: QuarticModel) -> ScalarK | None:
 def is_strange(f: MPoly) -> bool:
     """All tangent lines through one point: equivalent to dF/dy = 0, which
     in characteristic 2 says that every exponent of y is even.  That is
-    read off the exponents, with no derivative formed: `classify_fibre`
-    asks it of every fibre."""
+    read off the exponents, with no derivative formed.  The fibres of
+    ``fibres`` take the same test as they are read into their normal
+    form (`fibres.NormalForm.read`)."""
     if not f.is_homogeneous():
         raise NotHomogeneous("strangeness is defined for homogeneous forms")
     y = f.vars.index("y")

@@ -5,8 +5,22 @@ families III, IV and V with their parameters in GF(2^m): their forms
 (``family_terms``), parameter names (``FAMILY_PARAMS``) and closed-form
 singular points (``singular_radicands``) are read from ``families``.  The
 fourth is the quartic pencil; the cubic pencil, whose members are not
-quartics, is left to ``resolution``.  A fibre is a ternary form over
-GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
+quartics, is left to ``resolution``.
+
+A fibre is a `PlaneCurveFq` over GF(2^m): its terms as ((i, j, k), raw
+int) pairs and, for a strange quartic, its `NormalForm`, the frozen
+record of F = a y^4 + C y^2 + D as nine raw ints a, c0..c2 and d0..d4,
+which derives the square roots of L and S below once.
+``specialize_fibre`` reads a fibration's terms straight into it;
+``PlaneCurveFq(form, spec)`` reads any form into it in one pass, the one
+strangeness test here.  The classification reads the record at every
+step: F is a square iff c1 = d1 = d3 = 0, the locus and the biconic
+split (C / a and D / a by raw products) read its coefficients, the lines
+through (0:1:0) are read off C and D, and the tangent off C; the plane
+pass and the charts read the raw terms.  `PlaneCurveFq.form`, the
+`MPoly`, is built on first use: for printed components, for line
+peeling's divisions and for the oracles.  The routines here measure a
+fibre:
 
 * ``singular_locus`` reads the locus off the normal form: F_x = z L^2
   and F_z = x L^2 for a line L whose coefficients are square roots of
@@ -20,8 +34,9 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
   locus.  ``kernels`` bounds the pass, so these raise `SearchCapped`
   beyond its cap;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
-  check the point and read it as raw ints of its field, then work in its
-  ``plane.chart_at``, a dict of raw ints: the first reads off the lowest
+  check the point and read it as raw ints of its field, then work in the
+  ``plane.chart_at`` of the curve's raw terms there, a dict of raw ints,
+  with no `MPoly`: the first reads off the lowest
   total degree; the second iterates ``plane.blow_up`` at the directions
   of ``plane.tangent_cone``, summing m(m-1)/2 over the infinitely near
   points; the third restricts the chart to the tangent line, its linear
@@ -30,9 +45,9 @@ GF(2^m), wrapped in `PlaneCurveFq`, and the routines here measure it:
 * ``classify_fibre`` runs the cascade double-conic / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
   its rational candidate lines off the zero set and confirms each by
-  division, and reads the other lines off the cofactor's coefficients;
-  an integral answer's tangent kind comes from the form's y^2 terms,
-  with no chart and no root search.
+  division, which is where an `MPoly` is first needed, and reads the
+  other lines off the record's C and D; an integral answer's tangent kind
+  comes from C, with no chart and no root search.
 
 Charts, blow-ups, line peeling and root finding come from ``plane``;
 none of the above makes a polynomial substitution, and `GFElem` values
@@ -70,38 +85,89 @@ from . import kernels
 from .errors import (ConstraintViolation, InternalCheckFailed, NotSingular,
                      NotSmoothPoint, NotHomogeneous, PointNotOnCurve,
                      UnsupportedFamily, ZeroForm)
-from .families import (FAMILY_PARAMS, FamilyTag, family_terms, is_strange,
+from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec, TABLE_LIMIT
-from .mpoly import FORM_VARS, MPoly, triform
-from .plane import (blow_up, chart_at, embed_form, is_smooth_conic,
-                    line_form, mult_origin, peel_lines, roots,
-                    tangent_cone)
+from .mpoly import MPoly
+from .plane import (blow_up, chart_at, embed_form, full_lines,
+                    is_smooth_conic, line_form, mult_origin, peel_lines,
+                    raw_form, raw_terms, roots, tangent_cone)
 from .upoly import UPoly
 
 
 @dataclass(frozen=True)
+class NormalForm:
+    """A strange quartic F = a y^4 + C y^2 + D in the normal form dF/dy =
+    0, whose strange point is (0:1:0), as raw ints of its field gf: C =
+    c0 x^2 + c1 x z + c2 z^2 and D = d0 x^4 + d1 x^3 z + ... + d4 z^4,
+    c[k] and d[k] the coefficients at z^k.  Each step of the
+    classification reads these nine ints; F is a square iff c1 = d1 = d3
+    = 0."""
+
+    gf: GF
+    a: int
+    c: tuple
+    d: tuple
+
+    @classmethod
+    def read(cls, gf: GF, terms) -> "NormalForm | None":
+        """The record of the quartic of ((i, j, k), raw int) pairs over gf,
+        or None when some j is odd: one pass, and the one strangeness test
+        of this module."""
+        slots = [[0], [0] * 3, [0] * 5]         # y^4, y^2, y^0; by k
+        for (_, j, k), v in terms:
+            if j & 1:
+                return None
+            slots[2 - j // 2][k] ^= v
+        (a,), c, d = slots
+        return cls(gf, a, tuple(c), tuple(d))
+
+    @cached_property
+    def square_roots(self) -> list:
+        """The coefficients of L = sqrt(d1) x + sqrt(c1) y + sqrt(d3) z and
+        of S at y^2, x y, y z, x^2, x z and z^2, the square roots of a, c0,
+        c2, d0, d2 and d4, derived once: F = S^2 + x z L^2, S^2 the terms
+        of F with every exponent even (see ``singular_locus``)."""
+        a, (c0, c1, c2), (d0, d1, d2, d3, d4) = self.a, self.c, self.d
+        return [*map(self.gf.sqrt, (d1, c1, d3, a, c0, c2, d0, d2, d4))]
+
+
 class PlaneCurveFq:
-    """A nonzero homogeneous ternary cubic or quartic over GF(2^m)."""
+    """A nonzero homogeneous ternary cubic or quartic over GF(2^m).
 
-    form: MPoly
-    field: FieldSpec
+    `terms` is the form as ((i, j, k), raw int) pairs, which the plane
+    pass and the charts read, and `normal` its `NormalForm` when it is a
+    strange quartic (None otherwise), which the classification reads.
+    `form`, the `MPoly`, is built from `terms` on first use when the
+    curve comes from its terms (``from_terms``): only printed components,
+    line peeling's divisions and the oracles read it."""
 
-    def __post_init__(self):
-        if self.form.is_zero():
+    def __init__(self, form: MPoly, field: FieldSpec):
+        if form.is_zero():
             raise ZeroForm("the zero form does not cut out a curve")
-        if not self.form.is_homogeneous():
+        if not form.is_homogeneous():
             raise NotHomogeneous("fibres are cut out by homogeneous forms")
-        d = self.form.total_degree()
+        d = form.total_degree()
         if d not in (3, 4):
             raise ConstraintViolation(
                 f"expected a cubic or quartic, got degree {d}")
-        # read by every step of the classification; frozen, so set here
-        object.__setattr__(self, "_degree", d)
+        self.form, self.field, self.gf, self._degree = (
+            form, field, field.field(), d)
+        self.terms = raw_terms(form)
+        self.normal = NormalForm.read(self.gf, self.terms) if d == 4 else None
 
-    @property
-    def gf(self) -> GF:
-        return self.field.field()
+    @classmethod
+    def from_terms(cls, terms: list, field: FieldSpec) -> "PlaneCurveFq":
+        """The quartic of nonzero ((i, j, k), raw int) pairs over field,
+        with its `NormalForm` and no `MPoly`."""
+        curve = cls.__new__(cls)
+        curve.field, curve.gf, curve._degree = field, field.field(), 4
+        curve.terms, curve.normal = terms, NormalForm.read(curve.gf, terms)
+        return curve
+
+    @cached_property
+    def form(self) -> MPoly:
+        return raw_form(self.gf, self.terms)
 
     def degree(self) -> int:
         return self._degree
@@ -110,7 +176,7 @@ class PlaneCurveFq:
     def zeros(self) -> list:
         """The zero set over P^2(GF(q)), raw triples in scan order, from
         the curve's one plane pass (``kernels.scan_zero_points``)."""
-        return kernels.scan_zero_points(self.form, self.gf)
+        return kernels.scan_zero_points(self.terms, self.gf)
 
 
 @dataclass(frozen=True)
@@ -157,44 +223,46 @@ def _family_args(tag, coords, zero) -> list:
     return [given.get(n, zero) for n in ("a", "b", "c", "d")]
 
 
-def _family_form(tag, gf, *coords):
+def _family_terms(tag, gf, *coords):
     args = _family_args(tag, coords, gf.zero_elem())
-    return triform(gf, family_terms(tag, gf.one_elem(), *args))
+    return family_terms(tag, gf.one_elem(), *args)
 
 
 def _pencil_quartic(gf, t0, t1):
-    return triform(gf, [((0, 4, 0), t0), ((1, 0, 3), t0), ((3, 0, 1), t1)])
+    return [((0, 4, 0), t0), ((1, 0, 3), t0), ((3, 0, 1), t1)]
 
 
-# name -> (parameter names, function making the fibre form)
+# name -> (parameter names, function making the fibre's terms)
 FIBRATIONS = {
-    **{name: (tuple(FAMILY_PARAMS[tag]), partial(_family_form, tag))
+    **{name: (tuple(FAMILY_PARAMS[tag]), partial(_family_terms, tag))
        for name, tag in _FAMILY_OF.items()},
     "pencil-quartic": (("t0", "t1"), _pencil_quartic),
 }
 
 
 def _point_coords(fibration: str, point, gf) -> list:
-    """The parameter point in GF, once the fibration and arity check out."""
+    """The parameter point as GFElems of gf, once the fibration checks out
+    and ``_raw_values`` finds as many coordinates as it has parameters,
+    all in gf."""
     if fibration not in FIBRATIONS:
         raise UnsupportedFamily(
             f"unknown fibration {fibration!r}; "
             f"choose from {sorted(FIBRATIONS)}")
-    names, _ = FIBRATIONS[fibration]
-    if len(point) != len(names):
-        raise ConstraintViolation(
-            f"{fibration} takes {len(names)} parameters, got {len(point)}")
-    return [c if isinstance(c, GFElem) else gf.elem(c) for c in point]
+    raw, field = _raw_values(point, len(FIBRATIONS[fibration][0]), gf)
+    if field is not gf:
+        raise ConstraintViolation(f"{point!r} does not lie in GF({gf.q})")
+    return [GFElem(gf, v) for v in raw]
 
 
 def specialize_fibre(fibration: str, point, spec: FieldSpec) -> PlaneCurveFq:
-    """The fibre of a named fibration over a parameter point."""
+    """The fibre of a named fibration over a parameter point, read from
+    its terms straight into its `NormalForm`, with no `MPoly` built."""
     gf = spec.field()
     coords = _point_coords(fibration, point, gf)
-    form = FIBRATIONS[fibration][1](gf, *coords)
-    if form.is_zero():
+    terms = [(e, c.v) for e, c in FIBRATIONS[fibration][1](gf, *coords) if c]
+    if not terms:
         raise ZeroForm(f"fibre of {fibration} at this point is the zero form")
-    return PlaneCurveFq(form, spec)
+    return PlaneCurveFq.from_terms(terms, spec)
 
 
 def predicted_singular_point(fibration: str, point, spec: FieldSpec):
@@ -218,29 +286,31 @@ def predicted_singular_point(fibration: str, point, spec: FieldSpec):
 # ----- points and charts --------------------------------------------------
 
 
-def _coerce_point(curve: "PlaneCurveFq", point) -> tuple[tuple, GF]:
-    """Three coordinates in one field, each a GFElem or a raw int in
-    range(q), which is read in the curve's base field, as raw ints and
-    their field; anything else raises ConstraintViolation."""
-    q = 1 << curve.field.m
-    if len(point) != 3 or not all(
-            isinstance(c, GFElem) or (isinstance(c, int) and 0 <= c < q)
-            for c in point):
+def _raw_values(values, n: int, gf: GF) -> tuple[list, GF]:
+    """n coordinates in one field, each a GFElem or a raw int in range(q),
+    which is read in gf, as raw ints and their field: the rule for points
+    of the plane and parameter points alike.  Anything else raises
+    ConstraintViolation."""
+    if len(values) != n or not all(
+            isinstance(c, GFElem) or (isinstance(c, int) and 0 <= c < gf.q)
+            for c in values):
         raise ConstraintViolation(
-            f"{point!r} is not a point of the plane over GF({q}): three"
-            f" coordinates, raw ints in range({q})")
-    fields = {c.gf for c in point if isinstance(c, GFElem)}
-    if not all(isinstance(c, GFElem) for c in point):
-        fields.add(curve.gf)
+            f"{values!r} is not {n} coordinates over GF({gf.q}): field"
+            f" elements, or raw ints in range({gf.q})")
+    fields = {c.gf if isinstance(c, GFElem) else gf for c in values}
     if len(fields) > 1:
         raise ConstraintViolation("the coordinates lie in different fields")
-    return (tuple(c.v if isinstance(c, GFElem) else c for c in point),
-            fields.pop())
+    return [c.v if isinstance(c, GFElem) else c for c in values], fields.pop()
+
+
+def _coerce_point(curve: "PlaneCurveFq", point) -> tuple[list, GF]:
+    """A point of the plane by ``_raw_values``, read in the curve's field."""
+    return _raw_values(point, 3, curve.gf)
 
 
 def multiplicity_at(curve: PlaneCurveFq, point) -> int:
     """Multiplicity of the curve at a projective point (1 = smooth)."""
-    local = chart_at(curve.form, *_coerce_point(curve, point))
+    local = chart_at(curve.terms, curve.gf, *_coerce_point(curve, point))
     if mult_origin(local) == 0:
         raise PointNotOnCurve("the point does not lie on the curve")
     return mult_origin(local)
@@ -275,13 +345,10 @@ def singular_locus(curve: PlaneCurveFq) -> list:
     curve, and that and any form that is not a strange quartic raise
     `ConstraintViolation`.
     """
-    gf, form = curve.gf, curve.form
-    if curve.degree() != 4 or not is_strange(form):
+    gf, mul = curve.gf, curve.gf.mul
+    if curve.normal is None:
         raise ConstraintViolation("the locus is read off a strange quartic")
-    mul, root = gf.mul, {e: gf.sqrt(c.v) for e, c in form.terms.items()}
-    l0, l1, l2, sa, sxy, syz, sxx, sxz, szz = (root.get(e, 0) for e in (
-        (3, 0, 1), (1, 2, 1), (1, 0, 3), (0, 4, 0), (2, 2, 0), (0, 2, 2),
-        (4, 0, 0), (2, 0, 2), (0, 0, 4)))
+    l0, l1, l2, sa, sxy, syz, sxx, sxz, szz = curve.normal.square_roots
 
     def s_at(x, y, z):
         return (mul(y, mul(sa, y) ^ mul(sxy, x) ^ mul(syz, z))
@@ -340,7 +407,7 @@ def tangent_contact_type(curve: PlaneCurveFq, point) -> TangentType:
     c b^i a^j s^(i+j); the point is the root s = 0 of this restriction
     h, and d - deg h is the contact at the line's point at infinity."""
     raw, gf = _coerce_point(curve, point)
-    local = chart_at(curve.form, raw, gf)
+    local = chart_at(curve.terms, curve.gf, raw, gf)
     if (0, 0) in local:
         raise PointNotOnCurve("the point does not lie on the curve")
     a, b = local.get((1, 0), 0), local.get((0, 1), 0)
@@ -425,7 +492,7 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
     """
     d = curve.degree()
     raw, gf = _coerce_point(curve, point)
-    local = chart_at(curve.form, raw, gf)
+    local = chart_at(curve.terms, curve.gf, raw, gf)
     if mult_origin(local) < 2:
         raise NotSingular("the delta invariant needs a singular point")
     delta = 0
@@ -450,57 +517,55 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
 # ----- classification -----------------------------------------------------
 
 
-def _lines_through_n(factors: dict, rem: MPoly, gf: GF):
-    """Add the lines through the strange point (0:1:0) that divide rem to
-    the rational lines `factors` that base-field peeling took out of a
-    strange quartic without a y^4 term, and return both and the cofactor
-    over the field of the new lines (gf when there is none).
+def _lines_through_n(factors: dict, rem, curve: PlaneCurveFq):
+    """Add the lines through the strange point (0:1:0) over extensions of
+    gf to the rational lines `factors` that base-field peeling took out
+    of a strange quartic without a y^4 term, and return both and the
+    cofactor over the field of the new lines (gf when there is none); rem
+    is the cofactor of the peeling, None when it took no line.
 
-    rem is C y^2 + D with C and D in x and z (a constant when the lines
-    took the whole form), and no rational line divides it.  A line through (0:1:0) other than the rational z is
-    x + b z, which divides rem iff it divides C and D, so the lines are
-    the linear factors of gcd(C, D), to their multiplicities there, read
-    at z = 1 as one `UPoly.gcd`.  The gcd has no root in gf, so
-    ``_lift_roots`` splits it."""
-    cs = [[0] * 5, [0] * 5]         # D and C at z = 1, by the power of x
-    for (i, j, _), c in rem.terms.items():
-        cs[j // 2][i] = c.v
-    d, c = (UPoly.from_coeffs(gf, v) for v in cs)
-    found, big, table = _lift_roots(c.gcd(d), gf)
+    With a = 0, F = C y^2 + D with C and D in x and z.  A line through
+    (0:1:0) other than the rational z is x + b z, which divides F iff it
+    divides C and D, so the lines are the linear factors of gcd(C, D), to
+    their multiplicities there, read off the normal form at z = 1 as one
+    `UPoly.gcd`.  Its rational roots are lines that peeling took, and
+    ``_lift_roots`` splits what is left."""
+    gf, nf = curve.gf, curve.normal
+    c, d = (UPoly.from_coeffs(gf, v[::-1]) for v in (nf.c, nf.d))
+    found, big, table = _lift_roots(roots(c.gcd(d))[1], gf)
     if not found:
         return factors, rem, gf
     factors = {tuple(table[v] for v in t): n for t, n in factors.items()}
-    rem = embed_form(rem, gf, big)
+    rem = embed_form(curve.form if rem is None else rem, gf, big)
     for b, n in found:
         factors[1, 0, b] = n
         rem = rem.divide(line_form(big, (1, 0, b)).pow(n))
     return factors, rem, big
 
 
-def _biconic_split(form: MPoly, gf):
-    """Try to write a quartic with only even y-exponents as a product
-    (y^2+v)(y^2+w) of distinct strange conics, over the base field or
-    its quadratic extension (conjugate pairs), and return its components
-    and their field.  For such quartics this is the only factorization
-    shape left once squares of smooth conics and linear factors are ruled
-    out: an odd-y conic factor would force its cofactor to share the odd
-    part, making the product a square.
+def _biconic_split(nf: NormalForm):
+    """Try to write a strange quartic F = a y^4 + C y^2 + D with a != 0 as
+    a product (y^2+v)(y^2+w) of distinct strange conics, over the base
+    field or its quadratic extension (conjugate pairs), and return its
+    components and their field.  For such quartics this is the only
+    factorization shape left once squares of smooth conics and linear
+    factors are ruled out: an odd-y conic factor would force its cofactor
+    to share the odd part, making the product a square.
 
-    For f = y^4 + A y^2 + B the pair has v + w = A and v w = B, so v is a
-    root of T^2 + A T + B, and A = 0 leaves only squares.  A conjugate
+    F / a = y^4 + A y^2 + B, with A = C / a and B = D / a read off the
+    normal form by raw products.  The pair has v + w = A and v w = B, so
+    v is a root of T^2 + A T + B, and A = 0 leaves only squares.  A conjugate
     pair over GF(q^2) = GF(q)(theta), theta^2 + theta = tau with
     Tr(tau) = 1, is v = v0 + theta A, w = v + A, where v0 over GF(q) is a
     root of T^2 + A T + B + tau A^2: both rounds search GF(q) alone, and
     tau and theta are read off the fields' tables of Y^2 + Y = b.  A
     square v = l^2, which a conjugate pair of lines y + l not through
     (0:1:0) gives, is the double line y + l."""
-    lead = form.coeff((0, 4, 0))
-    f = form if lead.v == 1 else form.scale(lead.gf.one_elem() / lead)
-    a2, a1, a0 = acs = [f.coeff((2 - i, 2, i)).v for i in range(3)]
+    gf, mul, inv = nf.gf, nf.gf.mul, nf.gf.inv(nf.a)
+    a2, a1, a0 = acs = [mul(inv, v) for v in nf.c]
     if not any(acs):
         return None
-    b4, b3, b2, b1, b0 = (f.coeff((4 - i, 0, i)).v for i in range(5))
-    mul = gf.mul
+    b4, b3, b2, b1, b0 = (mul(inv, v) for v in nf.d)
 
     def quad_roots(c0, c1):
         """Roots of X^2 + c1 X + c0 in gf."""
@@ -533,9 +598,8 @@ def _strange_conic(big: GF, v: list):
     for v1 = 0 it is the double line y + sqrt(v0) x + sqrt(v2) z."""
     v0, v1, v2 = v
     if v1:
-        return str(MPoly.from_terms(FORM_VARS, big, [
-            ((0, 2, 0), big.one_elem()),
-            *(((2 - i, 0, i), GFElem(big, c)) for i, c in enumerate(v))])), 1
+        return str(raw_form(big, [((0, 2, 0), 1), *(
+            ((2 - i, 0, i), c) for i, c in enumerate(v))])), 1
     s0, s2 = big.sqrt(v0), big.sqrt(v2)
     line = (1, big.inv(s0), big.div(s2, s0)) if s0 else (0, 1, s2)
     return str(line_form(big, line)), 2
@@ -562,17 +626,20 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
-    if not is_strange(curve.form):
+    gf, nf = curve.gf, curve.normal
+    if nf is None:
         raise ConstraintViolation("not a strange quartic: dF/dy != 0")
-    gf, form = curve.gf, curve.form
-    root = form.square_root()
-    if root is not None and is_smooth_conic(root):
-        return FibreClass(kind="DoubleConic",
-                          components=((str(root), 2),))
-    factors, rem = peel_lines(form, gf, curve.zeros)
-    cur, a = gf, form.coeff((0, 4, 0))
-    if not a:
-        factors, rem, cur = _lines_through_n(factors, rem, gf)
+    if not (nf.c[1] or nf.d[1] or nf.d[3]):        # F = S^2
+        root = raw_form(gf, zip(((0, 2, 0), (1, 1, 0), (0, 1, 1), (2, 0, 0),
+                                 (1, 0, 1), (0, 0, 2)), nf.square_roots[3:]))
+        if is_smooth_conic(root):
+            return FibreClass(kind="DoubleConic",
+                              components=((str(root), 2),))
+    lines = full_lines(curve.zeros, gf)
+    factors, rem = peel_lines(curve.form, gf, lines) if lines else ({}, None)
+    cur = gf
+    if not nf.a:
+        factors, rem, cur = _lines_through_n(factors, rem, curve)
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)
@@ -586,8 +653,8 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
             kind = "ConicPlusDoubleLine"
         return FibreClass(kind=kind, ext=ext,
                           components=comps + ((str(rem), 1),))
-    if a:
-        split = _biconic_split(form, gf)
+    if nf.a:
+        split = _biconic_split(nf)
         if split is not None:
             comps, sgf = split
             return FibreClass(kind="Other", ext=sgf.m // gf.m,
@@ -598,9 +665,7 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
         raise InternalCheckFailed(f"an integral quartic with delta {delta}")
     tangent = None
     if len(curve.zeros) > sum(r == 1 for _, r in sing):
-        # C = 0 iff no monomial has y-exponent 2
-        tangent = (TangentType("Bitangent22", (2, 2))
-                   if any(j == 2 for _, j, _ in form.terms)
+        tangent = (TangentType("Bitangent22", (2, 2)) if any(nf.c)
                    else TangentType("Hyperflex4", (4,)))
     return FibreClass(kind="IntegralQuartic",
                       sing_point=point, ext=ext, multiplicity=seq[0],

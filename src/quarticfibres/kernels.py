@@ -1,13 +1,16 @@
 """Bit-sliced point scans over the projective plane of GF(2^m).
 
-``scan_zero_points`` evaluates a form alone over P^2(GF(q)) and decodes
-its zero set with ``mask_points``; it is a fibre's one pass, which
-`fibres.PlaneCurveFq.zeros` keeps for line peeling and the smooth
-points, and a pencil member's base-point scan.  ``scan_singular_points``
-also evaluates the three partials and keeps the points where all four
-vanish: no fibre reads it, since `fibres.singular_locus` is a closed
-form, and it is the brute-force oracle that the acceptance battery and
-the tests check that closed form against.
+``scan_zero_points`` evaluates a form alone over P^2(GF(q)), given as
+((i, j, k), raw int) pairs, and decodes its zero set with
+``mask_points``; it is a fibre's one pass, on the terms that
+`fibres.PlaneCurveFq` reads off its normal form with no `MPoly` built,
+which `fibres.PlaneCurveFq.zeros` keeps for line peeling and the smooth
+points, and a pencil member's base-point scan (``plane.raw_terms`` of
+the member).  ``scan_singular_points`` takes an `MPoly`, evaluates it
+and its three partials and keeps the points where all four vanish: no fibre
+reads it, since `fibres.singular_locus` is a closed form, and it is the
+brute-force oracle that the acceptance battery and the tests check that
+closed form against.
 
 P^2(GF(2^8)) has 65793 points, so a form is evaluated at all at once
 with bit slicing (Biham, "A fast new DES implementation in software",
@@ -41,6 +44,7 @@ from functools import cache, reduce
 from operator import and_, or_
 
 from .errors import SearchCapped
+from .plane import raw_terms
 
 # Always False: there is no compiled path; kept because perfbench records it.
 USING_NUMBA = False
@@ -129,9 +133,9 @@ def _monomial(monomials: dict, e: tuple, gf) -> list:
 
 
 def _zero_masks(forms, gf) -> list:
-    """The zero set of each form as a mask over ``plane_points(gf.q)``;
-    the forms share their monomial planes.  The one cap check of the
-    scans."""
+    """The zero set of each form, ((i, j, k), raw int) pairs, as a mask
+    over ``plane_points(gf.q)``; the forms share their monomial planes.
+    The one cap check of the scans."""
     check_cap(gf.m, "the plane scan")
     m, q = gf.m, gf.q
     full = (1 << (q * q + q + 1)) - 1
@@ -141,10 +145,10 @@ def _zero_masks(forms, gf) -> list:
     masks = []
     for f in forms:
         acc = [0] * m
-        for e, c in f.terms.items():
+        for e, c in f:
             for i, plane in enumerate(_monomial(monomials, e, gf)):
                 if plane:
-                    col = gf.mul(c.v, 1 << i)    # c u^i: where plane i goes
+                    col = gf.mul(c, 1 << i)    # c u^i: where plane i goes
                     for k in range(m):
                         if col >> k & 1:
                             acc[k] ^= plane
@@ -160,13 +164,15 @@ def mask_points(mask: int, q: int) -> list:
     return [pts[one.start()] for one in re.finditer("1", bin(mask)[:1:-1])]
 
 
-def scan_zero_points(form, gf) -> list:
-    """Points of P^2(GF) where the form vanishes, as raw int triples."""
-    return mask_points(_zero_masks([form], gf)[0], gf.q)
+def scan_zero_points(terms, gf) -> list:
+    """Points of P^2(GF) where the form of ((i, j, k), raw int) pairs
+    `terms` vanishes, as raw int triples."""
+    return mask_points(_zero_masks([terms], gf)[0], gf.q)
 
 
 def scan_singular_points(form, gf) -> list:
-    """Points where the form and all three partials vanish (raw triples),
-    from one evaluation of the four forms."""
-    masks = _zero_masks([form, *map(form.partial, form.vars)], gf)
+    """Points where the form, an `MPoly`, and all three partials vanish
+    (raw triples), from one evaluation of the four forms."""
+    masks = _zero_masks([raw_terms(f) for f in
+                         (form, *map(form.partial, form.vars))], gf)
     return mask_points(reduce(and_, masks), gf.q)

@@ -200,7 +200,7 @@ class MPoly:
                 terms[e2] = c
         return MPoly(self.vars, self.domain, terms)
 
-    # ----- division / roots -------------------------------------------------------
+    # ----- division ---------------------------------------------------------------
 
     def divide(self, d: "MPoly") -> "MPoly | None":
         """Exact quotient under grevlex, or None when d does not divide self."""
@@ -218,23 +218,6 @@ class MPoly:
             q[qe] = qc
             r = r + d.mul_monomial(qe, qc)
         return MPoly(self.vars, self.domain, q)
-
-    def square_root(self) -> "MPoly | None":
-        """Term-wise char-2 square root, or None when not a perfect square."""
-        from .errors import NotASquare
-        terms = {}
-        for e, c in self.terms.items():
-            if any(k & 1 for k in e):
-                return None
-            try:
-                rc = c.sqrt()
-            except NotASquare:
-                return None
-            terms[tuple(k >> 1 for k in e)] = rc
-        root = MPoly(self.vars, self.domain, terms)
-        if (root * root) + self:
-            return None  # pragma: no cover - term-wise root is exact in char 2
-        return root
 
     # ----- equality / printing -------------------------------------------------------
 

@@ -3,21 +3,27 @@
 Both the fibre classification and the resolution of pencils work with
 ternary forms in (x, y, z) and the same few local constructions:
 
-* ``line_form`` and ``peel_lines``: linear factors over the field given
-  and no other.  The candidate lines are read off the zero set: a line
-  divides a form only if all its rational points are zeros.  The caller
-  hands in the base-field zero set, from ``kernels.scan_zero_points``:
-  a fibre's one pass, and a pencil member's scan that also gives its
-  base points.
-  ``_full_lines`` groups the zeros by their projection from a base point
-  and leaves the point once too many groups are open for one to be full,
-  which for the q+1 zeros of an integral fibre is at the second group.
-  Each candidate is then confirmed by division.  A fibre's lines over an
-  extension are read off its cofactor by ``fibres``, with no scan;
+* ``raw_terms`` and ``raw_form``: a form as ((i, j, k), raw int) pairs,
+  which the charts and the plane scans read, and back to an `MPoly`.  A
+  fibre keeps its terms in this shape (``fibres.PlaneCurveFq.terms``), so
+  it is scanned and charted with no `MPoly` built;
+* ``line_form``, ``full_lines`` and ``peel_lines``: linear factors over
+  the field given and no other.  The candidate lines are read off the
+  zero set: a line divides a form only if all its rational points are
+  zeros.  The caller hands in the base-field zero set, from
+  ``kernels.scan_zero_points``: a fibre's one pass, and a pencil member's
+  scan that also gives its base points.  ``full_lines`` groups the zeros
+  by their projection from a base point and leaves the point once too
+  many groups are open for one to be full, which for the q+1 zeros of an
+  integral fibre is at the second group.  ``peel_lines`` confirms each
+  candidate by division, so a fibre with no candidate divides nothing and
+  needs no `MPoly`.  A fibre's lines over an extension are read off its
+  normal form by ``fibres``, with no scan;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
-* ``chart_at``: the local equation at a point, a dict {(i, j): c} of raw
-  ints of one field in the two coordinates other than the pivot.  One
-  pass over the form's terms dehomogenizes, embeds the coefficients and
+* ``chart_at``: the local equation of a form's raw terms at a point, a
+  dict {(i, j): c} of raw ints of one field in the two coordinates other
+  than the pivot.  One pass over the terms dehomogenizes, embeds the
+  coefficients and
   moves the point to the origin with ``_translate``, which expands
   (x + s)^n by Lucas' theorem and multiplies by adding log-exponents, as
   ``GF.mul`` does; ``mult_origin`` reads the multiplicity;
@@ -55,20 +61,28 @@ from .finitefield import GF, GFElem
 from .mpoly import MPoly, FORM_VARS
 from .upoly import UPoly
 
+def raw_terms(f: MPoly) -> list:
+    """A form over GF(2^m) as ((i, j, k), raw int) pairs, the input of
+    ``chart_at`` and of the plane scans."""
+    return [(e, c.v) for e, c in f.terms.items()]
+
+
+def raw_form(gf: GF, pairs) -> MPoly:
+    """The ternary form of ((i, j, k), raw int) pairs over gf."""
+    return MPoly.from_terms(FORM_VARS, gf,
+                            [(e, GFElem(gf, v)) for e, v in pairs])
+
+
 def embed_form(f: MPoly, small: GF, big: GF) -> MPoly:
     if small is big:
         return f
     table = small.embedding_into(big)
-    return MPoly(f.vars, big,
-                 {e: GFElem(big, table[c.v]) for e, c in f.terms.items()})
+    return raw_form(big, ((e, table[c.v]) for e, c in f.terms.items()))
 
 
 def line_form(gf: GF, triple) -> MPoly:
     """The linear form a x + b y + c z of a raw coefficient triple."""
-    return MPoly.from_terms(
-        FORM_VARS, gf,
-        [(tuple(1 if k == i else 0 for k in range(3)), GFElem(gf, v))
-         for i, v in enumerate(triple) if v])
+    return raw_form(gf, zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), triple))
 
 
 # ----- local charts -------------------------------------------------------
@@ -111,23 +125,23 @@ def _translate(terms, gf: GF, su: int, sv: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def chart_at(form: MPoly, point, gf: GF) -> dict:
-    """The local equation of a form at a point of P^2(gf), three raw ints
-    of a field that holds the form's coefficients, in the coordinates u
-    and v other than the pivot, the point's first nonzero coordinate.
+def chart_at(terms, small: GF, point, gf: GF) -> dict:
+    """The local equation of a form, ((i, j, k), raw int) pairs over
+    `small`, at a point of P^2(gf), three raw ints of gf, an extension of
+    small, in the coordinates u and v other than the pivot, the point's
+    first nonzero coordinate.
 
     The form is dehomogenized at the pivot, its coefficients embedded in
     gf, and the point scaled to 1 there is moved to the origin by
-    ``_translate``, all in one pass over the form's terms."""
+    ``_translate``, all in one pass over the terms."""
     i = next((k for k, c in enumerate(point) if c), None)
     if i is None:
         raise ConstraintViolation("(0:0:0) is not a projective point")
     iu, iv = (k for k in range(3) if k != i)
     su, sv = gf.div(point[iu], point[i]), gf.div(point[iv], point[i])
-    table = None if form.domain is gf else form.domain.embedding_into(gf)
-    return _translate(
-        ((e[iu], e[iv], c.v if table is None else table[c.v])
-         for e, c in form.terms.items()), gf, su, sv)
+    table = range(gf.q) if small is gf else small.embedding_into(gf)
+    return _translate(((e[iu], e[iv], table[c]) for e, c in terms),
+                      gf, su, sv)
 
 
 def mult_origin(f: dict) -> int:
@@ -311,7 +325,7 @@ def _projection_groups(p, zeros, gf: GF, most: int) -> dict:
     return groups
 
 
-def _full_lines(zeros: list, gf: GF) -> list:
+def full_lines(zeros: list, gf: GF) -> list:
     """Every line of P^2(gf) all of whose q+1 points lie in `zeros`, a
     list of ``plane_points`` triples.
 
@@ -342,21 +356,20 @@ def _full_lines(zeros: list, gf: GF) -> list:
     return found
 
 
-def peel_lines(form: MPoly, gf: GF, zeros: list):
-    """Linear factors of a form over gf, with multiplicities, given its
-    zero set over gf.
+def peel_lines(form: MPoly, gf: GF, lines: list):
+    """Linear factors of a form over gf, with multiplicities, given the
+    candidate lines, those of ``full_lines`` of its zero set over gf.
 
-    The candidates are the lines whose rational points are all zeros of
-    the form, and each is confirmed by division: by Bezout every
-    candidate is a factor once q+1 exceeds the degree, but over GF(2) a
-    quartic can vanish on a line it does not contain.  A line that does
-    not divide the cofactor divides none of its quotients, so each
-    candidate is tried once, to its multiplicity.  Returns ({line triple:
+    Each candidate is confirmed by division: by Bezout every candidate is
+    a factor once q+1 exceeds the degree, but over GF(2) a quartic can
+    vanish on a line it does not contain.  A line that does not divide
+    the cofactor divides none of its quotients, so each candidate is
+    tried once, to its multiplicity.  Returns ({line triple:
     multiplicity}, cofactor), both over gf: lines over an extension stay
     in the cofactor.
     """
     found, rem, deg = {}, form, form.total_degree()
-    for t in _full_lines(zeros, gf):
+    for t in lines:
         if deg == 0:
             break
         line = line_form(gf, t)

@@ -33,8 +33,9 @@ raises `NonRationalCenter` at once.  Charts, the blow-up step, line
 peeling and the root finder come from ``plane``.  Each member is scanned
 once over GF(q) (``kernels.scan_zero_points``, bounded there): the base
 points are the common zeros of the two scans, and each scan is also the
-zero set from which ``plane.peel_lines`` names the member's components
-over GF(q): its rational lines, and the rest as one cofactor.
+zero set from which ``plane.full_lines`` and ``plane.peel_lines`` name
+the member's components over GF(q): its rational lines, and the rest as
+one cofactor.
 """
 
 from collections import deque
@@ -45,8 +46,8 @@ from .errors import (ConstraintViolation, IdentityFailed, NonRationalCenter,
                      NotHomogeneous, UnknownCurve, ZeroForm)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import MPoly, FORM_VARS
-from .plane import (blow_up, chart_at, line_form, mult_origin, peel_lines,
-                    roots, tangent_cone)
+from .plane import (blow_up, chart_at, full_lines, line_form, mult_origin,
+                    peel_lines, raw_form, raw_terms, roots, tangent_cone)
 
 _SERIES = "EFGHIJK"
 _MAX_NODES = 64
@@ -81,9 +82,7 @@ class PencilSpec:
 
 
 def _f2_form(items) -> MPoly:
-    gf = GF.get(1)
-    return MPoly.from_terms(FORM_VARS, gf,
-                            [(e, gf.one_elem()) for e in items])
+    return raw_form(GF.get(1), ((e, 1) for e in items))
 
 
 def quartic_pencil() -> PencilSpec:
@@ -230,14 +229,14 @@ def _named_factors(pencil: PencilSpec, zeros: list):
     """
     gf = pencil.gf
     named = []          # (cid, form, fib0, fib1)
-    lines0, rem0 = peel_lines(pencil.f0, gf, zeros[0])
+    lines0, rem0 = peel_lines(pencil.f0, gf, full_lines(zeros[0], gf))
     parts0 = []
     if rem0.total_degree() > 0:
         parts0.append((rem0, 1))
     parts0 += [(line_form(gf, t), m) for t, m in sorted(lines0.items())]
     for i, (form, mult) in enumerate(parts0):
         named.append(("W" if i == 0 else f"W{i + 1}", form, mult, 0))
-    lines1, rem1 = peel_lines(pencil.f1, gf, zeros[1])
+    lines1, rem1 = peel_lines(pencil.f1, gf, full_lines(zeros[1], gf))
     parts1 = [(line_form(gf, t), m) for t, m in
               sorted(lines1.items(), key=lambda kv: (-kv[1], kv[0]))]
     if rem1.total_degree() > 0:
@@ -265,7 +264,8 @@ def _vanishes(f: dict) -> bool:
 def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     """Blow up base points until the transformed pencil is base-free."""
     gf = pencil.gf
-    zeros = [kernels.scan_zero_points(f, gf) for f in (pencil.f0, pencil.f1)]
+    members = [raw_terms(f) for f in (pencil.f0, pencil.f1)]
+    zeros = [kernels.scan_zero_points(terms, gf) for terms in members]
     # the rational base points, in descending order
     ordered = sorted(set(zeros[0]) & set(zeros[1]), reverse=True)
     named = _named_factors(pencil, zeros)
@@ -274,10 +274,10 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     strict_mults = {cid: {} for cid, _, _, _ in named}
 
     for (pt, series) in report.base_points:
-        g0, g1 = chart_at(pencil.f0, pt, gf), chart_at(pencil.f1, pt, gf)
+        g0, g1 = (chart_at(terms, gf, pt, gf) for terms in members)
         tracked = {}
         for cid, form, _, _ in named:
-            local = chart_at(form, pt, gf)
+            local = chart_at(raw_terms(form), gf, pt, gf)
             if _vanishes(local):
                 tracked[cid] = local
         queue = deque([{
@@ -430,7 +430,6 @@ def covering_check(use_identity: bool = False) -> dict:
     a square shows up).  `use_identity` swaps in the identity map as a
     negative control, which must fail."""
     gf = GF.get(1)
-    one = gf.one_elem()
     qp, cp = quartic_pencil(), cubic_pencil()
     x = MPoly.var(FORM_VARS, gf, "x")
     y = MPoly.var(FORM_VARS, gf, "y")
@@ -450,9 +449,7 @@ def covering_check(use_identity: bool = False) -> dict:
 
     # parametrized component checks; (s:u) is written (x:y) below
     def par(exps):
-        return tuple(
-            MPoly.from_terms(FORM_VARS, gf, [((i, j, 0), one)])
-            for i, j in exps)
+        return tuple(raw_form(gf, [((i, j, 0), 1)]) for i, j in exps)
 
     par_w = par([(0, 4), (3, 1), (4, 0)])       # (u^4 : u s^3 : s^4)
     par_wp = par([(0, 3), (3, 0), (2, 1)])      # (u^3 : s^3 : u s^2)
@@ -467,7 +464,7 @@ def covering_check(use_identity: bool = False) -> dict:
     for name, p_up, p_down, extra in (
             ("W->W'", par_w, par_wp, (0, 2)),
             ("Z->Z'", par_line, par_line, (0, 0))):
-        mono = MPoly.from_terms(FORM_VARS, gf, [(extra + (0,), one)])
+        mono = raw_form(gf, [(extra + (0,), 1)])
         for i in range(3):
             lhs = _pair_sub(psi[i], p_up)
             rhs = mono * p_down[i].substitute(frob)

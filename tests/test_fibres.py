@@ -1,6 +1,7 @@
 """Fibre specialization, singularity analysis and the classification."""
 
 import functools
+import hashlib
 import random
 import signal
 from collections import Counter
@@ -8,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from quarticfibres import fibres, kernels, plane
+from quarticfibres import families, fibres, kernels, plane
 from quarticfibres.errors import (ConstraintViolation, NotSingular,
                                   InternalCheckFailed, NotSmoothPoint,
                                   PointNotOnCurve, QuarticError, SearchCapped,
@@ -108,7 +109,7 @@ def test_delta_oracles():
 def test_delta_through_irrational_directions(text, want, r):
     curve = _curve(text)
     assert delta_invariant(curve, (0, 0, 1)) == want
-    local = chart_at(curve.form, (0, 0, 1), curve.gf)
+    local = chart_at(curve.terms, curve.gf, (0, 0, 1), curve.gf)
     etas, vertical = fibres._directions(local, curve.gf, want[1][0])
     assert vertical == 0 and len(etas) == want[1][0]
     assert all(big.m == r for big, _ in etas)
@@ -211,6 +212,65 @@ def test_predicted_points_all_fibrations():
             predicted_singular_point(name, point, SPEC4)
     with pytest.raises(UnsupportedFamily):
         predicted_singular_point("pencil-cubic", (1, 1), SPEC4)
+
+
+@pytest.mark.parametrize("fn", [specialize_fibre, predicted_singular_point])
+@pytest.mark.parametrize("c", [700, -1, GFElem(GF.get(3), 7), 7.0, "7"])
+def test_parameters_outside_the_field_are_refused(fn, c):
+    # a parameter is a raw int in range(64) or an element of GF(64) itself,
+    # as a point's coordinate is: nothing is reduced, reinterpreted or
+    # left to fail in the arithmetic
+    with pytest.raises(ConstraintViolation):
+        fn("pi4", (3, 5, c), FieldSpec(6))
+
+
+def _count_new(monkeypatch, cls):
+    made = []
+    init = cls.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_fibres_are_classified_off_the_normal_form(monkeypatch):
+    # machine-independent work counts: a fibration's fibre is read from its
+    # terms into the record, and classifying it runs no strangeness test
+    # beyond that one pass and builds an MPoly only for a printed component
+    forms = _count_new(monkeypatch, MPoly)
+    strange = _count_calls(monkeypatch, families, "is_strange")
+    monkeypatch.setattr(fibres, "is_strange", families.is_strange,
+                        raising=False)
+    for name, point, m in (("pi4", (3, 5, 7), 6), ("pi3", (1, 2, 3, 4), 3)):
+        cls = classify_fibre(specialize_fibre(name, point, FieldSpec(m)))
+        assert cls.kind == "IntegralQuartic"
+    assert forms == [] and strange == []
+    cls = classify_fibre(specialize_fibre("pi5", (0, 0, 1, 2), FieldSpec(3)))
+    assert (cls.kind, len(cls.components)) == ("Other", 2)
+    assert len(forms) == 2 and strange == []
+
+
+def test_a_form_is_tested_for_strangeness_once(monkeypatch):
+    # a machine-independent work count: the record is read when the curve
+    # is made from a form, and the classification, the locus and the
+    # smooth points all read that record
+    read = fibres.NormalForm.read.__func__
+    calls = []
+
+    def counted(cls, gf, terms):
+        calls.append(gf)
+        return read(cls, gf, terms)
+    monkeypatch.setattr(fibres.NormalForm, "read", classmethod(counted))
+    spec = FieldSpec(6)
+    curve = PlaneCurveFq(specialize_fibre("pi4", (3, 5, 7), spec).form, spec)
+    assert len(calls) == 2     # the fibre's record, then the form's
+    assert classify_fibre(curve).kind == "IntegralQuartic"
+    singular_locus(curve)
+    smooth_points(curve, limit=1)
+    assert len(calls) == 2
+    assert curve.normal == specialize_fibre("pi4", (3, 5, 7), spec).normal
 
 
 def test_tangent_types():
@@ -335,7 +395,7 @@ def test_tangent_contact_matches_substitution(m):
     gf = GF.get(m)
     checked = 0
     for curve in _oracle_curves(gf, rng):
-        zeros = kernels.scan_zero_points(curve.form, gf)
+        zeros = kernels.scan_zero_points(curve.terms, gf)
         singular = kernels.scan_singular_points(curve.form, gf)
         smooth = [p for p in zeros if p not in singular]
         points = rng.sample(smooth, min(4, len(smooth))) + list(singular)
@@ -417,7 +477,7 @@ def test_classify_divides_only_by_candidate_lines(monkeypatch):
     assert len(calls) <= 8
     # the multiplicity is the first of the delta invariant's sequence
     sing = tuple(c.v for c in cls.sing_point)
-    assert sum(point == sing for _, point, _ in charts) == 1
+    assert sum(tuple(point) == sing for _, _, point, _ in charts) == 1
 
 
 def test_gf64_fibre_plane_products(monkeypatch):
@@ -636,7 +696,7 @@ def test_integral_answer_beyond_delta_3_raises(m, monkeypatch):
     # unfound, the form reaches the integral branch with delta 6 there,
     # more than the arithmetic genus 3 of an integral quartic
     monkeypatch.setattr(fibres, "_lines_through_n",
-                        lambda factors, rem, gf: (factors, rem, gf))
+                        lambda factors, rem, curve: (factors, rem, curve.gf))
     with pytest.raises(InternalCheckFailed, match="with delta 6"):
         classify_fibre(_curve("x^4 + x*z^3 + z^4", FieldSpec(m)))
 
@@ -718,14 +778,51 @@ def test_root_lift_builds_only_the_splitting_field(monkeypatch):
 
 @functools.cache
 def _grid(name, m):
-    """Every fibre of a fibration over GF(2^m), with its class."""
+    """Every fibre of a fibration over GF(2^m), with its class; a pencil's
+    (0, 0) is no member."""
     spec = FieldSpec(m)
     out = []
     for point in product(range(spec.field().q),
                          repeat=len(FIBRATIONS[name][0])):
-        curve = specialize_fibre(name, point, spec)
+        try:
+            curve = specialize_fibre(name, point, spec)
+        except ZeroForm:
+            continue
         out.append((point, curve, classify_fibre(curve)))
     return out
+
+
+def _sha1(lines) -> str:
+    return hashlib.sha1("".join(f"{line}\n" for line in lines)
+                        .encode()).hexdigest()
+
+
+# SHA-1 of the repr of every answer, one a line in grid order: a change to
+# an answer or to how it prints moves the digest of its group
+_GRID_DIGESTS = {
+    ("pencil-quartic", 1): "8460e9f2f2197058a9e4a797a76d6c978bbc6e4e",
+    ("pencil-quartic", 2): "3b39633d677bd60b96e2d153d1b4c884df33fb6e",
+    ("pencil-quartic", 3): "b1c5dd997b991e2d41ce9353241ca8e66535829c",
+    ("pi3", 1): "48e80beca8929366b369ba406fcb97a402e25188",
+    ("pi3", 2): "0aff267f7084c6f9a2a3e332040146a3856f51f4",
+    ("pi3", 3): "8b91b638168124f8edc521cff039c4ae733cd609",
+    ("pi4", 1): "2ef33bfee9b1f5cb52165c70013507929e2b6925",
+    ("pi4", 2): "94c70ef70d4ce21111ef2b7f6bb0ffd7d4a5579a",
+    ("pi4", 3): "8fb15cad97abdf09efefb679041b8a3764dd3b37",
+    ("pi5", 1): "58be9ad9c3142a973b3a2f2f58b9317efcf62a5a",
+    ("pi5", 2): "a37133a52ba3ec9629bfa17ca170c786b2028963",
+    ("pi5", 3): "ad600fc540d6c3f187f7dbab9c770cfa7639c443",
+}
+_CENSUS_DIGESTS = {1: "df7391c4a45abf1d5b2540b43c827544bf3431cc",
+                   2: "160970f1f39895e18f910431a67e47d936aba95f",
+                   3: "228d79ce049849dd57d7bda049c885ba7ab6cbb8"}
+
+
+def test_every_grid_answer_is_pinned():
+    # the byte-identity contract on the 9401 fibres of the m <= 3 grids
+    moved = [key for key, want in _GRID_DIGESTS.items()
+             if _sha1(repr(cls) for _, _, cls in _grid(*key)) != want]
+    assert moved == []
 
 
 def test_components_multiply_back_over_reported_field():
@@ -839,7 +936,7 @@ def test_strange_form_census_over_gf2_and_its_embeddings():
     # multiplicities) does not depend on the field, the components
     # multiply back over the field ext names, and nothing raises
     small = GF.get(1)
-    kinds, mismatches = Counter(), []
+    kinds, mismatches, reprs = Counter(), [], {1: [], 2: [], 3: []}
     for curve in _even_y_quartics(small, product(range(2), repeat=9)):
         answers = []
         for m in (1, 2, 3):
@@ -847,6 +944,7 @@ def test_strange_form_census_over_gf2_and_its_embeddings():
             lifted = PlaneCurveFq(embed_form(curve.form, small, big),
                                   FieldSpec(m))
             cls = classify_fibre(lifted)
+            reprs[m].append(repr(cls))
             if cls.components:
                 assert _multiplies_back(lifted, cls), (str(curve.form), m)
             answers.append((cls.kind, cls.multiplicity, cls.delta,
@@ -858,6 +956,9 @@ def test_strange_form_census_over_gf2_and_its_embeddings():
     assert kinds == {"IntegralQuartic": 264, "Other": 185,
                      "ConicPlusDoubleLine": 28, "DoubleConic": 28,
                      "LinePlusTripleLine": 6}
+    # and every answer prints as it did (see _GRID_DIGESTS), by field
+    assert [m for m, want in _CENSUS_DIGESTS.items()
+            if _sha1(reprs[m]) != want] == []
 
 
 def _gf2_image(curve, move):

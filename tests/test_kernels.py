@@ -5,6 +5,7 @@ import pytest
 from quarticfibres import gf2x, kernels
 from quarticfibres.finitefield import GF, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
+from quarticfibres.plane import raw_terms
 
 random.seed(71007)
 
@@ -61,14 +62,14 @@ def test_evaluate_matches_eval_point():
                 zero.append(p)
                 if not any(d.eval_point(point) for d in partials):
                     singular.append(p)
-            assert kernels.scan_zero_points(f, gf) == zero
+            assert kernels.scan_zero_points(raw_terms(f), gf) == zero
             assert kernels.scan_singular_points(f, gf) == singular
 
 
 def test_scan_zero_points_brute_force():
     gf = GF.get(2)
     f = _rand_form(gf)
-    got = set(kernels.scan_zero_points(f, gf))
+    got = set(kernels.scan_zero_points(raw_terms(f), gf))
     want = set()
     for p in kernels.plane_points(gf.q):
         point = {n: GFElem(gf, v) for n, v in zip(FORM_VARS, p)}

@@ -176,17 +176,6 @@ def test_divide_exact_or_none():
     assert (x * x + x * y + y * y).divide(x + y) is None
 
 
-def test_square_root():
-    for _ in range(60):
-        a = _rand(F4, 2, 4)
-        s = (a * a).square_root()
-        assert s == a
-    x = MPoly.var(FORM_VARS, F4, "x")
-    y = MPoly.var(FORM_VARS, F4, "y")
-    assert (x * y).square_root() is None
-    assert (x * x * y * y).square_root() == x * y
-
-
 def test_str_ordering_is_stable():
     p = _rand(F4, 3, 6)
     assert str(p) == str(MPoly(FORM_VARS, F4, dict(p.terms)))

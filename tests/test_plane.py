@@ -18,7 +18,8 @@ from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
 from quarticfibres.plane import (blow_up, chart_at, embed_form,
-                                 is_smooth_conic, line_form, peel_lines,
+                                 full_lines, is_smooth_conic, line_form,
+                                 peel_lines, raw_terms,
                                  roots)
 from quarticfibres.resolution import PENCILS, resolve_pencil
 from quarticfibres.upoly import UPoly
@@ -39,7 +40,8 @@ def _trial_division_peel(form, gf):
 
 
 def _check(form, gf):
-    got = peel_lines(form, gf, kernels.scan_zero_points(form, gf))
+    zeros = kernels.scan_zero_points(raw_terms(form), gf)
+    got = peel_lines(form, gf, full_lines(zeros, gf))
     assert got == _trial_division_peel(form, gf)
     return got
 
@@ -91,7 +93,7 @@ def _collinear_cases(gf):
         cases.append(parse_form("y^2*z^2 + y^3*z + x*y^3 + x^2*z^2 + x*z^3"
                                 " + x^3*y + x^4", FieldSpec(1), over="GF"))
     for form in cases:
-        zeros = kernels.scan_zero_points(form, gf)
+        zeros = kernels.scan_zero_points(raw_terms(form), gf)
         assert sorted(zeros) == sorted(p for p in kernels.plane_points(gf.q)
                                        if p[0] == 0)
     return cases
@@ -137,7 +139,7 @@ def test_four_lines_over_f2():
         ((1, 2, 0), gf.one_elem()), ((2, 1, 0), gf.one_elem()),
         ((0, 0, 3), gf.one_elem()), ((2, 0, 1), gf.one_elem())])
     form = x * cubic
-    assert len(kernels.scan_zero_points(form, gf)) == 7
+    assert len(kernels.scan_zero_points(raw_terms(form), gf)) == 7
     factors, rem = _check(form, gf)
     assert factors == {(1, 0, 0): 1} and rem == cubic
 
@@ -161,7 +163,9 @@ _CONIC_MONOS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1),
 def _smooth_conic_oracle(conic, gf):
     """Not a square, and no rational point where the conic and its
     partials vanish (a singular conic's vertex is rational)."""
-    if conic.total_degree() != 2 or conic.square_root() is not None:
+    # a square has only even exponents, and every coefficient is a square
+    if conic.total_degree() != 2 or not any(k & 1 for e in conic.terms
+                                            for k in e):
         return False
     return not kernels.scan_singular_points(conic, gf)
 
@@ -293,7 +297,8 @@ def test_chart_matches_substitution(m, exts):
             point[j] = big.zero_elem()      # zero shifts, (0:0:1) among them
         if not any(point):
             continue
-        assert chart_at(form, tuple(c.v for c in point), big) == (
+        assert chart_at(raw_terms(form), gf, tuple(c.v for c in point),
+                        big) == (
             _chart_by_substitution(form, tuple(point)))
 
 
@@ -388,9 +393,9 @@ def test_line_search_matches_join_grouping():
             cases.append(sorted(zeros))
         for zeros in cases:
             rng.shuffle(zeros)      # group order follows the zero order
-            assert plane._full_lines(zeros, gf) == _join_grouping_lines(
+            assert plane.full_lines(zeros, gf) == _join_grouping_lines(
                 zeros, gf)
-        assert plane._full_lines(x_axis, gf) == [(1, 0, 0)]
+        assert plane.full_lines(x_axis, gf) == [(1, 0, 0)]
 
 
 # ----- univariate roots ---------------------------------------------------
