@@ -66,9 +66,12 @@ def _field(args) -> FieldSpec:
     return FieldSpec(args.field_m, modulus)
 
 
-def _gf_value(text: str, spec: FieldSpec) -> int:
-    """A finite-field element, as a decimal int or a polynomial in g."""
+def _gf_value(name: str, text: str, spec: FieldSpec) -> int:
+    """The value of parameter `name`, a finite-field element, as a decimal
+    int or a polynomial in g."""
     text = text.strip()
+    if not text:
+        raise QuarticError(f"parameter {name!r} has no value")
     try:
         v = int(text)
     except ValueError:
@@ -79,6 +82,13 @@ def _gf_value(text: str, spec: FieldSpec) -> int:
     if not 0 <= v < spec.field().q:
         raise QuarticError(f"{v} is out of range for F{spec.field().q}")
     return v
+
+
+def _count(text: str) -> int:
+    """A nonnegative int, for argparse: anything else is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count")
+    return int(text)
 
 
 def _split_csv(text: str) -> list:
@@ -261,7 +271,7 @@ def _cmd_fibre(args) -> int:
     values = _split_csv(args.params)
     if len(values) != len(names):
         raise QuarticError(f"{name} takes {len(names)} parameters")
-    point = tuple(_gf_value(v, spec) for v in values)
+    point = tuple(_gf_value(n, v, spec) for n, v in zip(names, values))
     curve = specialize_fibre(name, point, spec)
     cls = classify_fibre(curve)
     rep = _Report("fibre", {
@@ -313,7 +323,7 @@ def _cmd_scan(args) -> int:
         if key not in names:
             raise QuarticError(f"unknown parameter {key!r}"
                                f" (expected one of {', '.join(names)})")
-        fixed[key] = _gf_value(value, spec)
+        fixed[key] = _gf_value(key, value, spec)
     counts: dict = {}
     scanned = 0
     limit = args.limit
@@ -483,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fibration", required=True, choices=sorted(FIBRATIONS))
     p.add_argument("--fix", metavar="N=V,...",
                    help="freeze named parameters, e.g. d=0")
-    p.add_argument("--limit", type=int, metavar="N",
+    p.add_argument("--limit", type=_count, metavar="N",
                    help="stop after N grid points")
     p.set_defaults(func=_cmd_scan)
 

@@ -15,11 +15,11 @@ which derives the square roots of L and S below once.
 ``PlaneCurveFq(form, spec)`` reads any form into it in one pass, the one
 strangeness test here.  The classification reads the record at every
 step: F is a square iff c1 = d1 = d3 = 0, the locus and the biconic
-split (C / a and D / a by raw products) read its coefficients, the lines
-through (0:1:0) are read off C and D, and the tangent off C; the plane
-pass and the charts read the raw terms.  `PlaneCurveFq.form`, the
-`MPoly`, is built on first use: for printed components, for line
-peeling's divisions and for the oracles.  The routines here measure a
+split (C / a and D / a by raw products) read its coefficients, every
+line factor is read off it, and the tangent off C; the plane pass and
+the charts read the raw terms.  `PlaneCurveFq.form`, the `MPoly`, is
+built on first use: for printed components, for line peeling's
+divisions and for the oracles.  The routines here measure a
 fibre:
 
 * ``singular_locus`` reads the locus off the normal form: F_x = z L^2
@@ -28,11 +28,11 @@ fibre:
   binary quadratic on L, with (0:1:0) when F has no y^4 term.  It scans
   nothing, and builds GF(q^2) only for a conjugate pair;
 * the curve's one bit-sliced pass over P^2(GF(q)) evaluates F alone
-  (`PlaneCurveFq.zeros`): line peeling reads the zero set,
-  ``smooth_points`` is that set less the rational locus, and the
-  classification asks only whether it holds more points than the
-  locus.  ``kernels`` bounds the pass, so these raise `SearchCapped`
-  beyond its cap;
+  (`PlaneCurveFq.zeros`): ``smooth_points`` is that set less the
+  rational locus, and the classification asks only whether it holds
+  more points than the locus, for the tangent of an integral answer, so
+  a reducible fibre builds no pass.  ``kernels`` bounds the pass, so
+  these raise `SearchCapped` beyond its cap;
 * ``multiplicity_at``, ``delta_invariant`` and ``tangent_contact_type``
   check the point and read it as raw ints of its field, then work in the
   ``plane.chart_at`` of the curve's raw terms there, a dict of raw ints,
@@ -44,18 +44,20 @@ fibre:
   tangent that the classification reads off the normal form;
 * ``classify_fibre`` runs the cascade double-conic / linear-split /
   biconic / integral and returns a `FibreClass`; the linear split reads
-  its rational candidate lines off the zero set and confirms each by
-  division, which is where an `MPoly` is first needed, and reads the
-  other lines off the record's C and D; an integral answer's tangent kind
-  comes from C, with no chart and no root search.
+  its rational candidate lines off the record (``_record_lines``) and
+  confirms each by division, which is where an `MPoly` is first needed,
+  and lifts the lines through (0:1:0) over extensions from the record's
+  gcd(C, D); an integral answer's tangent kind comes from C, with no
+  chart and no root search.
 
 Charts, blow-ups, line peeling and root finding come from ``plane``;
 none of the above makes a polynomial substitution, and `GFElem` values
 are made only for what is reported: points and `FibreClass.sing_point`.
-The one search bound outside ``kernels`` is the root lift of
-``_lift_roots``, which the blow-up directions, the lines through (0:1:0)
-and a conjugate pair of singular points share, and which stops at the
-field tables.
+The one search bound outside ``kernels`` is ``_extension``, which builds
+every extension field: for the root lift of ``_lift_roots``, which the
+blow-up directions, the lines through (0:1:0) and a conjugate pair of
+singular points share, and for a conjugate pair of the biconic split.
+It stops at the field tables.
 
 ``classify_fibre`` and ``singular_locus`` take strange quartics in the
 normal form dF/dy = 0, whose strange point is (0:1:0), and refuse any
@@ -65,16 +67,17 @@ integral curve, and such a curve always has a singular point (Samuel
 fibres are all of this form, and their lines and singular point are
 rational.  A general strange quartic can have a conjugate pair of
 singular points, the roots of the quadratic on L when they lie over
-GF(q^2).  Its lines need no search beyond the base field.  Write F =
-a y^4 + C y^2 + D with C and D in x and z.  A line y + l not through
-(0:1:0) divides F only as (y + l)^2, and then l is rational unless F is
-the square of a conjugate pair of such lines.  So without a y^4 term every
-line left after base-field peeling passes through (0:1:0), and these
-lines are the linear factors of gcd(C, D), split over GF(q^r) with
-r <= 4.  A conic pair y^4 + A y^2 + B = (y^2+v)(y^2+w), the square of a
-conjugate pair of lines y + l included (v = l^2), splits over GF(q) or
-GF(q^2), which is a question about T^2 + A T + B over GF(q), so the
-biconic split searches GF(q) alone for every m.
+GF(q^2).  Its lines need no search.  Write F = a y^4 + C y^2 + D with C
+and D in x and z.  A line through (0:1:0) divides F only when a = 0,
+and then it is z or a linear factor of gcd(C, D), split over GF(q^r)
+with r <= 4.  A line y + l not through (0:1:0) divides F only as
+(y + l)^2: unless F is a square it is L / sqrt(c1) for the line L of
+``singular_locus``, and l is rational unless F is the square of a
+conjugate pair of such lines (``_record_lines``).  A conic pair y^4 +
+A y^2 + B = (y^2+v)(y^2+w), the square of a pair of lines y + l
+included (v = l^2), splits over GF(q) or GF(q^2), which is a question
+about T^2 + A T + B over GF(q), so the biconic split searches GF(q)
+alone for every m.
 """
 
 from dataclasses import dataclass
@@ -89,9 +92,9 @@ from .families import (FAMILY_PARAMS, FamilyTag, family_terms,
                        singular_radicands)
 from .finitefield import GF, GFElem, FieldSpec, TABLE_LIMIT
 from .mpoly import MPoly
-from .plane import (blow_up, chart_at, embed_form, full_lines,
-                    is_smooth_conic, line_form, mult_origin, peel_lines,
-                    raw_form, raw_terms, roots, tangent_cone)
+from .plane import (blow_up, chart_at, embed_form, is_smooth_conic,
+                    line_form, mult_origin, peel_lines, raw_form, raw_terms,
+                    roots, tangent_cone)
 from .upoly import UPoly
 
 
@@ -375,7 +378,7 @@ def _in_scan_order(gf: GF, points) -> list:
     out = {}
     for f, p in points:
         lead = next(v for v in p if v)
-        p = tuple(f.div(v, lead) for v in p)
+        p = tuple([f.div(v, lead) for v in p])
         # plane_points order: (1:y:z), then (0:1:z), then (0:0:1)
         out[f.m, -p[0], -(p[0] or p[1]), p] = _elems(f, p), f.m // gf.m
     return [out[k] for k in sorted(out)]
@@ -391,7 +394,7 @@ def smooth_points(curve: PlaneCurveFq, limit: int | None = None) -> list:
 
 
 def _elems(gf: GF, raw) -> tuple:
-    return tuple(GFElem(gf, v) for v in raw)
+    return tuple([GFElem(gf, v) for v in raw])
 
 
 # ----- tangent contact ----------------------------------------------------
@@ -449,9 +452,7 @@ def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF, list | None]:
     of two quadratics (or the square of one), split over GF(q^2), iff it
     shares a factor with T^(q^2) - T, and irreducible, split over
     GF(q^4), otherwise.  So r is known before a field is built, and only
-    GF(q^r) is built and searched.  This lift is the one place that
-    builds an extension for a root search, and a GF(q^r) beyond the
-    field tables raises `SearchCapped`."""
+    GF(q^r) is built (``_extension``) and searched."""
     r = h.deg()
     if r <= 0:
         return [], gf, None
@@ -460,11 +461,20 @@ def _lift_roots(h: UPoly, gf: GF) -> tuple[list, GF, list | None]:
         for _ in range(2 * gf.m):
             frob = frob.square().mod(h)
         r = 2 if (frob + t).gcd(h).deg() > 0 else 4
-    kernels.check_cap(gf.m * r, "the root lift", TABLE_LIMIT)
-    big = GF.get(gf.m * r)
-    table = gf.embedding_into(big)
+    big, table = _extension(gf, r, "the root lift")
     return roots(UPoly.from_coeffs(
         big, [table[c] for c in h.to_coeffs()]))[0], big, table
+
+
+def _extension(gf: GF, r: int, search: str) -> tuple[GF, list]:
+    """GF(q^r) (gf itself for r = 1) and the embedding table of gf into
+    it: the one place that builds an extension for a search, so a field
+    beyond the tables raises `SearchCapped` and never `FieldError`."""
+    if r == 1:
+        return gf, gf.embedding_into(gf)
+    kernels.check_cap(gf.m * r, search, TABLE_LIMIT)
+    big = GF.get(gf.m * r)
+    return big, gf.embedding_into(big)
 
 
 def _directions(f: dict, gf: GF, m: int):
@@ -517,25 +527,72 @@ def delta_invariant(curve: PlaneCurveFq, point) -> tuple[int, tuple]:
 # ----- classification -----------------------------------------------------
 
 
-def _lines_through_n(factors: dict, rem, curve: PlaneCurveFq):
-    """Add the lines through the strange point (0:1:0) over extensions of
-    gf to the rational lines `factors` that base-field peeling took out
-    of a strange quartic without a y^4 term, and return both and the
-    cofactor over the field of the new lines (gf when there is none); rem
-    is the cofactor of the peeling, None when it took no line.
+def _line_off_n(gf: GF, s0: int, s2: int) -> tuple:
+    """The triple of the line y + s0 x + s2 z, scaled so that its first
+    nonzero coordinate is 1, as ``kernels.plane_points`` is."""
+    return (1, gf.inv(s0), gf.div(s2, s0)) if s0 else (0, 1, s2)
 
-    With a = 0, F = C y^2 + D with C and D in x and z.  A line through
-    (0:1:0) other than the rational z is x + b z, which divides F iff it
-    divides C and D, so the lines are the linear factors of gcd(C, D), to
-    their multiplicities there, read off the normal form at z = 1 as one
-    `UPoly.gcd`.  Its rational roots are lines that peeling took, and
-    ``_lift_roots`` splits what is left."""
-    gf, nf = curve.gf, curve.normal
+
+def _record_lines(nf: NormalForm) -> tuple[list, UPoly | None]:
+    """The rational lines that can divide a strange quartic F = a y^4 +
+    C y^2 + D, read off its record, as line triples, and, when a = 0, the
+    root-free cofactor of gcd(C, D), whose roots are its lines through
+    (0:1:0) over extensions (None when a != 0).  F must not be the square
+    of a smooth conic.
+
+    A line through (0:1:0), x + b z or z, divides F only when a = 0, and
+    then iff it divides C and D: the lines are z, when neither C nor D has
+    an x-power term, and x + b z for the roots b of gcd(C, D) at z = 1,
+    one `UPoly.gcd`.  A line y + l not through (0:1:0) divides F only
+    squared (F_y = 0), and y^2 + l^2 divides F iff a l^4 + C l^2 + D = 0.
+    When F is not a square, the x^3 z and x z^3 terms of that identity
+    give c1 != 0 and l^2 = (d1 x^2 + d3 z^2) / c1, the line L / sqrt(c1)
+    of ``singular_locus``, and the other three terms are its test.  When
+    F = S^2, S (not a smooth conic) holds the lines: with a != 0 and no
+    x y or y z term in S, S = sqrt(a) (y + l)^2 and l is read off its x^2
+    and z^2 terms; with a = 0, S = m (y + l) for m = sqrt(c0) x +
+    sqrt(c2) z and l is solved from S's x^2, x z and z^2 terms.  A pair
+    of distinct lines with a != 0 is left to ``_biconic_split``."""
+    gf, a, (c0, c1, c2), (d0, d1, d2, d3, d4) = nf.gf, nf.a, nf.c, nf.d
+    mul, div, sqrt = gf.mul, gf.div, gf.sqrt
+    lines = []
+    if c1:
+        u0, u2 = div(d1, c1), div(d3, c1)       # l^2 = u0 x^2 + u2 z^2
+        if (mul(u0, mul(a, u0) ^ c0) == d0 and mul(u2, mul(a, u2) ^ c2) == d4
+                and mul(c2, u0) ^ mul(c0, u2) == d2):
+            lines.append(_line_off_n(gf, sqrt(u0), sqrt(u2)))
+    elif not (d1 or d3):                        # F = S^2
+        sa, sxy, syz, sxx, sxz, szz = nf.square_roots[3:]
+        if a and not (sxy or syz):              # F = a (y + l)^4
+            lines.append(_line_off_n(gf, sqrt(div(sxx, sa)),
+                                     sqrt(div(szz, sa))))
+        elif not a and sxy:
+            s0 = div(sxx, sxy)
+            lines.append(_line_off_n(gf, s0, div(sxz ^ mul(syz, s0), sxy)))
+        elif not a and syz:
+            lines.append(_line_off_n(gf, div(sxz, syz), div(szz, syz)))
+    if a:
+        return lines, None
+    if not (c0 or d0):
+        lines.append((0, 0, 1))
     c, d = (UPoly.from_coeffs(gf, v[::-1]) for v in (nf.c, nf.d))
-    found, big, table = _lift_roots(roots(c.gcd(d))[1], gf)
+    found, rest = roots(c.gcd(d))
+    return lines + [(1, 0, b) for b, _ in found], rest
+
+
+def _lines_through_n(factors: dict, rem, curve: PlaneCurveFq, rest: UPoly):
+    """Add the lines x + b z through the strange point (0:1:0) over
+    extensions of gf, b the roots of `rest` (``_record_lines``), to the
+    rational lines `factors` that peeling took out of a strange quartic
+    without a y^4 term, and return both and the cofactor over the field
+    of the new lines (gf when there is none); rem is the cofactor of the
+    peeling, None when it took no line.  ``_lift_roots`` splits rest, and
+    each root's multiplicity there is its line's in F."""
+    gf = curve.gf
+    found, big, table = _lift_roots(rest, gf)
     if not found:
         return factors, rem, gf
-    factors = {tuple(table[v] for v in t): n for t, n in factors.items()}
+    factors = {tuple([table[v] for v in t]): n for t, n in factors.items()}
     rem = embed_form(curve.form if rem is None else rem, gf, big)
     for b, n in found:
         factors[1, 0, b] = n
@@ -582,8 +639,7 @@ def _biconic_split(nf: NormalForm):
                     if ((mul(p, a1) ^ mul(q, a2)) != b3
                             or (mul(q, a0) ^ mul(s, a1)) != b1):
                         continue
-                    big = gf if r == 1 else GF.get(2 * gf.m)
-                    table = gf.embedding_into(big)
+                    big, table = _extension(gf, r, "the conjugate conic pair")
                     theta = big.artin_schreier()[table[tau]]
                     v = [table[c] ^ big.mul(theta, table[a])
                          for c, a in zip((p, q, s), acs)]
@@ -600,8 +656,7 @@ def _strange_conic(big: GF, v: list):
     if v1:
         return str(raw_form(big, [((0, 2, 0), 1), *(
             ((2 - i, 0, i), c) for i, c in enumerate(v))])), 1
-    s0, s2 = big.sqrt(v0), big.sqrt(v2)
-    line = (1, big.inv(s0), big.div(s2, s0)) if s0 else (0, 1, s2)
+    line = _line_off_n(big, big.sqrt(v0), big.sqrt(v2))
     return str(line_form(big, line)), 2
 
 
@@ -610,19 +665,21 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
 
     The form must be a strange quartic in normal form (dF/dy = 0);
     anything else raises `ConstraintViolation`.  The cascade tries the
-    square of a smooth conic; linear factors, the rational ones by
-    ``plane.peel_lines`` and, without a y^4 term, the lines through
-    (0:1:0) by ``_lines_through_n``; a pair of strange conics over GF(q)
-    or GF(q^2), found by two searches of GF(q), which also finds the
-    square of a conjugate pair of lines not through (0:1:0); and
-    otherwise measures an integral quartic at the first point of
-    ``singular_locus``, and reads its tangent at a general point off the
-    normal form: a hyperflex when C = 0, a bitangent otherwise, and none
-    when the zero set holds no point off the locus, i.e. without a
-    rational smooth point (see `TangentType`).  A pass beyond
-    ``kernels.LOCUS_CAP``, or a line or conjugate singular point beyond
-    the field tables, raises `SearchCapped`; a delta above 3 at the
-    singular point raises `InternalCheckFailed`.
+    square of a smooth conic; linear factors, the rational candidates of
+    ``_record_lines`` confirmed by ``plane.peel_lines`` and, without a
+    y^4 term, the lines through (0:1:0) over extensions by
+    ``_lines_through_n``; a pair of strange conics over GF(q) or GF(q^2),
+    found by two searches of GF(q), which also finds the square of a
+    pair of distinct lines not through (0:1:0); and otherwise measures
+    an integral quartic at the first point of ``singular_locus``, and
+    reads its tangent at a general point off the normal form: a hyperflex
+    when C = 0, a bitangent otherwise, and none when the zero set holds
+    no point off the locus, i.e. without a rational smooth point (see
+    `TangentType`).  Only that tangent reads the plane pass, so only an
+    integral answer beyond ``kernels.LOCUS_CAP`` raises `SearchCapped`
+    from the pass; a line, conic pair or conjugate singular point beyond
+    the field tables raises it too.  A delta above 3 at the singular
+    point raises `InternalCheckFailed`.
     """
     if curve.degree() != 4:
         raise ConstraintViolation("the classification taxonomy is quartic")
@@ -635,11 +692,11 @@ def classify_fibre(curve: PlaneCurveFq) -> FibreClass:
         if is_smooth_conic(root):
             return FibreClass(kind="DoubleConic",
                               components=((str(root), 2),))
-    lines = full_lines(curve.zeros, gf)
+    lines, rest = _record_lines(nf)
     factors, rem = peel_lines(curve.form, gf, lines) if lines else ({}, None)
     cur = gf
     if not nf.a:
-        factors, rem, cur = _lines_through_n(factors, rem, curve)
+        factors, rem, cur = _lines_through_n(factors, rem, curve, rest)
     if factors:
         ext = cur.m // gf.m
         comps = tuple(sorted((str(line_form(cur, t)), mult)

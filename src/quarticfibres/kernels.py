@@ -4,11 +4,14 @@
 ((i, j, k), raw int) pairs, and decodes its zero set with
 ``mask_points``; it is a fibre's one pass, on the terms that
 `fibres.PlaneCurveFq` reads off its normal form with no `MPoly` built,
-which `fibres.PlaneCurveFq.zeros` keeps for line peeling and the smooth
-points, and a pencil member's base-point scan (``plane.raw_terms`` of
-the member).  ``scan_singular_points`` takes an `MPoly`, evaluates it
-and its three partials and keeps the points where all four vanish: no fibre
-reads it, since `fibres.singular_locus` is a closed form, and it is the
+which `fibres.PlaneCurveFq.zeros` keeps for the smooth points and the
+tangent of an integral answer, and a pencil member's base-point scan
+(``plane.raw_terms`` of the member).  No line search reads a scan: a
+fibre's lines are read off its normal form, and a pencil member's are
+found by trial division by the triples of ``plane_points``.
+``scan_singular_points`` takes an `MPoly`, evaluates it and its three
+partials and keeps the points where all four vanish: no fibre reads it,
+since `fibres.singular_locus` is a closed form, and it is the
 brute-force oracle that the acceptance battery and the tests check that
 closed form against.
 
@@ -30,9 +33,10 @@ package walks at most one field, and the field tables stop at GF(2^16).
 So the scans are the one search bounded below the tables, and they are
 bounded here, once, where the planes are built: beyond ``LOCUS_CAP``
 every scan raises `SearchCapped` (``check_cap``) before a plane exists,
-and whatever reads a scan (the classification, smooth points, line
-peeling, pencil base points) is bounded with it; the singular locus
-reads none.
+and whatever reads a scan (smooth points, the tangent of an integral
+answer, pencil base points) is bounded with it, as is the trial
+division of a pencil member by the lines of the plane, which follows
+its scan; the singular locus and the reducible answers read none.
 
 ``tests/test_kernels.py`` checks every scan against `MPoly.eval_point`
 at every point of P^2(GF(2^n)) for n <= 4.  ``perfbench/`` times the
@@ -63,6 +67,8 @@ def check_cap(m: int, search: str, cap: int = LOCUS_CAP):
 @cache
 def plane_points(q: int) -> tuple:
     """Canonical representatives of P^2(F_q): (1:y:z), (0:1:z), (0:0:1).
+    Read as triples (a, b, c) of lines a x + b y + c z, they are every
+    line of the plane once.
 
     Point i of the affine part is (1 : i // q : i % q).  Built once per q
     and shared, so it is a tuple."""

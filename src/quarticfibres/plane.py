@@ -7,18 +7,13 @@ ternary forms in (x, y, z) and the same few local constructions:
   which the charts and the plane scans read, and back to an `MPoly`.  A
   fibre keeps its terms in this shape (``fibres.PlaneCurveFq.terms``), so
   it is scanned and charted with no `MPoly` built;
-* ``line_form``, ``full_lines`` and ``peel_lines``: linear factors over
-  the field given and no other.  The candidate lines are read off the
-  zero set: a line divides a form only if all its rational points are
-  zeros.  The caller hands in the base-field zero set, from
-  ``kernels.scan_zero_points``: a fibre's one pass, and a pencil member's
-  scan that also gives its base points.  ``full_lines`` groups the zeros
-  by their projection from a base point and leaves the point once too
-  many groups are open for one to be full, which for the q+1 zeros of an
-  integral fibre is at the second group.  ``peel_lines`` confirms each
-  candidate by division, so a fibre with no candidate divides nothing and
-  needs no `MPoly`.  A fibre's lines over an extension are read off its
-  normal form by ``fibres``, with no scan;
+* ``line_form`` and ``peel_lines``: linear factors over the field given
+  and no other.  The caller hands in the candidate lines as triples: a
+  fibre's are read off its normal form by ``fibres``, with no scan, and
+  a pencil member's are every line of P^2(GF(q)), the triples of
+  ``kernels.plane_points``.  ``peel_lines`` confirms each candidate by
+  division, so a fibre with no candidate divides nothing and needs no
+  `MPoly`;
 * ``is_smooth_conic``: a closed form in the coefficients, no scan;
 * ``chart_at``: the local equation of a form's raw terms at a point, a
   dict {(i, j): c} of raw ints of one field in the two coordinates other
@@ -51,9 +46,9 @@ left to the identity replays ``isomorphisms.verify_iso`` (on packed
 GF(q)[t] ints) and ``resolution.covering_check`` (through
 ``MPoly.substitute``).
 
-Nothing here checks a search limit.  The zero sets come from the plane
-scans, which ``kernels`` bounds where it builds them; a root search walks
-at most one field, and the field tables stop at GF(2^16).
+Nothing here checks a search limit: nothing here scans the plane, a
+root search walks at most one field, and the field tables stop at
+GF(2^16).
 """
 
 from .errors import ConstraintViolation
@@ -284,85 +279,11 @@ def is_smooth_conic(conic: MPoly) -> bool:
                                                           vertex))))
 
 
-def _join(p, r, gf: GF) -> tuple:
-    """The line through two distinct points: their cross product, scaled
-    so that its first nonzero coordinate is 1 (as ``plane_points``)."""
-    mul = gf.mul
-    a = mul(p[1], r[2]) ^ mul(p[2], r[1])
-    b = mul(p[2], r[0]) ^ mul(p[0], r[2])
-    c = mul(p[0], r[1]) ^ mul(p[1], r[0])
-    if a:
-        return 1, gf.div(b, a), gf.div(c, a)
-    if b:
-        return 0, 1, gf.div(c, b)
-    return 0, 0, 1
-
-
-def _projection_groups(p, zeros, gf: GF, most: int) -> dict:
-    """The zeros other than p grouped by the line through p that holds
-    them, keyed by their projection from p onto P^1.
-
-    p is a ``plane_points`` triple, so p[i] = 1 at its first nonzero
-    coordinate i, and r - r[i] p has coordinates (a, b) off i: the key
-    is b / a, or q for (0 : 1), one division and no line triple.  Stops
-    at the first key that would open group most + 1."""
-    i = next(k for k, c in enumerate(p) if c)
-    j, k = (t for t in range(3) if t != i)
-    pj, pk, mul, div = p[j], p[k], gf.mul, gf.div
-    groups = {}
-    for r in zeros:
-        if r == p:
-            continue
-        ri = r[i]
-        a, b = r[j] ^ mul(ri, pj), r[k] ^ mul(ri, pk)
-        key = div(b, a) if a else gf.q
-        group = groups.get(key)
-        if group is None:
-            if len(groups) == most:
-                break
-            group = groups[key] = []
-        group.append(r)
-    return groups
-
-
-def full_lines(zeros: list, gf: GF) -> list:
-    """Every line of P^2(gf) all of whose q+1 points lie in `zeros`, a
-    list of ``plane_points`` triples.
-
-    The lines through a base point p are told apart by the projection
-    from p of each other zero; a group of q zeros is a full line, whose
-    triple ``_join`` builds.  Of the N - 1 other zeros a full line
-    through p holds q, so once more than N - q groups are open none can
-    be full and p is left: when N = q + 1, at the second group.  Base
-    points are taken until no line can be left: an unfound full line has
-    no base point on it, so all its q+1 points are in `todo`, and it
-    meets each found line once, so at least q+1 - len(found) of them
-    are in `free`.  The memory used is linear in the number of zeros.
-    """
-    q = gf.q
-    todo = set(zeros)       # zeros not yet taken as a base point
-    free = set(zeros)       # ... nor on a full line found so far
-    found = []
-    while len(todo) > q and len(free) >= q + 1 - len(found):
-        # with q+1 lines found (over GF(2)) `free` can be empty while a
-        # line whose points all lie on found lines is left
-        p = min(free or todo)
-        todo.discard(p)
-        free.discard(p)
-        for pts in _projection_groups(p, zeros, gf, len(zeros) - q).values():
-            if len(pts) == q:
-                found.append(_join(p, pts[0], gf))
-                free.difference_update(pts)
-    return found
-
-
 def peel_lines(form: MPoly, gf: GF, lines: list):
     """Linear factors of a form over gf, with multiplicities, given the
-    candidate lines, those of ``full_lines`` of its zero set over gf.
+    candidate lines as triples (a, b, c) of a x + b y + c z over gf.
 
-    Each candidate is confirmed by division: by Bezout every candidate is
-    a factor once q+1 exceeds the degree, but over GF(2) a quartic can
-    vanish on a line it does not contain.  A line that does not divide
+    Each candidate is confirmed by division.  A line that does not divide
     the cofactor divides none of its quotients, so each candidate is
     tried once, to its multiplicity.  Returns ({line triple:
     multiplicity}, cofactor), both over gf: lines over an extension stay

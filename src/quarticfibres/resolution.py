@@ -31,11 +31,10 @@ of the members' degree-mu tangent cones, plus the direction u = 0 when
 both cones contain it; a cofactor left over has irrational roots and
 raises `NonRationalCenter` at once.  Charts, the blow-up step, line
 peeling and the root finder come from ``plane``.  Each member is scanned
-once over GF(q) (``kernels.scan_zero_points``, bounded there): the base
-points are the common zeros of the two scans, and each scan is also the
-zero set from which ``plane.full_lines`` and ``plane.peel_lines`` name
-the member's components over GF(q): its rational lines, and the rest as
-one cofactor.
+once over GF(q) (``kernels.scan_zero_points``, bounded there), and the
+base points are the common zeros of the two scans.  ``plane.peel_lines``
+names the member's components over GF(q) by trial division by every line
+of P^2(GF(q)): its rational lines, and the rest as one cofactor.
 """
 
 from collections import deque
@@ -46,8 +45,8 @@ from .errors import (ConstraintViolation, IdentityFailed, NonRationalCenter,
                      NotHomogeneous, UnknownCurve, ZeroForm)
 from .finitefield import GF, GFElem, FieldSpec
 from .mpoly import MPoly, FORM_VARS
-from .plane import (blow_up, chart_at, full_lines, line_form, mult_origin,
-                    peel_lines, raw_form, raw_terms, roots, tangent_cone)
+from .plane import (blow_up, chart_at, line_form, mult_origin, peel_lines,
+                    raw_form, raw_terms, roots, tangent_cone)
 
 _SERIES = "EFGHIJK"
 _MAX_NODES = 64
@@ -220,23 +219,26 @@ class ResolutionReport:
 # ----- plane-side helpers ---------------------------------------------------
 
 
-def _named_factors(pencil: PencilSpec, zeros: list):
-    """Assign stable ids to the irreducible components of both members,
-    given their zero sets over the base field.
+def _named_factors(pencil: PencilSpec):
+    """Assign stable ids to the irreducible components of both members:
+    their lines over the base field, by trial division by every line of
+    its plane (``kernels.plane_points`` read as line triples), and the
+    rest of each member as one cofactor.
 
     The f0 side is named W, W2, ...; the f1 side X, Z, L3, ... with X
     the highest-multiplicity linear factor.
     """
     gf = pencil.gf
+    lines = kernels.plane_points(gf.q)
     named = []          # (cid, form, fib0, fib1)
-    lines0, rem0 = peel_lines(pencil.f0, gf, full_lines(zeros[0], gf))
+    lines0, rem0 = peel_lines(pencil.f0, gf, lines)
     parts0 = []
     if rem0.total_degree() > 0:
         parts0.append((rem0, 1))
     parts0 += [(line_form(gf, t), m) for t, m in sorted(lines0.items())]
     for i, (form, mult) in enumerate(parts0):
         named.append(("W" if i == 0 else f"W{i + 1}", form, mult, 0))
-    lines1, rem1 = peel_lines(pencil.f1, gf, full_lines(zeros[1], gf))
+    lines1, rem1 = peel_lines(pencil.f1, gf, lines)
     parts1 = [(line_form(gf, t), m) for t, m in
               sorted(lines1.items(), key=lambda kv: (-kv[1], kv[0]))]
     if rem1.total_degree() > 0:
@@ -268,7 +270,7 @@ def resolve_pencil(pencil: PencilSpec) -> ResolutionReport:
     zeros = [kernels.scan_zero_points(terms, gf) for terms in members]
     # the rational base points, in descending order
     ordered = sorted(set(zeros[0]) & set(zeros[1]), reverse=True)
-    named = _named_factors(pencil, zeros)
+    named = _named_factors(pencil)
     report = ResolutionReport(
         pencil, [(pt, _SERIES[i]) for i, pt in enumerate(ordered)])
     strict_mults = {cid: {} for cid, _, _, _ in named}

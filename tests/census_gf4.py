@@ -6,7 +6,10 @@ sum c x^i y^j z^k over the nine monomials with j even (4^9 - 1 = 262143
 forms), and prints the (kind, ext) histogram, the tangent kinds of the
 integral answers, the errors by type and one SHA-1 over every answer in
 form order (its `repr`, or its error type and message), which two
-versions of the package must share.  It also compares
+versions of the package must share, and next to it three reach counts:
+the forms whose classification built a plane pass, the root lifts
+(``fibres._lift_roots``) that built a field, and the lines through
+(0:1:0) found over an extension.  It also compares
 `fibres.singular_locus` with the reference scan of P^2(GF(4)) and
 P^2(GF(16)) (``locus_oracle``) on every form and prints the number of
 mismatches: the scan finds at most three singular points on a reduced
@@ -24,6 +27,7 @@ from collections import Counter
 from itertools import product
 
 from locus_oracle import reference_locus
+from quarticfibres import fibres, kernels
 from quarticfibres.errors import ConstraintViolation, QuarticError
 from quarticfibres.fibres import PlaneCurveFq, classify_fibre, singular_locus
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
@@ -32,12 +36,37 @@ from quarticfibres.mpoly import FORM_VARS, MPoly
 MONOMIALS = [(i, j, 4 - i - j) for j in (4, 2, 0) for i in range(5 - j)]
 
 
+def _count_reach(reach: Counter):
+    """Wrap the plane pass, the root lift and the lines through (0:1:0)
+    so that they count into reach: "pass" per call, "lift" per field
+    built, "lines" per line found over an extension."""
+    scan, lift, through_n = (kernels.scan_zero_points, fibres._lift_roots,
+                             fibres._lines_through_n)
+
+    def scanned(*args):
+        reach["pass"] += 1
+        return scan(*args)
+
+    def lifted(h, gf):
+        out = lift(h, gf)
+        reach["lift"] += out[1] is not gf
+        return out
+
+    def through(factors, *args):
+        out = through_n(factors, *args)
+        reach["lines"] += len(out[0]) - len(factors)
+        return out
+    kernels.scan_zero_points, fibres._lift_roots = scanned, lifted
+    fibres._lines_through_n = through
+
+
 def census(m: int = 2):
     """The (kind, ext) counts, the tangent-kind counts of the integral
     answers, the error counts by type over GF(2^m), the reduced forms and
-    locus mismatches, and the SHA-1 of the answers."""
+    locus mismatches, the SHA-1 of the answers and the reach counts."""
     gf, spec = GF.get(m), FieldSpec(m)
-    kinds, tangents, errors = Counter(), Counter(), Counter()
+    kinds, tangents, errors, reach = Counter(), Counter(), Counter(), Counter()
+    _count_reach(reach)
     digest = hashlib.sha1()
     reduced = mismatches = 0
     for cs in product(range(gf.q), repeat=len(MONOMIALS)):
@@ -53,6 +82,7 @@ def census(m: int = 2):
         except ConstraintViolation:
             agrees = len(want) > 3      # a curve of singular points
         mismatches += not agrees
+        passes = reach["pass"]
         try:
             cls = classify_fibre(curve)
         except QuarticError as exc:
@@ -63,12 +93,14 @@ def census(m: int = 2):
             kinds[cls.kind, cls.ext] += 1
             if cls.kind == "IntegralQuartic":
                 tangents[cls.tangent.kind if cls.tangent else None] += 1
-    return kinds, tangents, errors, reduced, mismatches, digest.hexdigest()
+        reach["planes"] += reach["pass"] > passes
+    return (kinds, tangents, errors, reduced, mismatches, digest.hexdigest(),
+            reach)
 
 
 def main():
     start = time.perf_counter()
-    kinds, tangents, errors, reduced, mismatches, digest = census()
+    kinds, tangents, errors, reduced, mismatches, digest, reach = census()
     print(f"{sum(kinds.values()) + sum(errors.values())} forms over GF(4)")
     for (kind, ext), n in sorted(kinds.items()):
         print(f"{n:8d}  {kind} ext {ext}")
@@ -79,6 +111,9 @@ def main():
     print(f"{mismatches:8d}  locus mismatches against the GF(16) scan"
           f" ({reduced} reduced forms)")
     print(f"answers sha1 {digest}")
+    print(f"{reach['planes']:8d}  forms whose answer built a plane pass")
+    print(f"{reach['lift']:8d}  root lifts that built a field")
+    print(f"{reach['lines']:8d}  lines through (0:1:0) over an extension")
     print(f"[{time.perf_counter() - start:.0f}s]")
 
 

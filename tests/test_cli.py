@@ -216,6 +216,29 @@ def test_exit_codes_and_error_record():
     assert len(r.stdout) < 200
 
 
+def test_negative_limit_is_a_usage_error():
+    r = run("scan", "--fibration", "pi4", "--limit", "-1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "--limit: '-1' is not a count" in r.stderr
+    r = run("scan", "--fibration", "pi4", "--limit", "0")
+    assert r.returncode == 0 and r.stdout.startswith("scanned 0 fibres")
+
+
+def test_a_parameter_with_no_value_is_named():
+    for args in (["scan", "--fibration", "pi4", "--fix", "a"],
+                 ["scan", "--fibration", "pi4", "--fix", "b=1,c="],
+                 ["fibre", "classify", "--fibration", "pi4",
+                  "--params", ",,"]):
+        r = run(*args)
+        assert r.returncode == 1
+        name = "c" if "b=1,c=" in args else "a"
+        assert r.stdout == (f"error: QuarticError: parameter {name!r} has"
+                            " no value\n")
+        rec = json.loads(run(*args, "--json").stdout)
+        assert rec["error"] == {"type": "QuarticError", "message":
+                                f"parameter {name!r} has no value"}
+
+
 def test_field_degree_above_16_is_an_error_record():
     # refused before an exp/log table of 2^m entries is built
     r = run("family", "--tag", "IV", "--b", "t", "--field-m", "24")

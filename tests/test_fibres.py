@@ -23,7 +23,8 @@ from quarticfibres.fibres import (FIBRATIONS, PlaneCurveFq, TangentType,
 from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
-from quarticfibres.plane import chart_at, embed_form, roots, tangent_cone
+from quarticfibres.plane import (chart_at, embed_form, line_form, peel_lines,
+                                 raw_terms, roots, tangent_cone)
 from quarticfibres.resolution import cubic_pencil
 from quarticfibres.upoly import UPoly
 
@@ -171,16 +172,36 @@ def test_non_default_modulus():
     assert count == 448
 
 
+def test_reducible_fibres_answer_beyond_the_scan_cap(monkeypatch):
+    # a reducible fibre's lines and conic pair are read off its normal
+    # form, so it answers beyond the GF(2^8) cap of the plane scans and
+    # builds no plane, up to the GF(2^16) field tables
+    planes = _count_calls(monkeypatch, kernels, "_coordinates")
+    points = _count_calls(monkeypatch, kernels, "plane_points")
+    for m in (9, 16):
+        cls = classify_fibre(specialize_fibre("pi3", (1, 0, 1, 0),
+                                              FieldSpec(m)))
+        assert (cls.kind, cls.ext, cls.components) == (
+            "ConicPlusDoubleLine", 1, (("x+z", 2), ("y^2+x*z", 1)))
+    cls = classify_fibre(specialize_fibre("pi3", (1, 1, 0, 0), FieldSpec(9)))
+    assert (cls.kind, cls.ext, len(cls.components)) == ("Other", 1, 2)
+    assert planes == points == []
+    # a conjugate conic pair over GF(2^18) is beyond the field tables
+    with pytest.raises(SearchCapped, match="conic pair over GF.2.18. is"
+                       " beyond the GF.2.16."):
+        classify_fibre(specialize_fibre("pi5", (0, 1, 1, 1), FieldSpec(9)))
+
+
 def test_search_beyond_the_cap_raises(monkeypatch):
-    # every reader of a plane scan over GF(512) raises SearchCapped from
-    # the one check in kernels, before a monomial plane is built; the
-    # singular locus reads no scan, so it answers there
+    # every reader of a plane scan over GF(512), the tangent of an
+    # integral answer included, raises SearchCapped from the one check in
+    # kernels, before a monomial plane is built; the singular locus reads
+    # no scan, so it answers there
     spec = FieldSpec(9)
     planes = _count_calls(monkeypatch, kernels, "_coordinates")
     points = _count_calls(monkeypatch, kernels, "plane_points")
-    for name, point in (("pi4", (3, 5, 7)), ("pi3", (1, 0, 1, 0))):
-        with pytest.raises(SearchCapped):
-            classify_fibre(specialize_fibre(name, point, spec))
+    with pytest.raises(SearchCapped, match="plane scan over GF.2.9."):
+        classify_fibre(specialize_fibre("pi4", (3, 5, 7), spec))
     with pytest.raises(SearchCapped, match="plane scan over GF.2.9."):
         smooth_points(specialize_fibre("pi4", (3, 5, 7), spec))
     locus = singular_locus(specialize_fibre("pi4", (3, 5, 7), spec))
@@ -493,8 +514,8 @@ def test_gf64_fibre_plane_products(monkeypatch):
 
 def test_classify_evaluates_the_fibre_once_per_field(monkeypatch):
     # a machine-independent work count: F alone is evaluated over
-    # P^2(GF(16)) once, for the zero set that line peeling reads and the
-    # smooth-point count, and never over GF(256)
+    # P^2(GF(16)) once, for the smooth-point count of the tangent, and
+    # never over GF(256)
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
     curve = specialize_fibre("pi4", (3, 5, 7), FieldSpec(4))
     assert classify_fibre(curve).kind == "IntegralQuartic"
@@ -522,7 +543,7 @@ def test_integral_fibres_make_no_extension_scan(monkeypatch):
 def test_singular_point_over_the_extension(monkeypatch):
     # no rational singular point: the locus's root lift finds the
     # conjugate pair (1:g:0), (1:g+1:0) over GF(4) with no scan, so F is
-    # evaluated once, over P^2(GF(2)), for line peeling
+    # evaluated once, over P^2(GF(2)), for the tangent
     calls = _count_calls(monkeypatch, kernels, "_zero_masks")
     cls = classify_fibre(_curve("x^4 + x^2*y^2 + y^4 + x*z^3"))
     assert [(len(forms), gf.m) for forms, gf in calls] == [(1, 1)]
@@ -637,20 +658,11 @@ def test_biconic_split_searches_the_base_field(monkeypatch):
 def test_gf64_fibre_searches_do_not_walk_the_field(monkeypatch):
     # a machine-independent work count: every root found while classifying
     # is a closed form (the tangent cones and the tangent restriction are
-    # 2^j-th powers of polynomials of degree <= 2), and the q + 1 zeros of
-    # the fibre leave its one base point at the second projection group
+    # 2^j-th powers of polynomials of degree <= 2)
     scans = _count_calls(monkeypatch, plane, "_horner_roots")
-    groups = []
-    project = plane._projection_groups
-
-    def counted(*args):
-        groups.append(project(*args))
-        return groups[-1]
-    monkeypatch.setattr(plane, "_projection_groups", counted)
     cls = classify_fibre(specialize_fibre("pi4", (3, 5, 7), FieldSpec(6)))
     assert cls.kind == "IntegralQuartic" and cls.tangent is not None
     assert scans == []
-    assert sum(map(len, groups)) <= 2
 
 
 def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
@@ -658,7 +670,8 @@ def test_gf64_fibre_is_measured_on_raw_ints(monkeypatch):
     # invariant are dicts of raw field ints, so it makes or combines no
     # GFElem; its chart is the only one built, the tangent is read off the
     # form with no restriction to a line, and of the pass only the q + 1
-    # zeros that line peeling reads and the singular head are decoded
+    # zeros that the tangent count reads and the singular head are
+    # decoded
     inside, elem_calls, decoded = [], [], []
     tangents = _count_calls(monkeypatch, fibres, "tangent_contact_type")
     charts = _count_calls(monkeypatch, fibres, "chart_at")
@@ -696,7 +709,8 @@ def test_integral_answer_beyond_delta_3_raises(m, monkeypatch):
     # unfound, the form reaches the integral branch with delta 6 there,
     # more than the arithmetic genus 3 of an integral quartic
     monkeypatch.setattr(fibres, "_lines_through_n",
-                        lambda factors, rem, curve: (factors, rem, curve.gf))
+                        lambda factors, rem, curve, rest: (factors, rem,
+                                                           curve.gf))
     with pytest.raises(InternalCheckFailed, match="with delta 6"):
         classify_fibre(_curve("x^4 + x*z^3 + z^4", FieldSpec(m)))
 
@@ -959,6 +973,129 @@ def test_strange_form_census_over_gf2_and_its_embeddings():
     # and every answer prints as it did (see _GRID_DIGESTS), by field
     assert [m for m, want in _CENSUS_DIGESTS.items()
             if _sha1(reprs[m]) != want] == []
+
+
+# ----- the line oracle ----------------------------------------------------
+
+
+def _reported_lines(curve, cls, rational):
+    """The lines among an answer's components as {triple: multiplicity},
+    each triple scaled to 1 at its first nonzero coordinate: over
+    GF(q^ext), or with `rational` only those over the curve's field, read
+    back into it."""
+    spec = FieldSpec(curve.field.m * cls.ext)
+    big = spec.field()
+    back = {v: i for i, v in enumerate(curve.gf.embedding_into(big))}
+    out = {}
+    for text, mult in cls.components:
+        form = parse_form(text, spec, over="GF")
+        if form.total_degree() != 1:
+            continue
+        t = [form.coeff(e).v for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        lead = next(v for v in t if v)
+        t = tuple(big.div(v, lead) for v in t)
+        if not rational:
+            out[t] = mult
+        elif all(v in back for v in t):
+            out[tuple(back[v] for v in t)] = mult
+    return out
+
+
+@functools.cache
+def _lines_with_points(gf):
+    """Every line of P^2(gf), the triples of ``kernels.plane_points``, with
+    its rational points."""
+    pts = kernels.plane_points(gf.q)
+    mul = gf.mul
+    return [(t, [p for p in pts if not (mul(t[0], p[0]) ^ mul(t[1], p[1])
+                                        ^ mul(t[2], p[2]))]) for t in pts]
+
+
+def _trial_division(form, gf):
+    """The oracle: ``peel_lines`` by every line of P^2(gf), less the lines
+    with a rational point off the form, which divide no form, so that
+    fewer divisions fail."""
+    zeros = set(kernels.scan_zero_points(raw_terms(form), gf))
+    return peel_lines(form, gf, [t for t, pts in _lines_with_points(gf)
+                                 if zeros.issuperset(pts)])[0]
+
+
+def _check_lines(curve, cls):
+    """The answer's rational lines against trial division by every line of
+    P^2(GF(q)), and for q^ext <= 16 all its lines against every line of
+    P^2(GF(q^ext)); and the lemma: a rational line not through (0:1:0)
+    that divides a strange quartic which is not a square is L / sqrt(c1),
+    L = sqrt(d1) x + sqrt(c1) y + sqrt(d3) z."""
+    gf, what = curve.gf, (str(curve.form), curve.gf.m, cls)
+    want = _trial_division(curve.form, gf)
+    assert _reported_lines(curve, cls, True) == want, what
+    big = FieldSpec(gf.m * cls.ext).field()
+    if cls.ext > 1 and big.q <= 16:
+        lifted = embed_form(curve.form, gf, big)
+        assert _reported_lines(curve, cls, False) == _trial_division(
+            lifted, big), what
+    l_line = curve.normal.square_roots[:3]
+    if any(l_line):                                 # F is not a square
+        lead = next(v for v in l_line if v)
+        for t in want:
+            if t[1]:                                # not through (0:1:0)
+                assert l_line[1] and t == tuple(
+                    gf.div(v, lead) for v in l_line), what
+
+
+def _strange_products(gf, rng, count):
+    """Seeded strange quartics over gf: products of lines through (0:1:0),
+    squares of lines not through it, strange conics and strange quartics,
+    of total degree 4."""
+    def r():
+        return rng.randrange(gf.q)
+
+    def strange(deg):
+        monos = [(i, j, deg - i - j) for j in range(0, deg + 1, 2)
+                 for i in range(deg - j + 1)]
+        while True:
+            f = MPoly.from_terms(FORM_VARS, gf, [
+                (e, GFElem(gf, r())) for e in monos if rng.random() < 0.7])
+            if not f.is_zero():
+                return f
+    atoms = [(1, lambda: line_form(gf, (1, 0, r()) if rng.random() < 0.8
+                                   else (0, 0, 1))),
+             (2, lambda: line_form(gf, (r(), 1, r())).square()),
+             (2, lambda: strange(2)), (4, lambda: strange(4))]
+    for _ in range(count):
+        form, deg = None, 0
+        while deg < 4:
+            d, atom = rng.choice([a for a in atoms if a[0] <= 4 - deg])
+            form = atom() if form is None else form * atom()
+            deg += d
+        yield PlaneCurveFq(form, FieldSpec(gf.m))
+
+
+def test_line_factors_match_trial_division_by_every_line():
+    # the 511 strange forms over GF(2) read over GF(2), GF(4) and GF(8),
+    # each divided by every line of the plane
+    small = GF.get(1)
+    for curve in _even_y_quartics(small, product(range(2), repeat=9)):
+        for m in (1, 2, 3):
+            big = GF.get(m)
+            lifted = PlaneCurveFq(embed_form(curve.form, small, big),
+                                  FieldSpec(m))
+            cls = classify_fibre(lifted)
+            _check_lines(lifted, cls)
+            assert _reported_lines(lifted, cls, True) == peel_lines(
+                lifted.form, big, kernels.plane_points(big.q))[0]
+    # every fibre of every fibration for m <= 3
+    for name, m in product(sorted(FIBRATIONS), (1, 2, 3)):
+        for _, curve, cls in _grid(name, m):
+            _check_lines(curve, cls)
+    # seeded products over GF(16), reducible by construction
+    kinds = Counter()
+    for curve in _strange_products(GF.get(4), random.Random(3217), 300):
+        cls = classify_fibre(curve)
+        kinds[cls.kind] += 1
+        _check_lines(curve, cls)
+    assert set(kinds) >= {"IntegralQuartic", "ConicPlusDoubleLine",
+                          "DoubleConic", "Other"}
 
 
 def _gf2_image(curve, move):

@@ -104,9 +104,9 @@ def test_only_the_field_and_polynomial_layers_reach_gf2x():
 
 def test_search_caps_are_checked_in_two_places():
     # the plane scans are bounded once, where kernels builds its planes,
-    # and the one extension a root search builds is the root lift of
-    # fibres._lift_roots, which blow-up directions and lines through
-    # (0:1:0) share: no caller adds a cap of its own
+    # and every extension a search builds comes from fibres._extension,
+    # which the root lift (blow-up directions, lines through (0:1:0)) and
+    # the biconic split share: no caller adds a cap of its own
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -118,7 +118,7 @@ def test_search_caps_are_checked_in_two_places():
                         getattr(node.func, "id", None),
                         getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"kernels._zero_masks", "fibres._lift_roots"}
+    assert callers == {"kernels._zero_masks", "fibres._extension"}
 
 
 def test_cli_subcommands_define_only_the_flags_they_read():

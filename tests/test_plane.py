@@ -1,7 +1,7 @@
-"""Line peeling against trial division by every line of the plane, the
-line search against grouping by joins, the closed-form smooth-conic test
-against a plane scan, charts and blow-ups against polynomial
-substitution, and univariate roots against evaluation at every element."""
+"""Line peeling against each line's multiplicity by repeated division,
+the closed-form smooth-conic test against a plane scan, charts and
+blow-ups against polynomial substitution, and univariate roots against
+evaluation at every element."""
 
 import random
 from functools import reduce
@@ -10,7 +10,7 @@ from operator import xor
 
 import pytest
 
-from quarticfibres import kernels, plane
+from quarticfibres import kernels
 from quarticfibres.errors import ConstraintViolation
 from quarticfibres.fibres import (PlaneCurveFq, classify_fibre,
                                   delta_invariant, specialize_fibre)
@@ -18,32 +18,37 @@ from quarticfibres.finitefield import GF, FieldSpec, GFElem
 from quarticfibres.mpoly import FORM_VARS, MPoly
 from quarticfibres.parser import parse_form
 from quarticfibres.plane import (blow_up, chart_at, embed_form,
-                                 full_lines, is_smooth_conic, line_form,
-                                 peel_lines, raw_terms,
-                                 roots)
+                                 is_smooth_conic, line_form, peel_lines,
+                                 raw_terms, roots)
 from quarticfibres.resolution import PENCILS, resolve_pencil
 from quarticfibres.upoly import UPoly
 
 random.seed(30931)
 
 
-def _trial_division_peel(form, gf):
-    """The reference: divide by each line of P^2(gf) in turn, reading no
-    zero set."""
-    found, rem, deg = {}, form, form.total_degree()
+def _line_multiplicities(form, gf):
+    """The reference: the multiplicity of each line of P^2(gf) in the
+    form, each by repeated division of the form itself."""
+    found = {}
     for t in kernels.plane_points(gf.q):
-        line = line_form(gf, t)
-        while deg and (q := rem.divide(line)) is not None:
-            found[t] = found.get(t, 0) + 1
-            rem, deg = q, deg - 1
-    return found, rem
+        line, rem, k = line_form(gf, t), form, 0
+        while rem.total_degree() and (q := rem.divide(line)) is not None:
+            rem, k = q, k + 1
+        if k:
+            found[t] = k
+    return found
 
 
 def _check(form, gf):
-    zeros = kernels.scan_zero_points(raw_terms(form), gf)
-    got = peel_lines(form, gf, full_lines(zeros, gf))
-    assert got == _trial_division_peel(form, gf)
-    return got
+    """Peel every line of P^2(gf), taken in a seeded order: each found to
+    its multiplicity, and the cofactor times the lines is the form."""
+    lines = list(kernels.plane_points(gf.q))
+    random.Random(str(form)).shuffle(lines)
+    factors, rem = peel_lines(form, gf, lines)
+    assert factors == _line_multiplicities(form, gf)
+    assert _prod(gf, rem, *(line_form(gf, t).pow(k)
+                            for t, k in factors.items())) == form
+    return factors, rem
 
 
 def _prod(gf, *factors):
@@ -122,10 +127,8 @@ def test_four_concurrent_lines():
 
 
 def test_four_lines_over_f2():
-    """Over GF(2) a quartic can vanish on all seven points of the plane,
-    so every line is a candidate and at least q+1 = 3 of them are found
-    from the first base point alone; the lines left over have lost all
-    their points to found lines and still must be searched."""
+    """Over GF(2) a quartic can vanish on all seven points of the plane
+    and hold four of its seven lines, or only one."""
     gf = GF.get(1)
     x, y, z = (line_form(gf, t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for form in (_prod(gf, x, y, x + y, z),
@@ -133,8 +136,8 @@ def test_four_lines_over_f2():
                  _prod(gf, x, x, y, x + y)):
         factors, rem = _check(form, gf)
         assert sum(factors.values()) == 4 and rem.total_degree() == 0
-    # one line times a cubic through the four points off it: seven
-    # candidates, one of which divides
+    # one line times a cubic through the four points off it: it vanishes
+    # on all seven lines, and one of them divides
     cubic = MPoly.from_terms(FORM_VARS, gf, [
         ((1, 2, 0), gf.one_elem()), ((2, 1, 0), gf.one_elem()),
         ((0, 0, 3), gf.one_elem()), ((2, 0, 1), gf.one_elem())])
@@ -348,54 +351,6 @@ def test_charts_and_blow_ups_make_no_substitution(monkeypatch):
     for pencil in PENCILS.values():
         resolve_pencil(pencil())
     assert calls == []
-
-
-# ----- the line search ----------------------------------------------------
-
-
-def _join_grouping_lines(zeros, gf):
-    """The reference line search: the lines through each base point told
-    apart by the join with every other zero, with no early stop."""
-    q = gf.q
-    todo, free, found = set(zeros), set(zeros), []
-    while len(todo) > q and len(free) >= q + 1 - len(found):
-        p = min(free or todo)
-        todo.discard(p)
-        free.discard(p)
-        groups = {}
-        for r in zeros:
-            if r != p:
-                groups.setdefault(plane._join(p, r, gf), []).append(r)
-        for line, pts in groups.items():
-            if len(pts) == q:
-                found.append(line)
-                free.difference_update(pts)
-    return found
-
-
-def _line_points(gf, t):
-    return [p for p in kernels.plane_points(gf.q)
-            if not gf.mul(t[0], p[0]) ^ gf.mul(t[1], p[1]) ^ gf.mul(t[2], p[2])]
-
-
-def test_line_search_matches_join_grouping():
-    rng = random.Random(4417)
-    for m in (1, 2, 3, 4):
-        gf = GF.get(m)
-        pts = kernels.plane_points(gf.q)
-        x_axis = _line_points(gf, (1, 0, 0))
-        cases = [x_axis, x_axis + [(1, 0, 0)]]      # q+1 collinear zeros
-        for _ in range(60 if m < 4 else 15):
-            zeros = set()
-            for _ in range(rng.randrange(4)):
-                zeros.update(_line_points(gf, rng.choice(pts)))
-            zeros.update(rng.sample(pts, rng.randrange(2 * gf.q + 2)))
-            cases.append(sorted(zeros))
-        for zeros in cases:
-            rng.shuffle(zeros)      # group order follows the zero order
-            assert plane.full_lines(zeros, gf) == _join_grouping_lines(
-                zeros, gf)
-        assert plane.full_lines(x_axis, gf) == [(1, 0, 0)]
 
 
 # ----- univariate roots ---------------------------------------------------

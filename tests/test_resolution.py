@@ -191,8 +191,8 @@ def test_pencils_table():
 
 def test_each_member_is_scanned_once_over_the_base_field(monkeypatch):
     # a machine-independent work count: one GF(q) scan per member gives
-    # both the base points and the zero set line peeling reads, and line
-    # peeling scans no other field
+    # its base points, and line peeling, by trial division by the lines
+    # of the plane, scans nothing
     calls = []
     scan = kernels.scan_zero_points
 
